@@ -341,7 +341,7 @@ fn step_loop(
     program: &codegen::ir::StepProgram,
     feeds: &[(Name, Vec<Value>)],
 ) -> u64 {
-    let mut machine = codegen::machine_of(kind, program.clone());
+    let mut machine = codegen::machine_of(kind, program);
     for (signal, values) in feeds {
         for value in values {
             machine.feed_value(signal.as_str(), *value);

@@ -710,11 +710,11 @@ impl gals_rt::StepMachine for CompiledRuntime {
 /// through.
 pub fn machine_of(
     kind: gals_rt::MachineKind,
-    program: StepProgram,
+    program: &StepProgram,
 ) -> Box<dyn gals_rt::StepMachine> {
     match kind {
-        gals_rt::MachineKind::Interpreted => Box::new(SequentialRuntime::new(program)),
-        gals_rt::MachineKind::Compiled => Box::new(CompiledRuntime::from_program(&program)),
+        gals_rt::MachineKind::Interpreted => Box::new(SequentialRuntime::new(program.clone())),
+        gals_rt::MachineKind::Compiled => Box::new(CompiledRuntime::from_program(program)),
     }
 }
 

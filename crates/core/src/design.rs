@@ -2,11 +2,13 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use clocks::{Clock, ClockAlgebra, ClockAnalysis, ClockExpr};
 use codegen::{ClockCode, SequentialRuntime, StepProgram};
 use gals_rt::{
-    CapacityAnalysis, DeployError, Deployment, EdgeClocks, MachineKind, ReferenceComponent,
+    CapacityAnalysis, DeployError, Deployment, EdgeClocks, MachineKind, PerformancePrediction,
+    ReferenceComponent,
 };
 use signal_lang::{KernelProcess, Name, ProcessBuilder, ProcessDef, SignalError};
 
@@ -66,6 +68,7 @@ pub struct Component {
     definition: ProcessDef,
     kernel: KernelProcess,
     analysis: ClockAnalysis,
+    program: OnceLock<StepProgram>,
 }
 
 impl Component {
@@ -77,6 +80,7 @@ impl Component {
             definition,
             kernel,
             analysis,
+            program: OnceLock::new(),
         })
     }
 
@@ -106,19 +110,29 @@ impl Component {
     }
 
     /// The generated sequential step program of the component.
+    ///
+    /// Generated once per component and shared by every deployment of
+    /// it; a component is immutable, so the stored program never goes
+    /// stale.
     pub fn step_program(&self) -> StepProgram {
-        codegen::seq::generate(&self.analysis)
+        self.program().clone()
+    }
+
+    /// The stored step program, generated on first use.
+    fn program(&self) -> &StepProgram {
+        self.program
+            .get_or_init(|| codegen::seq::generate(&self.analysis))
     }
 
     /// The generated C text of the component.
     pub fn emit_c(&self) -> String {
-        codegen::emit::emit_c(&self.step_program())
+        codegen::emit::emit_c(self.program())
     }
 
     /// The generated Rust module of the component (a self-contained,
     /// compilable step machine — see `codegen::emit_rust`).
     pub fn emit_rust(&self) -> String {
-        codegen::emit_rust::emit_rust(&self.step_program())
+        codegen::emit_rust::emit_rust(self.program())
     }
 
     /// A ready-to-run sequential runtime interpreting the generated code.
@@ -129,7 +143,7 @@ impl Component {
     /// A ready-to-run compiled runtime (slot-indexed, zero per-step
     /// allocation) executing the generated code.
     pub fn compiled_runtime(&self) -> codegen::CompiledRuntime {
-        codegen::CompiledRuntime::from_program(&self.step_program())
+        codegen::CompiledRuntime::from_program(self.program())
     }
 
     /// Activation signals for the synchronous reference interpreter: one
@@ -213,12 +227,21 @@ impl fmt::Debug for Component {
 
 /// A design: a named composition of components, analyzed both per component
 /// and globally, on which the weak-hierarchy criterion is evaluated.
+///
+/// A design is immutable once built, so each artifact of its
+/// verification — edge clocks, capacity analysis (or its typed refusal),
+/// performance prediction, and every component's step program — is
+/// derived at most once, on first use, and shared by every deployment,
+/// staging and admission of the design after that.
 pub struct Design {
     name: String,
     components: Vec<Component>,
     composition: KernelProcess,
     composition_analysis: ClockAnalysis,
     incrementally_ok: bool,
+    edge_clocks: OnceLock<BTreeMap<Name, EdgeClocks>>,
+    capacity: OnceLock<Result<CapacityAnalysis, DeployError>>,
+    prediction: OnceLock<Result<PerformancePrediction, DeployError>>,
 }
 
 impl Design {
@@ -245,23 +268,28 @@ impl Design {
         }
         // Incremental composition (Definition 12): compose one component at
         // a time and check well-clockedness and acyclicity of every prefix.
+        // The last prefix is the whole composition, so its analysis is the
+        // design's.
         let mut incrementally_ok = true;
         let mut composition = components[0].kernel().clone();
+        let mut last_prefix = None;
         for component in &components[1..] {
             composition = composition.compose(component.kernel())?;
             let analysis = ClockAnalysis::analyze(&composition);
             if !(analysis.is_well_clocked() && analysis.is_acyclic()) {
                 incrementally_ok = false;
             }
+            last_prefix = Some(analysis);
         }
-        let composition_analysis = ClockAnalysis::analyze(&composition);
-        Ok(Design {
+        let composition_analysis =
+            last_prefix.unwrap_or_else(|| ClockAnalysis::analyze(&composition));
+        Ok(Design::assemble(
             name,
             components,
             composition,
             composition_analysis,
             incrementally_ok,
-        })
+        ))
     }
 
     /// Builds a design directly from a composite definition plus the list of
@@ -283,13 +311,33 @@ impl Design {
         let composition_analysis = ClockAnalysis::analyze(&composition);
         let incrementally_ok =
             composition_analysis.is_well_clocked() && composition_analysis.is_acyclic();
-        Ok(Design {
+        Ok(Design::assemble(
             name,
             components,
             composition,
             composition_analysis,
             incrementally_ok,
-        })
+        ))
+    }
+
+    /// A design with its verdict inputs set and no artifact derived yet.
+    fn assemble(
+        name: String,
+        components: Vec<Component>,
+        composition: KernelProcess,
+        composition_analysis: ClockAnalysis,
+        incrementally_ok: bool,
+    ) -> Self {
+        Design {
+            name,
+            components,
+            composition,
+            composition_analysis,
+            incrementally_ok,
+            edge_clocks: OnceLock::new(),
+            capacity: OnceLock::new(),
+            prediction: OnceLock::new(),
+        }
     }
 
     /// The design name.
@@ -390,16 +438,17 @@ impl Design {
     /// [`deploy_unchecked`](Design::deploy_unchecked) with an explicit
     /// execution strategy for the component machines.
     pub fn deploy_unchecked_with(&self, kind: MachineKind) -> Deployment {
-        let programs: Vec<_> = self.components.iter().map(|c| c.step_program()).collect();
         // Paced marks only make sense on environment inputs (signals no
         // component produces): a channel-fed input is paced by its
         // producer, and the deployment rejects paced marks on it.
-        let produced: std::collections::BTreeSet<_> = programs
+        let produced: std::collections::BTreeSet<&Name> = self
+            .components
             .iter()
-            .flat_map(|p| p.outputs.iter().cloned())
+            .flat_map(|c| c.program().outputs.iter())
             .collect();
         let mut deployment = Deployment::new();
-        for (component, program) in self.components.iter().zip(programs) {
+        for component in &self.components {
+            let program = component.program();
             // Environment inputs present at every activation of the step
             // function pace their component: the synchronous reference
             // must present them at every attempted reaction too.
@@ -429,7 +478,15 @@ impl Design {
     /// abstraction ([`Design::from_parts`]): a composite hiding the
     /// components' internals strips them from the global algebra, but
     /// each component still knows its own phase structure.
-    pub fn edge_clocks(&self) -> BTreeMap<Name, EdgeClocks> {
+    ///
+    /// Derived once per design and shared by the capacity analysis, the
+    /// prediction and every caller; a design is immutable, so the stored
+    /// map never goes stale.
+    pub fn edge_clocks(&self) -> &BTreeMap<Name, EdgeClocks> {
+        self.edge_clocks.get_or_init(|| self.derive_edge_clocks())
+    }
+
+    fn derive_edge_clocks(&self) -> BTreeMap<Name, EdgeClocks> {
         let mut producer_of: BTreeMap<Name, usize> = BTreeMap::new();
         for (i, component) in self.components.iter().enumerate() {
             for output in component.kernel().outputs() {
@@ -473,23 +530,35 @@ impl Design {
     /// [`gals_rt::Deployment::set_prediction`] so the run's stats report
     /// predicted and measured paces side by side.
     ///
+    /// Derived once per design (reusing the stored capacity analysis and
+    /// edge clocks) and shared by every staging and admission of it; a
+    /// design is immutable, so the stored prediction never goes stale.
+    ///
     /// # Errors
     ///
     /// Returns [`DeployError`] when the interface-derived topology is
     /// ill-formed (e.g. two components produce the same signal).
-    pub fn performance_prediction(&self) -> Result<gals_rt::PerformancePrediction, DeployError> {
+    pub fn performance_prediction(&self) -> Result<PerformancePrediction, DeployError> {
+        self.prediction().clone()
+    }
+
+    /// The stored prediction, derived on first use.
+    fn prediction(&self) -> &Result<PerformancePrediction, DeployError> {
+        self.prediction.get_or_init(|| self.derive_prediction())
+    }
+
+    fn derive_prediction(&self) -> Result<PerformancePrediction, DeployError> {
         // Resolve the topology under derived sizing when the analysis
         // succeeds, so the per-edge capacities in the prediction are the
         // ones a `deploy_derived` run will actually wire; designs the
         // calculus cannot fully bound fall back to the default policy.
         let mut deployment = self.deploy_unchecked();
-        if let Ok(analysis) = self.capacity_analysis() {
+        if let Ok(analysis) = self.capacity() {
             if analysis.is_fully_bounded() {
-                deployment.set_capacity_analysis(&analysis);
+                deployment.set_capacity_analysis(analysis);
             }
         }
         let topology = deployment.topology()?;
-        let edge_clocks = self.edge_clocks();
         let environment: std::collections::BTreeSet<&Name> = topology.environment.iter().collect();
         let mut local = LocalWords::new(&self.components);
         let mut env_reads = Vec::new();
@@ -507,9 +576,9 @@ impl Design {
             .iter()
             .map(|c| c.name().to_string())
             .collect();
-        Ok(gals_rt::PerformancePrediction::derive(
+        Ok(PerformancePrediction::derive(
             &topology,
-            &edge_clocks,
+            self.edge_clocks(),
             &env_reads,
             &names,
         ))
@@ -533,7 +602,21 @@ impl Design {
     /// emission — refusing statically the exact wait cycle the pool
     /// scheduler's dynamic `Deadlocked` detection would otherwise only
     /// report at run time.
+    ///
+    /// The analysis — or its refusal — is derived once per design and
+    /// shared by the prediction, every derived deployment, staging,
+    /// admission and partition plan; a design is immutable, so the stored
+    /// result never goes stale.
     pub fn capacity_analysis(&self) -> Result<CapacityAnalysis, DeployError> {
+        self.capacity().clone()
+    }
+
+    /// The stored capacity analysis or its refusal, derived on first use.
+    fn capacity(&self) -> &Result<CapacityAnalysis, DeployError> {
+        self.capacity.get_or_init(|| self.derive_capacity())
+    }
+
+    fn derive_capacity(&self) -> Result<CapacityAnalysis, DeployError> {
         if !self.is_weakly_hierarchic() {
             return Err(DeployError::NotVerified(self.name.clone()));
         }
@@ -546,7 +629,7 @@ impl Design {
             &topology,
             &self.composition,
             &mut algebra,
-            &self.edge_clocks(),
+            self.edge_clocks(),
         );
         if let Some(cycle) = analysis.unprimed_cycles().first() {
             return Err(DeployError::UnprimedCycle(cycle.clone()));
@@ -577,8 +660,8 @@ impl Design {
     /// static weak-hierarchy criterion.
     pub fn deploy_derived_with(&self, kind: MachineKind) -> Result<Deployment, DesignError> {
         let mut deployment = self.deploy_with(kind)?;
-        let analysis = self.capacity_analysis()?;
-        deployment.set_capacity_analysis(&analysis);
+        let analysis = self.capacity().as_ref().map_err(Clone::clone)?;
+        deployment.set_capacity_analysis(analysis);
         Ok(deployment)
     }
 
@@ -591,6 +674,11 @@ impl Design {
     /// This is the entry point `gals-serve` admission prices: the staged
     /// deployment carries the same capacity-and-prediction artifacts the
     /// batch [`deploy_derived`](Design::deploy_derived) run would report.
+    ///
+    /// Each call instantiates fresh machines and channels, and nothing
+    /// else: the capacity analysis, the prediction and the step programs
+    /// are derived once per design and shared by every staging; a design
+    /// is immutable, so they never go stale.
     ///
     /// # Errors
     ///
@@ -614,8 +702,8 @@ impl Design {
         kind: MachineKind,
     ) -> Result<gals_rt::StagedDeployment, DesignError> {
         let mut deployment = self.deploy_derived_with(kind)?;
-        if let Ok(prediction) = self.performance_prediction() {
-            deployment.set_prediction(prediction);
+        if let Ok(prediction) = self.prediction() {
+            deployment.set_prediction(prediction.clone());
         }
         Ok(deployment.stage()?)
     }
@@ -907,6 +995,81 @@ mod tests {
             design.deploy_derived(),
             Err(DesignError::NotVerified(ref n)) if n == "bad"
         ));
+    }
+
+    #[test]
+    fn stored_artifacts_match_a_fresh_derivation() {
+        use crate::library;
+        use signal_lang::{Expr, ProcessBuilder};
+        let loose_default = || {
+            let loose = ProcessBuilder::new("loose")
+                .define("d", Expr::var("y").default(Expr::var("z")))
+                .build()
+                .unwrap();
+            Design::compose("bad", [loose, stdlib::filter()])
+        };
+        let builds: [&dyn Fn() -> Result<Design, DesignError>; 9] = [
+            &library::producer_consumer_design,
+            &library::filter_merge_design,
+            &library::ltta_design,
+            &library::buffer_design,
+            &|| library::buffer_pipeline_design(3),
+            &library::multirate_design,
+            &library::primed_loop_design,
+            &library::unprimed_loop_design,
+            &loose_default,
+        ];
+        let programs = |design: &Design| -> Vec<String> {
+            design
+                .components()
+                .iter()
+                .map(|c| format!("{:?}", c.step_program()))
+                .collect()
+        };
+        for build in builds {
+            // Two identical designs derive their artifacts in opposite
+            // orders: `stored` gets its capacity analysis and edge clocks
+            // as a side effect of the prediction, `fresh` one at a time.
+            let stored = build().unwrap();
+            let fresh = build().unwrap();
+            let name = stored.name().to_string();
+            let prediction = stored.performance_prediction();
+            let capacity = stored.capacity_analysis();
+            let edges = stored.edge_clocks().clone();
+            let stored_programs = programs(&stored);
+
+            assert_eq!(programs(&fresh), stored_programs, "{name}");
+            assert_eq!(fresh.edge_clocks(), &edges, "{name}");
+            assert_eq!(fresh.capacity_analysis(), capacity, "{name}");
+            assert_eq!(fresh.performance_prediction(), prediction, "{name}");
+
+            assert_eq!(stored.performance_prediction(), prediction, "{name}");
+            assert_eq!(stored.capacity_analysis(), capacity, "{name}");
+            assert_eq!(stored.edge_clocks(), &edges, "{name}");
+            assert_eq!(programs(&stored), stored_programs, "{name}");
+            // Later calls read the one stored instance, not a re-derivation.
+            assert!(std::ptr::eq(stored.prediction(), stored.prediction()));
+            assert!(std::ptr::eq(stored.capacity(), stored.capacity()));
+            assert!(std::ptr::eq(stored.edge_clocks(), stored.edge_clocks()));
+            for component in stored.components() {
+                assert!(std::ptr::eq(component.program(), component.program()));
+            }
+
+            match name.as_str() {
+                "bad" => assert_eq!(capacity, Err(DeployError::NotVerified(name.clone()))),
+                "unprimed_loop" => assert!(
+                    matches!(capacity, Err(DeployError::UnprimedCycle(_))),
+                    "{capacity:?}"
+                ),
+                _ => assert!(capacity.is_ok(), "{name}: {capacity:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn designs_can_be_shared_across_threads() {
+        fn shared_across_threads<T: Send + Sync>() {}
+        shared_across_threads::<Design>();
     }
 
     #[test]

@@ -370,7 +370,7 @@ impl PartitionPlan {
                 }
             }
             deployment.add_reference(component.reference());
-            deployment.add_machine(codegen::machine_of(kind, program));
+            deployment.add_machine(codegen::machine_of(kind, &program));
         }
         for cut in self.cuts.iter().filter(|c| c.producer == process) {
             let tx = links.sender(cut)?;

@@ -109,7 +109,7 @@ impl fmt::Display for UnprimedCycle {
 /// a bound (with provenance) per boundable signal, the reason for every
 /// signal the calculus could not bound, and the feedback loops the
 /// priming-liveness analysis proved unable to start.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CapacityAnalysis {
     derived: BTreeMap<Name, DerivedCapacity>,
     unbounded: BTreeMap<Name, String>,

@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
+use gals_rt::UnprimedCycle;
 use signal_lang::Name;
 
 /// The static resource footprint of one admitted deployment, derived
@@ -162,6 +163,12 @@ pub enum AdmitError {
     /// capacity bounds can be trusted, so it cannot be priced — and an
     /// unpriceable tenant is never admitted.
     NotVerified(String),
+    /// The design verifies, but the priming-liveness pass proved one of
+    /// its feedback loops can never start turning: every component on
+    /// the loop waits on its first read before its first emission.  A
+    /// static refusal, like [`NotVerified`](AdmitError::NotVerified):
+    /// the tenant's components would wait on each other forever.
+    UnprimedCycle(UnprimedCycle),
     /// The clock calculus could not bound every channel of the design:
     /// the named signals have no finite derived capacity, so the
     /// deployment's memory footprint is unknowable in advance.
@@ -200,6 +207,10 @@ impl fmt::Display for AdmitError {
                 f,
                 "design {name} fails the static weak-hierarchy criterion; \
                  an unverified deployment cannot be priced or admitted"
+            ),
+            AdmitError::UnprimedCycle(cycle) => write!(
+                f,
+                "{cycle}; the tenant could never start, so it is not admitted"
             ),
             AdmitError::Unbounded { signals } => {
                 let names: Vec<String> = signals.iter().map(ToString::to_string).collect();

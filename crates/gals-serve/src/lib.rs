@@ -27,7 +27,11 @@
 //!   (how many reactions it performs per environment token), and refuses
 //!   the submission with a typed [`AdmitError`] when the running total
 //!   would exceed the server's [`Budget`] — or when the design is not
-//!   verified at all, because an unpriceable tenant is an unhostable one.
+//!   verified at all, because an unpriceable tenant is an unhostable one,
+//!   or has a feedback loop that can never start turning.  A design is
+//!   priced once: its artifacts are derived on first use and stored on
+//!   the design, so every further tenant of it pays only for
+//!   instantiating its machines and wiring its channels.
 //!
 //! * **Priorities and placement.**  Admission seeds each tenant's
 //!   scheduling priority from the predictor's bottleneck edge — the two

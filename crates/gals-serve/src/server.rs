@@ -134,12 +134,19 @@ impl Server {
     /// tenant's base priority, so the pool drains the most contended
     /// channel first.
     ///
+    /// The design's capacity analysis, prediction and step programs are
+    /// derived once, by whichever admission (or other caller) needs them
+    /// first, and read by every later one: admitting a design again pays
+    /// only for instantiating the tenant's machines and wiring its
+    /// channels.
+    ///
     /// # Errors
     ///
     /// [`AdmitError::NotVerified`] when the design fails the static
-    /// weak-hierarchy criterion; [`AdmitError::Unbounded`] when some
-    /// channel has no finite derived capacity;
-    /// [`AdmitError::DuplicateId`] when `id` is already in flight;
+    /// weak-hierarchy criterion; [`AdmitError::UnprimedCycle`] when a
+    /// feedback loop of the design can never start turning;
+    /// [`AdmitError::Unbounded`] when some channel has no finite derived
+    /// capacity; [`AdmitError::DuplicateId`] when `id` is already in flight;
     /// [`AdmitError::OverBudget`] when the footprint does not fit;
     /// [`AdmitError::Stage`] when wiring the priced deployment fails.
     pub fn admit_with(
@@ -150,9 +157,10 @@ impl Server {
     ) -> Result<DeploymentHandle, AdmitError> {
         let id = id.into();
         // Price first, entirely outside the ledger lock: the analyses
-        // are pure functions of the design.
+        // are pure functions of the design, stored on it.
         let analysis = design.capacity_analysis().map_err(|e| match e {
             DeployError::NotVerified(name) => AdmitError::NotVerified(name),
+            DeployError::UnprimedCycle(cycle) => AdmitError::UnprimedCycle(cycle),
             other => AdmitError::Stage(other.to_string()),
         })?;
         if !analysis.is_fully_bounded() {

@@ -8,9 +8,10 @@
 //! flows, per-tenant stats, per-tenant conformance against the
 //! synchronous reference.  Admission is priced by the clock calculus
 //! (derived channel slots) and the static performance predictor
-//! (reactions per input), so the demo closes with the three refusal
-//! paths: an over-budget design, an unverified design, and a duplicate
-//! tenant id.
+//! (reactions per input), once per design: every tenant after the first
+//! pays only for its machines and channels.  The demo closes with the
+//! four refusal paths: an over-budget design, an unverified design, a
+//! feedback loop that can never start, and a duplicate tenant id.
 //!
 //! Run with `cargo run --release --example serve`.
 
@@ -78,6 +79,15 @@ fn main() {
     match server.admit("unverifiable", &unverified) {
         Err(AdmitError::NotVerified(name)) => println!("refused unverifiable: design {name}"),
         other => panic!("expected a not-verified refusal, got {other:?}"),
+    }
+
+    // A verified design can still be refused statically: in this
+    // two-buffer loop each buffer reads before it emits, so the loop
+    // could never start turning.
+    let unprimed = library::unprimed_loop_design().expect("the loop composes");
+    match server.admit("deadlocked", &unprimed) {
+        Err(AdmitError::UnprimedCycle(cycle)) => println!("refused deadlocked: {cycle}"),
+        other => panic!("expected an unprimed-cycle refusal, got {other:?}"),
     }
 
     // Tenant ids key the accounting ledger, so reuse is refused.

@@ -154,8 +154,8 @@ proptest! {
     ) {
         for case in cases() {
             let feeds = random_feeds(case, seed, base_len);
-            let mut interpreted = machine_of(MachineKind::Interpreted, case.program.clone());
-            let mut compiled = machine_of(MachineKind::Compiled, case.program.clone());
+            let mut interpreted = machine_of(MachineKind::Interpreted, &case.program);
+            let mut compiled = machine_of(MachineKind::Compiled, &case.program);
             let mut emitted = EmittedMachine::spawn(&case.program, &case.binary)
                 .expect("the emitted binary spawns");
             let reference = drive(interpreted.as_mut(), &feeds);

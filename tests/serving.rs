@@ -5,12 +5,14 @@
 //! linger on:
 //!
 //! * every typed refusal path of admission — unverified design,
-//!   over-budget (components and predicted reactions), duplicate id —
-//!   and that refusals are *transient*: finishing a tenant releases its
-//!   reservation, so the same submission succeeds afterwards;
+//!   unprimed feedback loop, over-budget (components and predicted
+//!   reactions), duplicate id — and that refusals are *transient*:
+//!   finishing a tenant releases its reservation, so the same submission
+//!   succeeds afterwards;
 //! * pricing: the admitted footprint is exactly what the verification
 //!   artifacts say (component count, summed derived bounds, predicted
-//!   reactions per input);
+//!   reactions per input), also when several threads admit one design at
+//!   once;
 //! * isolation: concurrent tenants drain to the same flows and
 //!   conformance verdicts a dedicated batch run would produce;
 //! * priorities: a high-priority tenant admitted *last* into a paused
@@ -18,8 +20,10 @@
 //! * the timeout path: a finish deadline that expires hands the handle
 //!   back intact, reservation included.
 
+use std::sync::Barrier;
 use std::time::Duration;
 
+use polychrony::gals_rt::DeployError;
 use polychrony::gals_serve::{
     AdmitError, AdmitOptions, Budget, FinishError, Resource, Server, ServerOptions,
 };
@@ -46,6 +50,19 @@ fn an_unverified_design_is_refused_at_admission() {
 }
 
 #[test]
+fn an_unprimed_feedback_loop_is_refused_at_admission() {
+    let design = library::unprimed_loop_design().expect("composes");
+    let Err(DeployError::UnprimedCycle(cycle)) = design.capacity_analysis() else {
+        panic!("the loop's buffers each read before they emit");
+    };
+    let server = Server::start(ServerOptions::new(2, 8)).expect("starts");
+    let err = server.admit("deadlocked", &design).unwrap_err();
+    assert_eq!(err, AdmitError::UnprimedCycle(cycle));
+    assert!(err.to_string().contains("unprimed feedback loop"), "{err}");
+    assert_eq!(server.load().deployments, 0, "nothing was reserved");
+}
+
+#[test]
 fn the_footprint_is_priced_from_the_verification_artifacts() {
     let design = library::buffer_pipeline_design(3).expect("builds");
     let server = Server::start(ServerOptions::new(2, 8)).expect("starts");
@@ -62,6 +79,42 @@ fn the_footprint_is_priced_from_the_verification_artifacts() {
     assert_eq!(server.load().in_use, *footprint);
     drop(handle);
     assert_eq!(server.load().deployments, 0, "dropping releases");
+}
+
+#[test]
+fn threads_admitting_one_design_at_once_price_it_identically() {
+    const THREADS: usize = 4;
+    // A fresh design: the admissions race to derive its artifacts.
+    let design = library::buffer_pipeline_design(3).expect("builds");
+    let server = Server::start(ServerOptions::new(2, 8)).expect("starts");
+    let start = Barrier::new(THREADS);
+    let handles: Vec<_> = std::thread::scope(|scope| {
+        let admissions: Vec<_> = (0..THREADS)
+            .map(|i| {
+                let (server, design, start) = (&server, &design, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    server.admit(format!("t{i}"), design).expect("admitted")
+                })
+            })
+            .collect();
+        admissions
+            .into_iter()
+            .map(|admission| admission.join().expect("the admission does not panic"))
+            .collect()
+    });
+    // An identically built design admitted alone prices the same.
+    let alone = library::buffer_pipeline_design(3).expect("builds");
+    let reference = server.admit("alone", &alone).expect("admitted");
+    assert!(
+        !reference.boosted().is_empty(),
+        "predictor seeded priorities"
+    );
+    for handle in &handles {
+        assert_eq!(handle.footprint(), reference.footprint(), "{}", handle.id());
+        assert_eq!(handle.boosted(), reference.boosted(), "{}", handle.id());
+    }
+    assert_eq!(server.load().deployments, THREADS + 1);
 }
 
 #[test]
