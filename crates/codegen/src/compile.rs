@@ -1,6 +1,6 @@
 //! Slot-indexed compilation and execution of step programs.
 //!
-//! [`SequentialRuntime`] *interprets* a
+//! [`SequentialRuntime`](crate::SequentialRuntime) *interprets* a
 //! [`StepProgram`]: every step walks `Name`-keyed maps for presence,
 //! values and registers.  This module compiles the same program once into
 //! a [`CompiledProgram`] — every `Name` resolved to a dense slot index,
@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, VecDeque};
 use signal_lang::{Atom, KernelEq, Name, PrimOp, Value};
 
 use crate::ir::{Action, ClockCode, StepProgram};
-use crate::runtime::{eval_op, RuntimeError, SequentialRuntime};
+use crate::runtime::{eval_op, RuntimeError};
 
 /// One operand of a compiled equation: a literal or a value slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -380,7 +380,8 @@ impl SlotBits {
 /// Executes a [`CompiledProgram`] over a flat value array, presence and
 /// has-value bitsets, and index-addressed registers, queues and flows.
 ///
-/// Semantics are identical to [`SequentialRuntime`]: a step either
+/// Semantics are identical to
+/// [`SequentialRuntime`](crate::SequentialRuntime): a step either
 /// completes (inputs consumed, registers latched, outputs appended) or
 /// fails with [`RuntimeError`] leaving every observable unchanged — the
 /// consumed inputs, register latches and output appends are staged in
@@ -704,23 +705,10 @@ impl gals_rt::StepMachine for CompiledRuntime {
     }
 }
 
-/// Instantiates a deployable machine of the requested kind for a step
-/// program — the single factory every deployment-assembling consumer
-/// (`isochron::Design`, the partition runner, the benches) routes
-/// through.
-pub fn machine_of(
-    kind: gals_rt::MachineKind,
-    program: &StepProgram,
-) -> Box<dyn gals_rt::StepMachine> {
-    match kind {
-        gals_rt::MachineKind::Interpreted => Box::new(SequentialRuntime::new(program.clone())),
-        gals_rt::MachineKind::Compiled => Box::new(CompiledRuntime::from_program(program)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::SequentialRuntime;
     use crate::seq::generate_from_kernel;
     use signal_lang::stdlib;
 

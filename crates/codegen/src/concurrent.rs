@@ -11,7 +11,7 @@
 //! the same engine scales the scheme to arbitrary component counts and
 //! buffer depths.
 
-use gals_rt::{Backend, Deployment};
+use gals_rt::Deployment;
 use signal_lang::Value;
 
 use crate::ir::StepProgram;
@@ -48,22 +48,7 @@ pub fn run_producer_consumer(
     a_values: &[bool],
     b_values: &[bool],
 ) -> ConcurrentOutcome {
-    run_producer_consumer_on(Backend::Auto, producer, consumer, a_values, b_values)
-}
-
-/// Like [`run_producer_consumer`] with an explicit channel backend — the
-/// rendez-vous is transport-agnostic (isochrony holds over any reliable
-/// order-preserving medium), so the mpsc channel and the lock-free SPSC
-/// ring must produce identical flows and differ only in hand-off cost.
-pub fn run_producer_consumer_on(
-    backend: Backend,
-    producer: StepProgram,
-    consumer: StepProgram,
-    a_values: &[bool],
-    b_values: &[bool],
-) -> ConcurrentOutcome {
     let mut deployment = Deployment::new();
-    deployment.set_backend(backend);
     deployment
         .set_capacity(1)
         .expect("capacity 1 is always accepted");
@@ -134,18 +119,6 @@ mod tests {
         let outcome = run_producer_consumer(p, c, &a, &b);
         assert_eq!(outcome.shared.len(), 1);
         assert_eq!(outcome.v.len(), 1);
-    }
-
-    #[test]
-    fn every_backend_realizes_the_same_rendez_vous() {
-        let a = [true, false, true, false, true];
-        let b = [false, true, false, true, false];
-        let (p, c) = programs();
-        let reference = run_producer_consumer(p.clone(), c.clone(), &a, &b);
-        for backend in [Backend::Mpsc, Backend::SpscRing] {
-            let outcome = run_producer_consumer_on(backend, p.clone(), c.clone(), &a, &b);
-            assert_eq!(outcome, reference, "backend {backend}");
-        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! * [`compile`] — the slot-indexed compiled form: names interned into
 //!   dense indices, clock trees flattened to postfix programs, equations
 //!   pre-bound into opcodes, executed with zero per-step allocation —
-//!   the default execution strategy for deployments;
+//!   what every deployment of a verified design runs;
 //! * [`types`] — static value-type inference over a step program, shared
 //!   by the source emitters;
 //! * [`emit_rust`](mod@emit_rust) — emission of the step function as a self-contained
@@ -44,7 +44,7 @@ pub mod runtime;
 pub mod seq;
 pub mod types;
 
-pub use compile::{machine_of, CompiledProgram, CompiledRuntime};
+pub use compile::{CompiledProgram, CompiledRuntime};
 pub use controller::{ControlledPair, Controller};
 pub use emit_rust::{emit_rust, emit_rust_harness};
 pub use emitted::EmittedMachine;

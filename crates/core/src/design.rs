@@ -7,7 +7,7 @@ use std::sync::OnceLock;
 use clocks::{Clock, ClockAlgebra, ClockAnalysis, ClockExpr};
 use codegen::{ClockCode, SequentialRuntime, StepProgram};
 use gals_rt::{
-    CapacityAnalysis, DeployError, Deployment, EdgeClocks, MachineKind, PerformancePrediction,
+    CapacityAnalysis, DeployError, Deployment, EdgeClocks, PerformancePrediction,
     ReferenceComponent,
 };
 use signal_lang::{KernelProcess, Name, ProcessBuilder, ProcessDef, SignalError};
@@ -393,11 +393,12 @@ impl Design {
     }
 
     /// Assembles the multi-threaded GALS deployment of the design —
-    /// Theorem 1 operationalized: each component's generated step program
-    /// runs on its own OS thread, connected by bounded channels derived
-    /// from the shared signals, and the synchronous reference of every
-    /// component is registered so the outcome can check dynamic isochrony
-    /// conformance ([`gals_rt::DeploymentOutcome::check_conformance`]).
+    /// Theorem 1 operationalized: each component's generated step program,
+    /// compiled to a slot-indexed [`codegen::CompiledRuntime`], runs on
+    /// its own OS thread, connected by bounded channels derived from the
+    /// shared signals, and the synchronous reference of every component is
+    /// registered so the outcome can check dynamic isochrony conformance
+    /// ([`gals_rt::DeploymentOutcome::check_conformance`]).
     ///
     /// # Errors
     ///
@@ -406,25 +407,10 @@ impl Design {
     /// unverified deployment, so it must be requested explicitly with
     /// [`deploy_unchecked`](Design::deploy_unchecked).
     pub fn deploy(&self) -> Result<Deployment, DesignError> {
-        self.deploy_with(MachineKind::default())
-    }
-
-    /// [`deploy`](Design::deploy) with an explicit execution strategy for
-    /// the component machines: [`MachineKind::Compiled`] (the default —
-    /// slot-indexed programs, zero per-step allocation) or
-    /// [`MachineKind::Interpreted`] (the `Name`-keyed reference
-    /// interpreter).  Both produce identical flows on every verified
-    /// design; the conformance suites replay both.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DesignError::NotVerified`] when the design fails the
-    /// static weak-hierarchy criterion.
-    pub fn deploy_with(&self, kind: MachineKind) -> Result<Deployment, DesignError> {
         if !self.is_weakly_hierarchic() {
             return Err(DesignError::NotVerified(self.name.clone()));
         }
-        Ok(self.deploy_unchecked_with(kind))
+        Ok(self.deploy_unchecked())
     }
 
     /// Assembles the deployment without checking the static criterion —
@@ -432,12 +418,6 @@ impl Design {
     /// diverge (the conformance checker reports the divergence instead of
     /// silently accepting it).
     pub fn deploy_unchecked(&self) -> Deployment {
-        self.deploy_unchecked_with(MachineKind::default())
-    }
-
-    /// [`deploy_unchecked`](Design::deploy_unchecked) with an explicit
-    /// execution strategy for the component machines.
-    pub fn deploy_unchecked_with(&self, kind: MachineKind) -> Deployment {
         // Paced marks only make sense on environment inputs (signals no
         // component produces): a channel-fed input is paced by its
         // producer, and the deployment rejects paced marks on it.
@@ -460,9 +440,8 @@ impl Design {
                 }
             }
             deployment.add_reference(component.reference());
-            deployment.add_machine(codegen::machine_of(kind, program));
+            deployment.add_machine(Box::new(component.compiled_runtime()));
         }
-        deployment.set_machine_kind(kind);
         deployment
     }
 
@@ -648,18 +627,7 @@ impl Design {
     /// Returns [`DesignError::NotVerified`] when the design fails the
     /// static weak-hierarchy criterion.
     pub fn deploy_derived(&self) -> Result<Deployment, DesignError> {
-        self.deploy_derived_with(MachineKind::default())
-    }
-
-    /// [`deploy_derived`](Design::deploy_derived) with an explicit
-    /// execution strategy for the component machines.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DesignError::NotVerified`] when the design fails the
-    /// static weak-hierarchy criterion.
-    pub fn deploy_derived_with(&self, kind: MachineKind) -> Result<Deployment, DesignError> {
-        let mut deployment = self.deploy_with(kind)?;
+        let mut deployment = self.deploy()?;
         let analysis = self.capacity().as_ref().map_err(Clone::clone)?;
         deployment.set_capacity_analysis(analysis);
         Ok(deployment)
@@ -686,22 +654,7 @@ impl Design {
     /// static weak-hierarchy criterion, and propagates topology errors
     /// from the wiring step.
     pub fn stage_derived(&self) -> Result<gals_rt::StagedDeployment, DesignError> {
-        self.stage_derived_with(MachineKind::default())
-    }
-
-    /// [`stage_derived`](Design::stage_derived) with an explicit execution
-    /// strategy for the component machines.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DesignError::NotVerified`] when the design fails the
-    /// static weak-hierarchy criterion, and propagates topology errors
-    /// from the wiring step.
-    pub fn stage_derived_with(
-        &self,
-        kind: MachineKind,
-    ) -> Result<gals_rt::StagedDeployment, DesignError> {
-        let mut deployment = self.deploy_derived_with(kind)?;
+        let mut deployment = self.deploy_derived()?;
         if let Ok(prediction) = self.prediction() {
             deployment.set_prediction(prediction.clone());
         }

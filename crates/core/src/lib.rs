@@ -48,5 +48,4 @@ pub mod library;
 pub mod verdict;
 
 pub use design::{Component, Design, DesignError};
-pub use gals_rt::MachineKind;
 pub use verdict::Verdict;

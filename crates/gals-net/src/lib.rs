@@ -2,7 +2,7 @@
 //!
 //! The paper's Theorem 1 says a verified (weakly hierarchic) design keeps
 //! its synchronous semantics over *any* reliable order-preserving FIFO
-//! medium.  `gals-rt` proved that in-process (threads, mpsc, lock-free
+//! medium.  `gals-rt` proves that in-process (threads over lock-free
 //! rings); this crate leaves the process:
 //!
 //! * **Transports** — a shared-file SPSC ring ([`shm`]: the `ring.rs`

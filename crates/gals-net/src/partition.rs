@@ -328,24 +328,6 @@ impl PartitionPlan {
         process: usize,
         links: &dyn LinkFactory,
     ) -> Result<Deployment, PartitionError> {
-        self.deployment_with(design, process, links, gals_rt::MachineKind::default())
-    }
-
-    /// [`deployment`](PartitionPlan::deployment) with an explicit
-    /// execution strategy for the component machines (the boundary
-    /// sources/forwarders are medium adapters either way).
-    ///
-    /// # Errors
-    ///
-    /// [`PartitionError::BadAssignment`] for an out-of-range process;
-    /// [`PartitionError::Transport`] when a link cannot be established.
-    pub fn deployment_with(
-        &self,
-        design: &Design,
-        process: usize,
-        links: &dyn LinkFactory,
-        kind: gals_rt::MachineKind,
-    ) -> Result<Deployment, PartitionError> {
         if process >= self.processes {
             return Err(PartitionError::BadAssignment(format!(
                 "process {process} out of range (plan spans {})",
@@ -370,13 +352,12 @@ impl PartitionPlan {
                 }
             }
             deployment.add_reference(component.reference());
-            deployment.add_machine(codegen::machine_of(kind, &program));
+            deployment.add_machine(Box::new(codegen::CompiledRuntime::from_program(&program)));
         }
         for cut in self.cuts.iter().filter(|c| c.producer == process) {
             let tx = links.sender(cut)?;
             deployment.add_machine(Box::new(BoundaryTx::new(cut.signal.clone(), tx)));
         }
-        deployment.set_machine_kind(kind);
         Ok(deployment)
     }
 }

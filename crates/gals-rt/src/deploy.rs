@@ -8,11 +8,11 @@
 //! of Section 5 of the paper generalized from one producer/consumer pair to
 //! arbitrary component counts.
 //!
-//! The channels themselves are minted by a pluggable
-//! [`Transport`] under a [`ChannelPolicy`]:
-//! per-edge capacities (a default plus per-signal overrides) and a backend
-//! choice — the lock-free SPSC ring by default, since every derived edge
-//! has exactly one producer and one consumer.  [`Deployment::topology`]
+//! The channels themselves are minted by a [`Transport`] — the lock-free
+//! SPSC ring unless [`Deployment::set_transport`] plugs in another
+//! medium, since every derived edge has exactly one producer and one
+//! consumer — at the capacities of a [`ChannelPolicy`] (a default plus
+//! per-signal overrides, or derived bounds).  [`Deployment::topology`]
 //! reports the resolved capacity and backend of every edge.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -33,8 +33,7 @@ use crate::sched::{self, ExecutionMode};
 use crate::stats::{CapacityRange, DeploymentStats, PoolWorkerStats};
 use crate::trace::{Trace, TraceBuffer, TraceConfig};
 use crate::transport::{
-    Backend, CapacitySource, ChannelPolicy, ChannelSizing, MpscTransport, TokenRx, TokenTx,
-    Transport, ZeroCapacity,
+    CapacitySource, ChannelPolicy, ChannelSizing, TokenRx, TokenTx, Transport, ZeroCapacity,
 };
 use crate::worker::{self, Driver, WorkerReport};
 
@@ -62,6 +61,10 @@ pub enum DeployError {
     FedInternalSignal(Name),
     /// A fed signal is not an input of any machine.
     UnknownFeed(Name),
+    /// A served deployment was fed on the named environment input after
+    /// its inputs were closed: its consumers already saw the end of the
+    /// stream, so the tokens could never be read.
+    InputsClosed(Name),
     /// The channel topology contains a communication cycle: with bounded
     /// blocking channels, a cycle can deadlock every worker on it, so the
     /// run is refused unless cycles are explicitly allowed.
@@ -120,7 +123,7 @@ pub enum DeployError {
     UnprimedCycle(crate::capacity::UnprimedCycle),
     /// The transport could not mint an endpoint pair for an edge — a
     /// socket path unreachable, a shared file uncreatable, a handshake
-    /// refused.  The in-process backends never raise this; a distributed
+    /// refused.  The in-process ring never raises this; a distributed
     /// medium does, and the failure is a typed outcome instead of a panic.
     Transport(String),
 }
@@ -138,6 +141,11 @@ impl fmt::Display for DeployError {
             DeployError::UnknownFeed(n) => {
                 write!(f, "fed signal {n} is not an input of any machine")
             }
+            DeployError::InputsClosed(n) => write!(
+                f,
+                "cannot feed {n}: the deployment's inputs are closed, so its \
+                 consumers already saw the end of every stream"
+            ),
             DeployError::CyclicTopology => write!(
                 f,
                 "the channel topology is cyclic and bounded blocking channels \
@@ -378,13 +386,12 @@ pub struct Deployment {
     allow_cycles: bool,
     prediction: Option<crate::predict::PerformancePrediction>,
     trace: Option<TraceConfig>,
-    machine_kind: Option<crate::machine::MachineKind>,
 }
 
 impl Deployment {
     /// Creates an empty deployment with channel capacity 1 (the one-place
-    /// rendez-vous of the paper's concurrent scheme), the automatic
-    /// backend selection, and the default step budget.
+    /// rendez-vous of the paper's concurrent scheme), the SPSC ring as
+    /// the medium, and the default step budget.
     pub fn new() -> Self {
         Deployment {
             machines: Vec::new(),
@@ -399,23 +406,7 @@ impl Deployment {
             allow_cycles: false,
             prediction: None,
             trace: None,
-            machine_kind: None,
         }
-    }
-
-    /// Records which execution strategy
-    /// ([`crate::MachineKind`]) backs the step machines of this
-    /// deployment, so the run's [`DeploymentStats`] can report it.  The
-    /// engine itself never inspects the tag — deployments of hand-rolled
-    /// machines simply leave it unset.
-    pub fn set_machine_kind(&mut self, kind: crate::machine::MachineKind) -> &mut Self {
-        self.machine_kind = Some(kind);
-        self
-    }
-
-    /// The recorded machine kind, when one was set.
-    pub fn machine_kind(&self) -> Option<crate::machine::MachineKind> {
-        self.machine_kind
     }
 
     /// Turns per-event tracing on (with the default [`TraceConfig`]) or
@@ -522,13 +513,6 @@ impl Deployment {
         Ok(self)
     }
 
-    /// Selects the built-in channel backend ([`Backend::Auto`] picks the
-    /// lock-free SPSC ring, since every derived edge is point-to-point).
-    pub fn set_backend(&mut self, backend: Backend) -> &mut Self {
-        self.policy.set_backend(backend);
-        self
-    }
-
     /// Installs clock-derived capacity bounds and switches the policy to
     /// [`ChannelSizing::Derived`]: every edge takes its derived bound as
     /// capacity (explicit overrides still win), and an edge with neither
@@ -551,14 +535,14 @@ impl Deployment {
         self.policy.sizing()
     }
 
-    /// Replaces the whole channel policy (capacities and backend) at once.
+    /// Replaces the whole channel policy at once.
     pub fn set_policy(&mut self, policy: ChannelPolicy) -> &mut Self {
         self.policy = policy;
         self
     }
 
     /// Routes every channel through a custom [`Transport`] (a shared-memory
-    /// or network medium, say), overriding the built-in backend selection.
+    /// or network medium, say) instead of the built-in SPSC ring.
     pub fn set_transport(&mut self, transport: Arc<dyn Transport>) -> &mut Self {
         self.transport = Some(transport);
         self
@@ -645,28 +629,13 @@ impl Deployment {
         self
     }
 
-    /// The name of the transport backend the policy resolves to.  Every
-    /// edge of a derived topology is single-producer/single-consumer, so
-    /// [`Backend::Auto`] resolves to the SPSC ring.
-    fn backend_name(&self) -> &'static str {
-        match &self.transport {
-            Some(transport) => transport.name(),
-            None => match self.policy.backend() {
-                Backend::Mpsc => MpscTransport::NAME,
-                Backend::Auto | Backend::SpscRing => RingTransport::NAME,
-            },
-        }
-    }
-
-    /// The transport instance that mints the channels.
+    /// The transport instance that mints the channels: the custom one, or
+    /// the SPSC ring (every edge of a derived topology is
+    /// single-producer/single-consumer).
     fn transport_instance(&self) -> Arc<dyn Transport> {
-        match &self.transport {
-            Some(transport) => Arc::clone(transport),
-            None => match self.policy.backend() {
-                Backend::Mpsc => Arc::new(MpscTransport),
-                Backend::Auto | Backend::SpscRing => Arc::new(RingTransport),
-            },
-        }
+        self.transport
+            .clone()
+            .unwrap_or_else(|| Arc::new(RingTransport))
     }
 
     /// Derives the channel topology from the machine interfaces, resolved
@@ -689,7 +658,7 @@ impl Deployment {
                 }
             }
         }
-        let backend = self.backend_name();
+        let backend = self.transport_instance().name();
         let mut topology = Topology::default();
         let mut environment: BTreeSet<Name> = BTreeSet::new();
         for (j, machine) in self.machines.iter().enumerate() {
@@ -824,7 +793,7 @@ impl Deployment {
         self.validate_feeds(&topology)?;
 
         let transport = self.transport_instance();
-        let backend = self.backend_name();
+        let backend = transport.name();
         let (sources, sinks) = self.wire_channels(&topology, transport.as_ref())?;
 
         // Preload the environment streams into their consumers.
@@ -903,7 +872,6 @@ impl Deployment {
             elapsed,
             traced: self.trace.is_some(),
             prediction: self.prediction,
-            machine_kind: self.machine_kind,
             feeds: self.feeds,
             reference: self.reference,
             paced: self.paced,
@@ -945,7 +913,7 @@ impl Deployment {
         let environment = self.validate_feeds(&topology)?;
 
         let transport = self.transport_instance();
-        let backend = self.backend_name();
+        let backend = transport.name();
         let (mut sources, mut sinks) = self.wire_channels(&topology, transport.as_ref())?;
 
         // Preload pre-staged feeds directly into their consumers: the
@@ -1034,7 +1002,6 @@ impl Deployment {
             sizing: self.policy.sizing(),
             prediction: self.prediction,
             trace: self.trace,
-            machine_kind: self.machine_kind,
         })
     }
 
@@ -1197,7 +1164,8 @@ impl DeploymentOutcome {
 /// The client-side sending endpoints of one environment input of a staged
 /// deployment: one bounded channel per consuming machine.
 pub(crate) struct IngressPort {
-    /// `(machine index, sending endpoint)` per consumer of the signal.
+    /// `(machine index, sending endpoint)` per consumer of the signal;
+    /// empty once the inputs are closed.
     pub(crate) consumers: Vec<(usize, Box<dyn TokenTx>)>,
 }
 
@@ -1229,7 +1197,6 @@ pub struct StagedDeployment {
     pub(crate) sizing: ChannelSizing,
     pub(crate) prediction: Option<crate::predict::PerformancePrediction>,
     pub(crate) trace: Option<TraceConfig>,
-    pub(crate) machine_kind: Option<crate::machine::MachineKind>,
 }
 
 impl StagedDeployment {
@@ -1287,7 +1254,6 @@ pub(crate) struct OutcomeParts {
     pub(crate) elapsed: Duration,
     pub(crate) traced: bool,
     pub(crate) prediction: Option<crate::predict::PerformancePrediction>,
-    pub(crate) machine_kind: Option<crate::machine::MachineKind>,
     pub(crate) feeds: BTreeMap<Name, Vec<Value>>,
     pub(crate) reference: Vec<ReferenceComponent>,
     pub(crate) paced: BTreeSet<Name>,
@@ -1322,7 +1288,6 @@ impl OutcomeParts {
                 elapsed: self.elapsed,
                 prediction: self.prediction,
                 trace: trace.as_ref().map(Trace::summary),
-                machine_kind: self.machine_kind,
             },
             feeds: self.feeds,
             reference: self.reference,

@@ -13,11 +13,10 @@
 //!   backpressure — the finite-buffer refinement of the paper's
 //!   unbounded-FIFO asynchronous model (`^` [`sim::AsyncNetwork`]);
 //! * a **pluggable transport layer** ([`Transport`] minting
-//!   [`TokenTx`]/[`TokenRx`] endpoint pairs) with two built-in backends —
-//!   a bounded mpsc channel and a **lock-free SPSC ring buffer**
-//!   ([`ring`]) picked automatically for the point-to-point edges the
-//!   topology derivation produces — and a [`ChannelPolicy`] for per-signal
-//!   capacities and backend selection;
+//!   [`TokenTx`]/[`TokenRx`] endpoint pairs) whose built-in medium is a
+//!   **lock-free SPSC ring buffer** ([`ring`]) — every edge the topology
+//!   derivation produces is point-to-point — and a [`ChannelPolicy`] for
+//!   per-signal capacities;
 //! * per-component counters (reactions, blocked reads, tokens) aggregated
 //!   into a [`DeploymentStats`] report;
 //! * a dynamic **isochrony conformance checker**
@@ -26,7 +25,7 @@
 //!   asserts flow equality — Theorem 1 as an executable end-to-end test at
 //!   arbitrary component counts.
 //!
-//! The crate is machine-agnostic: `codegen::SequentialRuntime` implements
+//! The crate is machine-agnostic: `codegen::CompiledRuntime` implements
 //! [`StepMachine`] (so generated step programs deploy directly), and
 //! `isochron::Design::deploy` assembles a ready-to-run deployment from a
 //! verified design, reference kernels and activations included.
@@ -105,7 +104,7 @@ pub use deploy::{
     ChannelSpec, DeployError, Deployment, DeploymentOutcome, StagedDeployment, Topology,
     DEFAULT_MAX_STEPS, DEFAULT_STREAM_CAPACITY,
 };
-pub use machine::{MachineKind, StepFault, StepMachine};
+pub use machine::{StepFault, StepMachine};
 pub use predict::{ComponentPrediction, EdgePrediction, PerformancePrediction};
 pub use ring::{RingReceiver, RingSender, RingTransport};
 pub use sched::{
@@ -117,8 +116,8 @@ pub use trace::{
     EdgeDrift, EdgeOccupancy, Trace, TraceConfig, TraceEvent, TraceRecord, TraceSummary,
 };
 pub use transport::{
-    Backend, CapacitySource, ChannelClosed, ChannelPolicy, ChannelSizing, Endpoints, MpscTransport,
-    ResolvedCapacity, TokenRx, TokenTx, Transport, TransportError, TryRecvError, TrySendError,
+    CapacitySource, ChannelClosed, ChannelPolicy, ChannelSizing, Endpoints, ResolvedCapacity,
+    TokenRx, TokenTx, Transport, TransportError, TryRecvError, TrySendError,
 };
 
 #[cfg(test)]
@@ -194,35 +193,20 @@ mod tests {
 
     #[test]
     fn a_pipeline_of_eight_stages_runs_on_eight_threads() {
-        for backend in [Backend::Auto, Backend::Mpsc, Backend::SpscRing] {
-            for capacity in [1usize, 4, 64] {
-                let mut deployment = pipeline(8);
-                deployment.set_backend(backend);
-                deployment.set_capacity(capacity).expect("nonzero");
-                deployment.feed("s0", (1..=32).map(Value::Int));
-                let outcome = deployment.run().expect("runs");
-                // Each stage performed 32 reactions.
-                assert_eq!(outcome.stats().total_reactions(), 8 * 32);
-                assert_eq!(outcome.stats().components.len(), 8);
-                // Prefix sums applied 8 times: the final flow is
-                // deterministic whatever the interleaving, the capacity
-                // and the channel backend.
-                let last = outcome.flow("s8");
-                assert_eq!(last.len(), 32);
-                let reference = {
-                    let mut values: Vec<i64> = (1..=32).collect();
-                    for _ in 0..8 {
-                        let mut sum = 0;
-                        for v in values.iter_mut() {
-                            sum += *v;
-                            *v = sum;
-                        }
-                    }
-                    values
-                };
-                let got: Vec<i64> = last.iter().map(|v| v.as_int().unwrap()).collect();
-                assert_eq!(got, reference, "backend {backend} capacity {capacity}");
-            }
+        for capacity in [1usize, 4, 64] {
+            let mut deployment = pipeline(8);
+            deployment.set_capacity(capacity).expect("nonzero");
+            deployment.feed("s0", (1..=32).map(Value::Int));
+            let outcome = deployment.run().expect("runs");
+            // Each stage performed 32 reactions.
+            assert_eq!(outcome.stats().total_reactions(), 8 * 32);
+            assert_eq!(outcome.stats().components.len(), 8);
+            // Prefix sums applied 8 times: the final flow is deterministic
+            // whatever the interleaving and the capacity.
+            let last = outcome.flow("s8");
+            assert_eq!(last.len(), 32);
+            let got: Vec<i64> = last.iter().map(|v| v.as_int().unwrap()).collect();
+            assert_eq!(got, pipeline_reference(8, 32), "capacity {capacity}");
         }
     }
 
@@ -253,15 +237,14 @@ mod tests {
         let mut deployment = pipeline(3);
         deployment.set_capacity(8).expect("nonzero");
         deployment.set_channel_capacity("s2", 2).expect("nonzero");
-        deployment.set_backend(Backend::Mpsc);
         let topology = deployment.topology().expect("well-formed");
         let by_signal: std::collections::BTreeMap<_, _> = topology
             .channels
             .iter()
             .map(|c| (c.signal.as_str().to_string(), (c.capacity, c.backend)))
             .collect();
-        assert_eq!(by_signal["s1"], (8, MpscTransport::NAME));
-        assert_eq!(by_signal["s2"], (2, MpscTransport::NAME));
+        assert_eq!(by_signal["s1"], (8, RingTransport::NAME));
+        assert_eq!(by_signal["s2"], (2, RingTransport::NAME));
     }
 
     #[test]
@@ -284,23 +267,6 @@ mod tests {
         deployment.feed("s0", (1..=4).map(Value::Int));
         let outcome = deployment.run().expect("runs");
         assert_eq!(outcome.flow("s2").len(), 4);
-    }
-
-    #[test]
-    fn both_backends_produce_identical_flows_and_report_their_name() {
-        let mut flows = Vec::new();
-        for (backend, name) in [
-            (Backend::Mpsc, MpscTransport::NAME),
-            (Backend::SpscRing, RingTransport::NAME),
-        ] {
-            let mut deployment = pipeline(4);
-            deployment.set_backend(backend);
-            deployment.feed("s0", (1..=16).map(Value::Int));
-            let outcome = deployment.run().expect("runs");
-            assert_eq!(outcome.stats().backend, name);
-            flows.push(outcome.flow("s4").to_vec());
-        }
-        assert_eq!(flows[0], flows[1]);
     }
 
     #[test]
@@ -539,46 +505,43 @@ mod tests {
     #[test]
     fn a_two_worker_pool_runs_eight_components_with_identical_flows() {
         // The scheduler's point: fewer OS threads than components, same
-        // flows as the dedicated-thread mode, whatever the quantum, the
-        // backend or the capacity.
+        // flows as the dedicated-thread mode, whatever the quantum or the
+        // capacity.
         let reference = {
             let mut deployment = pipeline(8);
             deployment.feed("s0", (1..=32).map(Value::Int));
             deployment.run().expect("runs").flow("s8").to_vec()
         };
-        for backend in [Backend::Mpsc, Backend::SpscRing] {
-            for quantum in [1u64, 3, 64] {
-                for capacity in [1usize, 4] {
-                    let mut deployment = pipeline(8);
-                    deployment
-                        .set_execution_mode(ExecutionMode::Pool {
-                            workers: 2,
-                            quantum,
-                        })
-                        .expect("valid mode");
-                    deployment.set_backend(backend);
-                    deployment.set_capacity(capacity).expect("nonzero");
-                    deployment.feed("s0", (1..=32).map(Value::Int));
-                    let outcome = deployment.run().expect("runs");
-                    let stats = outcome.stats();
-                    assert_eq!(
-                        outcome.flow("s8"),
-                        reference.as_slice(),
-                        "backend {backend} quantum {quantum} capacity {capacity}"
-                    );
-                    assert_eq!(stats.total_reactions(), 8 * 32);
-                    // The run was scheduled by the pool, not by dedicated
-                    // threads.
-                    assert_eq!(
-                        stats.mode,
-                        ExecutionMode::Pool {
-                            workers: 2,
-                            quantum,
-                        }
-                    );
-                    assert_eq!(stats.pool_workers.len(), 2);
-                    assert!(stats.total_dispatches() >= 8, "every component dispatched");
-                }
+        for quantum in [1u64, 3, 64] {
+            for capacity in [1usize, 4] {
+                let mut deployment = pipeline(8);
+                deployment
+                    .set_execution_mode(ExecutionMode::Pool {
+                        workers: 2,
+                        quantum,
+                    })
+                    .expect("valid mode");
+                deployment.set_capacity(capacity).expect("nonzero");
+                deployment.feed("s0", (1..=32).map(Value::Int));
+                let outcome = deployment.run().expect("runs");
+                let stats = outcome.stats();
+                assert_eq!(
+                    outcome.flow("s8"),
+                    reference.as_slice(),
+                    "quantum {quantum} capacity {capacity}"
+                );
+                assert_eq!(stats.total_reactions(), 8 * 32);
+                // The run was scheduled by the pool, not by dedicated
+                // threads.
+                assert_eq!(
+                    stats.mode,
+                    ExecutionMode::Pool {
+                        workers: 2,
+                        quantum,
+                    }
+                );
+                assert_eq!(stats.pool_workers.len(), 2);
+                assert!(stats.total_dispatches() >= 8, "every component dispatched");
             }
         }
     }

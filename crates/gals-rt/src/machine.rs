@@ -3,9 +3,10 @@
 //! The engine is deliberately agnostic of *how* a component executes one
 //! synchronous step: anything that can attempt a step, report a blocking
 //! read, accept a fed input token and expose its produced output flows can
-//! be deployed on a thread.  `codegen::SequentialRuntime` — the in-process
-//! execution of a generated step program — implements this trait; a future
-//! FFI runner for the emitted C would implement it too.
+//! be deployed on a thread.  `codegen::CompiledRuntime` — the slot-indexed
+//! execution of a generated step program — is what verified designs
+//! deploy; the reference interpreter and the emitted-Rust loader implement
+//! this trait too, and a future FFI runner for the emitted C would as well.
 
 use std::fmt;
 
@@ -29,35 +30,6 @@ impl fmt::Display for StepFault {
         match self {
             StepFault::NeedInput(n) => write!(f, "step needs a value on input {n}"),
             StepFault::Fault(m) => write!(f, "machine fault: {m}"),
-        }
-    }
-}
-
-/// Which execution strategy backs the step machines of a deployment.
-///
-/// The engine never inspects this — every machine is a [`StepMachine`]
-/// trait object either way.  The tag exists so deployment assemblers
-/// (`isochron::Design::deploy_with`, the partition runner, the benches)
-/// can pick a strategy uniformly and the statistics can report which one
-/// ran.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum MachineKind {
-    /// Interpret the step-program IR per reaction
-    /// (`codegen::SequentialRuntime`): `Name`-keyed maps, tree-walked
-    /// clocks.  Kept as the readable reference semantics.
-    Interpreted,
-    /// Execute the slot-indexed compiled form
-    /// (`codegen::CompiledRuntime`): flat value array, presence bitsets,
-    /// postfix clock programs, zero allocation per step.  The default.
-    #[default]
-    Compiled,
-}
-
-impl fmt::Display for MachineKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MachineKind::Interpreted => write!(f, "interpreted"),
-            MachineKind::Compiled => write!(f, "compiled"),
         }
     }
 }

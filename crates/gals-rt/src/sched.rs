@@ -1067,7 +1067,6 @@ impl SharedPool {
             sizing,
             prediction,
             trace,
-            machine_kind,
         } = staged;
         let n = drivers.len();
         let started = Instant::now();
@@ -1136,7 +1135,6 @@ impl SharedPool {
             sizing,
             prediction,
             traced: trace.is_some(),
-            machine_kind,
             workers: self.workers,
             quantum: self.quantum,
         }
@@ -1179,8 +1177,9 @@ impl fmt::Debug for SharedPool {
 /// A draining [`SubmittedDeployment::drain`] that gave up.
 pub enum DrainError {
     /// The deployment did not finish within the timeout.  The handle
-    /// rides back inside the error, so nothing is lost: keep feeding,
-    /// keep polling, or drain again with a longer budget.
+    /// rides back inside the error, so nothing is lost: keep polling, or
+    /// drain again with a longer budget.  Its inputs are already closed
+    /// (draining closes them first), so it cannot be fed any more.
     Timeout {
         /// Names of the components still live.
         pending: Vec<String>,
@@ -1236,7 +1235,6 @@ pub struct SubmittedDeployment {
     sizing: crate::transport::ChannelSizing,
     prediction: Option<crate::predict::PerformancePrediction>,
     traced: bool,
-    machine_kind: Option<crate::machine::MachineKind>,
     workers: usize,
     quantum: u64,
 }
@@ -1265,7 +1263,10 @@ impl SubmittedDeployment {
     /// # Errors
     ///
     /// Returns [`DeployError::UnknownFeed`] when `signal` is not an
-    /// environment input of this deployment.
+    /// environment input of this deployment, and
+    /// [`DeployError::InputsClosed`] when it is one but the inputs were
+    /// already closed ([`close_inputs`](Self::close_inputs), or the close
+    /// [`drain`](Self::drain) starts with).
     pub fn feed<I, V>(&mut self, signal: impl Into<Name>, values: I) -> Result<(), DeployError>
     where
         I: IntoIterator<Item = V>,
@@ -1275,6 +1276,9 @@ impl SubmittedDeployment {
         let Some(port) = self.ingress.get(&signal) else {
             return Err(DeployError::UnknownFeed(signal));
         };
+        if port.consumers.is_empty() {
+            return Err(DeployError::InputsClosed(signal));
+        }
         let log = self.feeds.entry(signal).or_default();
         for value in values {
             let value = value.into();
@@ -1326,15 +1330,17 @@ impl SubmittedDeployment {
     /// the normal end of their environment streams
     /// ([`StopReason::EnvironmentExhausted`]) once the buffered tokens
     /// are consumed, and the end cascades downstream exactly like a batch
-    /// run's streams running dry.  Idempotent.
+    /// run's streams running dry.  Idempotent; a later
+    /// [`feed`](Self::feed) is refused with [`DeployError::InputsClosed`].
     pub fn close_inputs(&mut self) {
+        // Dropping the sending endpoints is what closes the channels.  The
+        // emptied ports stay, so a closed input is still told apart from a
+        // name that never was one.
         let consumers: Vec<usize> = self
             .ingress
-            .values()
-            .flat_map(|port| port.consumers.iter().map(|(consumer, _)| *consumer))
+            .values_mut()
+            .flat_map(|port| port.consumers.drain(..).map(|(consumer, _)| consumer))
             .collect();
-        // Dropping the sending endpoints is what closes the channels.
-        self.ingress.clear();
         for consumer in consumers {
             let cell = &self.cells[consumer];
             self.shared.wake(cell.home, cell);
@@ -1452,7 +1458,6 @@ impl SubmittedDeployment {
             elapsed,
             traced: self.traced,
             prediction: self.prediction,
-            machine_kind: self.machine_kind,
             feeds: self.feeds,
             reference: self.reference,
             paced: self.paced,

@@ -210,10 +210,6 @@ pub struct DeploymentStats {
     /// high-water marks, bottleneck ranking), when the run was traced
     /// ([`crate::Deployment::set_tracing`]).
     pub trace: Option<TraceSummary>,
-    /// Which execution strategy backed the step machines
-    /// ([`crate::Deployment::set_machine_kind`]); `None` for deployments
-    /// of hand-rolled machines that never declared one.
-    pub machine_kind: Option<crate::machine::MachineKind>,
 }
 
 impl DeploymentStats {
@@ -280,9 +276,6 @@ impl fmt::Display for DeploymentStats {
             self.total_tokens(),
             self.elapsed
         )?;
-        if let Some(kind) = self.machine_kind {
-            writeln!(f, "  machines: {kind}")?;
-        }
         for c in &self.components {
             writeln!(f, "  {c}")?;
         }
@@ -357,7 +350,6 @@ mod tests {
             elapsed: Duration::from_millis(2),
             prediction: None,
             trace: None,
-            machine_kind: Some(crate::MachineKind::Compiled),
         }
     }
 
@@ -373,7 +365,6 @@ mod tests {
         assert!(text.contains("upstream of x closed"));
         assert!(text.contains("over spsc-ring"));
         assert!(text.contains("thread-per-component"));
-        assert!(text.contains("machines: compiled"));
     }
 
     #[test]

@@ -100,7 +100,7 @@ pub enum TraceEvent {
         /// signal has one channel per consumer).
         sink: usize,
         /// Channel occupancy right after the send, when the transport can
-        /// report it (the SPSC ring can; the mpsc shim cannot).
+        /// report it (the SPSC ring can; a custom medium may not).
         occupancy: Option<usize>,
     },
     /// A token was consumed from a channel.
@@ -426,7 +426,7 @@ pub struct EdgeOccupancy {
     /// Tokens the consumer took out of this edge.
     pub tokens_received: u64,
     /// The highest observed occupancy, when the transport reports one
-    /// (the SPSC ring does; the mpsc shim yields `None`).
+    /// (the SPSC ring does; a custom medium may yield `None`).
     pub high_water: Option<usize>,
 }
 

@@ -7,33 +7,25 @@
 //! the derived topology, so the worker loop and the deployment builder
 //! never name a concrete channel type.
 //!
-//! Two backends ship with the crate:
+//! The built-in medium is [`crate::ring::RingTransport`], a lock-free
+//! fixed-capacity SPSC ring buffer: every edge the topology derivation
+//! produces is single-producer/single-consumer.  Other media (shared
+//! memory, sockets) plug in through `Deployment::set_transport`.
 //!
-//! * [`MpscTransport`] — the bounded mpsc channel (the crossbeam shim over
-//!   `std::sync::mpsc`), the conservative default of earlier releases;
-//! * [`crate::ring::RingTransport`] — a lock-free fixed-capacity SPSC ring
-//!   buffer, selected automatically ([`Backend::Auto`]) because every edge
-//!   the topology derivation produces is single-producer/single-consumer.
-//!
-//! Channel sizing and backend selection are grouped in a [`ChannelPolicy`]:
-//! a default capacity, per-signal overrides, and the backend choice — the
+//! Channel sizing is described by a [`ChannelPolicy`]: a default
+//! capacity, per-signal overrides and installed derived bounds — the
 //! per-edge resolution is reported by `Deployment::topology()`.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use crossbeam::channel::{
-    self, Receiver, Sender, TryRecvError as ShimTryRecvError, TrySendError as ShimTrySendError,
-};
 use signal_lang::{Name, Value};
 
 use crate::capacity::{CapacityAnalysis, DerivedCapacity, UnprimedCycle};
 
 /// A transport could not mint (or connect) an endpoint pair: the socket
 /// path is unreachable, the shared file cannot be created, the peer
-/// refused the handshake.  In-process backends never fail; a distributed
+/// refused the handshake.  The in-process ring never fails; a distributed
 /// medium reports its I/O trouble here instead of panicking, and the
 /// deployment surfaces it as `DeployError::Transport`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,7 +129,7 @@ pub trait TokenTx: Send {
     fn try_send(&self, token: Value) -> Result<(), TrySendError>;
 
     /// How many tokens the channel currently buffers, when the medium can
-    /// tell (`None` otherwise — e.g. the mpsc shim hides its queue).  An
+    /// tell (`None` otherwise).  An
     /// implementation returning `Some` must report an *instantaneous*
     /// snapshot that never exceeds the channel capacity; the tracing layer
     /// records it as the per-edge occupancy witness.
@@ -194,34 +186,10 @@ pub trait Transport: Send + Sync {
     /// # Errors
     ///
     /// Returns [`TransportError`] when the medium cannot be established —
-    /// the in-process backends never fail, but a distributed transport
+    /// the in-process ring never fails, but a distributed transport
     /// (sockets, shared files) can, and the deployment reports the failure
     /// as a typed `DeployError::Transport` instead of aborting.
     fn open(&self, capacity: usize) -> Result<Endpoints, TransportError>;
-}
-
-/// Which built-in channel backend a deployment wires its edges with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// Pick the best built-in backend per edge.  Every edge the topology
-    /// derivation produces has exactly one producer and one consumer, so
-    /// this resolves to the lock-free SPSC ring.
-    #[default]
-    Auto,
-    /// The bounded mpsc channel (crossbeam shim over `std::sync::mpsc`).
-    Mpsc,
-    /// The lock-free fixed-capacity SPSC ring buffer ([`crate::ring`]).
-    SpscRing,
-}
-
-impl fmt::Display for Backend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Backend::Auto => write!(f, "auto"),
-            Backend::Mpsc => write!(f, "{}", MpscTransport::NAME),
-            Backend::SpscRing => write!(f, "{}", crate::ring::RingTransport::NAME),
-        }
-    }
 }
 
 /// A channel capacity of zero was requested.
@@ -311,10 +279,9 @@ pub struct ResolvedCapacity {
     pub derivation: Option<String>,
 }
 
-/// How the channels of a deployment are sized and which backend carries
-/// them: a sizing mode ([`ChannelSizing`]), a default capacity, per-signal
-/// overrides, the derived bounds of an installed [`CapacityAnalysis`],
-/// and a [`Backend`] selection.
+/// How the channels of a deployment are sized: a sizing mode
+/// ([`ChannelSizing`]), a default capacity, per-signal overrides and the
+/// derived bounds of an installed [`CapacityAnalysis`].
 ///
 /// The per-edge resolution (override, derived bound, or default) is
 /// reported by `Deployment::topology()` in each `ChannelSpec`.
@@ -325,12 +292,11 @@ pub struct ChannelPolicy {
     overrides: BTreeMap<Name, usize>,
     derived: BTreeMap<Name, DerivedCapacity>,
     unprimed: Vec<UnprimedCycle>,
-    backend: Backend,
 }
 
 impl ChannelPolicy {
     /// The policy of the paper's concurrent scheme: every channel is a
-    /// one-place buffer, carried by the automatically selected backend.
+    /// one-place buffer.
     pub fn new() -> Self {
         ChannelPolicy {
             sizing: ChannelSizing::Fixed,
@@ -338,7 +304,6 @@ impl ChannelPolicy {
             overrides: BTreeMap::new(),
             derived: BTreeMap::new(),
             unprimed: Vec::new(),
-            backend: Backend::Auto,
         }
     }
 
@@ -381,20 +346,9 @@ impl ChannelPolicy {
         Ok(self)
     }
 
-    /// Selects the built-in backend wiring the channels.
-    pub fn set_backend(&mut self, backend: Backend) -> &mut Self {
-        self.backend = backend;
-        self
-    }
-
     /// The default capacity of channels without an override.
     pub fn default_capacity(&self) -> usize {
         self.default_capacity
-    }
-
-    /// The selected backend.
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// The per-signal capacity overrides.
@@ -482,108 +436,6 @@ impl Default for ChannelPolicy {
     }
 }
 
-/// The bounded mpsc backend: the crossbeam shim over `std::sync::mpsc`.
-///
-/// Kept as the conservative baseline (and the `e13` comparison point); the
-/// SPSC ring is the default for the point-to-point edges the topology
-/// derivation produces.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MpscTransport;
-
-impl MpscTransport {
-    /// The backend name reported in topologies and statistics.
-    pub const NAME: &'static str = "mpsc";
-}
-
-impl Transport for MpscTransport {
-    fn name(&self) -> &'static str {
-        Self::NAME
-    }
-
-    fn open(&self, capacity: usize) -> Result<Endpoints, TransportError> {
-        assert!(capacity > 0, "a bounded channel needs at least one slot");
-        let (tx, rx) = channel::bounded::<Value>(capacity);
-        let counters = Arc::new(MpscCounters {
-            capacity,
-            sent: AtomicU64::new(0),
-            received: AtomicU64::new(0),
-        });
-        Ok((
-            Box::new(MpscTx(tx, Arc::clone(&counters))),
-            Box::new(MpscRx(rx, counters)),
-        ))
-    }
-}
-
-/// The occupancy witness shared by both mpsc endpoints: the shim hides its
-/// internal queue, so the endpoints count the tokens themselves.  Two
-/// monotonic counters (bumped *after* a successful send/receive) instead
-/// of one signed gauge: a racy snapshot can only undercount in-flight
-/// tokens, never underflow, and the difference is clamped to the capacity
-/// so the documented `occupancy() <= capacity` contract holds under any
-/// interleaving.
-struct MpscCounters {
-    capacity: usize,
-    sent: AtomicU64,
-    received: AtomicU64,
-}
-
-impl MpscCounters {
-    fn occupancy(&self) -> usize {
-        let sent = self.sent.load(Ordering::Acquire);
-        let received = self.received.load(Ordering::Acquire);
-        usize::try_from(sent.saturating_sub(received))
-            .unwrap_or(usize::MAX)
-            .min(self.capacity)
-    }
-}
-
-struct MpscTx(Sender<Value>, Arc<MpscCounters>);
-
-impl TokenTx for MpscTx {
-    fn send(&self, token: Value) -> Result<(), ChannelClosed> {
-        self.0.send(token).map_err(|_| ChannelClosed)?;
-        self.1.sent.fetch_add(1, Ordering::Release);
-        Ok(())
-    }
-
-    fn try_send(&self, token: Value) -> Result<(), TrySendError> {
-        self.0.try_send(token).map_err(|e| match e {
-            ShimTrySendError::Full(_) => TrySendError::Full,
-            ShimTrySendError::Disconnected(_) => TrySendError::Closed,
-        })?;
-        self.1.sent.fetch_add(1, Ordering::Release);
-        Ok(())
-    }
-
-    fn occupancy(&self) -> Option<usize> {
-        Some(self.1.occupancy())
-    }
-}
-
-struct MpscRx(Receiver<Value>, Arc<MpscCounters>);
-
-impl TokenRx for MpscRx {
-    fn recv(&self) -> Result<Value, ChannelClosed> {
-        let value = self.0.recv().map_err(|_| ChannelClosed)?;
-        self.1.received.fetch_add(1, Ordering::Release);
-        Ok(value)
-    }
-
-    fn try_recv(&self) -> Result<Value, TryRecvError> {
-        let value = self.0.try_recv().map_err(|e| match e {
-            ShimTryRecvError::Empty => TryRecvError::Empty,
-            ShimTryRecvError::Disconnected => TryRecvError::Closed,
-        })?;
-        self.1.received.fetch_add(1, Ordering::Release);
-        Ok(value)
-    }
-
-    fn occupancy(&self) -> Option<usize> {
-        Some(self.1.occupancy())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -592,7 +444,6 @@ mod tests {
     fn policy_resolves_overrides_and_defaults() {
         let mut policy = ChannelPolicy::new();
         assert_eq!(policy.default_capacity(), 1);
-        assert_eq!(policy.backend(), Backend::Auto);
         policy.set_default_capacity(4).expect("nonzero");
         policy.set_channel_capacity("x", 16).expect("nonzero");
         assert_eq!(policy.capacity_for(&Name::from("x")), 16);
@@ -615,58 +466,9 @@ mod tests {
     }
 
     #[test]
-    fn the_mpsc_backend_round_trips_and_closes() {
-        let (tx, rx) = MpscTransport.open(2).expect("in-process");
-        tx.send(Value::Int(1)).unwrap();
-        tx.send(Value::Bool(true)).unwrap();
-        assert_eq!(rx.try_recv(), Ok(Value::Int(1)));
-        assert_eq!(rx.recv(), Ok(Value::Bool(true)));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        drop(tx);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Closed));
-        assert_eq!(rx.recv(), Err(ChannelClosed));
-        let (tx, rx) = MpscTransport.open(1).expect("in-process");
-        drop(rx);
-        assert_eq!(tx.send(Value::Int(7)), Err(ChannelClosed));
-    }
-
-    #[test]
-    fn the_mpsc_backend_is_an_occupancy_witness() {
-        let (tx, rx) = MpscTransport.open(2).expect("in-process");
-        assert_eq!(tx.occupancy(), Some(0));
-        assert_eq!(rx.occupancy(), Some(0));
-        tx.send(Value::Int(1)).unwrap();
-        assert_eq!(tx.occupancy(), Some(1));
-        tx.try_send(Value::Int(2)).unwrap();
-        assert_eq!(rx.occupancy(), Some(2));
-        // A full buffer never reports past its capacity.
-        assert_eq!(tx.try_send(Value::Int(3)), Err(TrySendError::Full));
-        assert_eq!(tx.occupancy(), Some(2));
-        assert_eq!(rx.recv(), Ok(Value::Int(1)));
-        assert_eq!(rx.occupancy(), Some(1));
-        assert_eq!(rx.try_recv(), Ok(Value::Int(2)));
-        assert_eq!(tx.occupancy(), Some(0));
-        // Failed operations leave the witness untouched.
-        drop(tx);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Closed));
-        assert_eq!(rx.occupancy(), Some(0));
-    }
-
-    #[test]
     fn transport_errors_render_their_message() {
         let err = TransportError::new("dial refused");
         assert!(err.to_string().contains("dial refused"));
-    }
-
-    #[test]
-    fn the_mpsc_backend_reports_full_and_closed_on_try_send() {
-        let (tx, rx) = MpscTransport.open(1).expect("in-process");
-        assert_eq!(tx.try_send(Value::Int(1)), Ok(()));
-        assert_eq!(tx.try_send(Value::Int(2)), Err(TrySendError::Full));
-        assert_eq!(rx.recv(), Ok(Value::Int(1)));
-        assert_eq!(tx.try_send(Value::Int(3)), Ok(()));
-        drop(rx);
-        assert_eq!(tx.try_send(Value::Int(4)), Err(TrySendError::Closed));
     }
 
     #[test]
@@ -707,12 +509,5 @@ mod tests {
         let z = policy.resolve(&Name::from("z")).expect("default");
         assert_eq!(z.capacity, policy.default_capacity());
         assert_eq!(z.source, CapacitySource::Default);
-    }
-
-    #[test]
-    fn backends_render_their_names() {
-        assert_eq!(Backend::Auto.to_string(), "auto");
-        assert_eq!(Backend::Mpsc.to_string(), "mpsc");
-        assert_eq!(Backend::SpscRing.to_string(), "spsc-ring");
     }
 }

@@ -14,9 +14,9 @@
 //! `recv`/`send` — exactly the backpressure loop of earlier releases.
 //!
 //! The driver is written purely against the [`transport`](crate::transport)
-//! endpoint API: which medium carries the tokens (mpsc channel, lock-free
-//! SPSC ring, something remote) is the deployment policy's business, not
-//! the driver's.
+//! endpoint API: which medium carries the tokens (the lock-free SPSC
+//! ring, shared memory, a socket) is the deployment's business, not the
+//! driver's.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -7,8 +7,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use gals_rt::{
-    DeployError, DeploymentOutcome, DrainError, MachineKind, PoolOptions, PoolWorkerStats,
-    SharedPool, SubmitOptions, SubmittedDeployment,
+    DeployError, DeploymentOutcome, DrainError, PoolOptions, PoolWorkerStats, SharedPool,
+    SubmitOptions, SubmittedDeployment,
 };
 use isochron::{Design, DesignError};
 use signal_lang::{Name, Value};
@@ -77,8 +77,6 @@ pub struct AdmitOptions {
     /// ready component always dispatches before any lower-priority ready
     /// component.  The bottleneck boost is added on top.
     pub base_priority: u32,
-    /// Execution strategy for the component machines.
-    pub machine: MachineKind,
 }
 
 /// A long-running host for many verified deployments on one shared
@@ -171,12 +169,10 @@ impl Server {
         let prediction = design
             .performance_prediction()
             .map_err(|e| AdmitError::Stage(e.to_string()))?;
-        let staged = design
-            .stage_derived_with(options.machine)
-            .map_err(|e| match e {
-                DesignError::NotVerified(name) => AdmitError::NotVerified(name),
-                other => AdmitError::Stage(other.to_string()),
-            })?;
+        let staged = design.stage_derived().map_err(|e| match e {
+            DesignError::NotVerified(name) => AdmitError::NotVerified(name),
+            other => AdmitError::Stage(other.to_string()),
+        })?;
         let footprint = Footprint {
             components: staged.component_count(),
             channel_slots: analysis.bounds().values().map(|c| c.bound).sum(),
@@ -323,7 +319,10 @@ impl DeploymentHandle {
     /// # Errors
     ///
     /// Returns [`DeployError::UnknownFeed`] when `signal` is not an
-    /// environment input of this deployment.
+    /// environment input of this deployment, and
+    /// [`DeployError::InputsClosed`] when the tenant's inputs were
+    /// already closed ([`close_inputs`](Self::close_inputs), or the close
+    /// [`finish`](Self::finish) starts with).
     pub fn feed<I, V>(&mut self, signal: impl Into<Name>, values: I) -> Result<(), DeployError>
     where
         I: IntoIterator<Item = V>,
@@ -340,7 +339,8 @@ impl DeploymentHandle {
 
     /// Closes every environment input: consumers drain what was fed and
     /// stop with `EnvironmentExhausted`, exactly like a batch run's end
-    /// of input.  Idempotent.
+    /// of input.  Idempotent; later feeds are refused with
+    /// [`DeployError::InputsClosed`].
     pub fn close_inputs(&mut self) {
         self.inner_mut().close_inputs();
     }
@@ -376,8 +376,10 @@ impl DeploymentHandle {
     /// # Errors
     ///
     /// Returns [`FinishError::Timeout`] when components are still
-    /// running at the deadline — with the handle given back intact (and
-    /// the reservation still held), so a later retry loses nothing.
+    /// running at the deadline — with the handle given back (and the
+    /// reservation still held), so a later retry loses nothing.  Its
+    /// inputs stay closed: the handle can be polled and finished again,
+    /// but not fed.
     pub fn finish(mut self, timeout: Duration) -> Result<DeploymentOutcome, FinishError> {
         let inner = self
             .inner
@@ -436,8 +438,9 @@ impl fmt::Debug for DeploymentHandle {
 /// Why [`DeploymentHandle::finish`] did not return an outcome.
 pub enum FinishError {
     /// Components were still running at the deadline.  The handle comes
-    /// back intact — reservation included — so the caller can feed,
-    /// wait, or retry without losing the tenant.
+    /// back — reservation included — so the caller can poll, wait, or
+    /// retry without losing the tenant.  Finishing closed its inputs, so
+    /// it can no longer be fed.
     Timeout {
         /// Names of the components still running.
         pending: Vec<String>,

@@ -3,10 +3,9 @@
 //! own OS thread with bounded channels, and check dynamic isochrony
 //! conformance against the synchronous reference.
 //!
-//! The channel medium is pluggable: a `ChannelPolicy` picks the backend
-//! (the lock-free SPSC ring by default, the mpsc channel on request) and
-//! sizes each channel individually — the resolved per-edge capacity and
-//! backend are reported by `topology()`.
+//! Each stage runs as a compiled step machine, and each channel is a
+//! lock-free SPSC ring sized individually by a `ChannelPolicy` — the
+//! resolved per-edge capacity and medium are reported by `topology()`.
 //!
 //! Capacities need not be hand-tuned at all: `Design::deploy_derived`
 //! sizes every channel from the clock calculus — the same relations that
@@ -24,7 +23,7 @@
 //! cargo run --example deploy
 //! ```
 
-use polychrony::gals_rt::{Backend, ExecutionMode, MachineKind};
+use polychrony::gals_rt::ExecutionMode;
 use polychrony::isochron::library;
 use polychrony::moc::Value;
 
@@ -35,11 +34,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", design.verdict());
 
     // Deploy: one OS thread per stage, bounded channels in between.  The
-    // policy sets a default capacity, deepens the p2 channel specifically,
-    // and selects the lock-free SPSC ring explicitly (what Backend::Auto
-    // would pick anyway: every derived edge is point-to-point).
+    // policy sets a default capacity and deepens the p2 channel
+    // specifically.
     let mut deployment = design.deploy()?;
-    deployment.set_backend(Backend::SpscRing);
     deployment.set_capacity(8)?;
     deployment.set_channel_capacity("p2", 32)?;
 
@@ -67,41 +64,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{report}");
     assert!(report.is_isochronous());
 
-    // Each stage above ran as a *compiled* step machine (the default
-    // `MachineKind::Compiled`): the step program is lowered once to dense
-    // slot indices and postfix clock code, and the hot loop allocates
-    // nothing.  Execution strategy is an observable-free choice — the tree
-    // -walking interpreter must produce the very same flows.
-    let mut interpreted = design.deploy_with(MachineKind::Interpreted)?;
-    interpreted.feed("p0", stream.iter().copied());
-    let interpreted_outcome = interpreted.run()?;
-    assert_eq!(interpreted_outcome.flow("p4"), outcome.flow("p4"));
-    println!(
-        "machine kinds agree: p4 identical over {} and {} machines",
-        interpreted_outcome
-            .stats()
-            .machine_kind
-            .expect("kind recorded"),
-        outcome.stats().machine_kind.expect("kind recorded"),
-    );
-
-    // Isochrony is transport-agnostic: the same pipeline over the mpsc
-    // backend observes exactly the same flows.
-    let mut mpsc = design.deploy()?;
-    mpsc.set_backend(Backend::Mpsc);
-    mpsc.feed("p0", stream.iter().copied());
-    let mpsc_outcome = mpsc.run()?;
-    assert_eq!(mpsc_outcome.flow("p4"), outcome.flow("p4"));
-    println!(
-        "mpsc backend agrees: p4 identical over {} and {}",
-        mpsc_outcome.stats().backend,
-        outcome.stats().backend
-    );
-
-    // ... and scheduler-agnostic: the same four stages multiplexed onto a
-    // 2-worker work-stealing pool (each dispatch batches up to 8 reactions)
-    // observe the same flows again — on 2 OS threads instead of 4.  The
-    // stats record the mode and the per-worker dispatch/steal counters.
+    // Isochrony is scheduler-agnostic: the same four stages multiplexed
+    // onto a 2-worker work-stealing pool (each dispatch batches up to 8
+    // reactions) observe the same flows again — on 2 OS threads instead
+    // of 4.  The stats record the mode and the per-worker dispatch/steal
+    // counters.
     let mut pooled = design.deploy()?;
     pooled.set_execution_mode(ExecutionMode::Pool {
         workers: 2,

@@ -21,23 +21,18 @@
 //! to completion without `set_allow_cycles`; an underivable one is
 //! refused naming the edge).
 
+mod support;
+
 use polychrony::clocks::RateRelation;
 use polychrony::gals_rt::{
-    Backend, CapacityAnalysis, CapacitySource, ChannelSizing, DeployError, Deployment,
-    DerivedCapacity, ExecutionMode, StepFault, StepMachine, StopReason,
+    CapacityAnalysis, CapacitySource, ChannelSizing, DeployError, Deployment, DerivedCapacity,
+    ExecutionMode, StepFault, StepMachine, StopReason,
 };
 use polychrony::isochron::{design::chain_of_pairs, library, Design};
 use polychrony::moc::Value;
 use polychrony::signal_lang::Name;
 use proptest::prelude::*;
-
-const MODES: [ExecutionMode; 2] = [
-    ExecutionMode::ThreadPerComponent,
-    ExecutionMode::Pool {
-        workers: 2,
-        quantum: 4,
-    },
-];
+use support::MODES;
 
 /// The closed half of a feedback loop: consumes one `seed` (environment)
 /// and one `q` (feedback) token per reaction and emits the seed on `p`.
@@ -189,7 +184,7 @@ proptest! {
 
     /// Sufficiency: whatever the stream and pipeline depth, the derived
     /// capacities never deadlock and the deployment conforms — under both
-    /// backends and both execution modes.
+    /// execution modes.
     #[test]
     fn derived_capacities_are_sufficient(
         n in 1usize..5,
@@ -201,24 +196,21 @@ proptest! {
         let analysis = design.capacity_analysis().expect("verified design");
         let stream: Vec<Value> = stream.into_iter().map(Value::Bool).collect();
         for mode in MODES {
-            for backend in [Backend::Mpsc, Backend::SpscRing] {
-                let mut deployment = design.deploy().expect("verified design");
-                deployment.set_capacity_analysis(&analysis);
-                deployment.set_execution_mode(mode).expect("valid mode");
-                deployment.set_backend(backend);
-                deployment.feed("p0", stream.iter().copied());
-                let outcome = deployment.run().expect("the deployment runs");
-                for component in &outcome.stats().components {
-                    prop_assert_ne!(
-                        &component.stop,
-                        &StopReason::Deadlocked,
-                        "derived capacities deadlocked ({mode}, {backend})"
-                    );
-                }
-                prop_assert_eq!(outcome.flow(&format!("p{n}")), stream.as_slice());
-                let report = outcome.check_conformance().expect("reference registered");
-                prop_assert!(report.is_isochronous(), "{}", report);
+            let mut deployment = design.deploy().expect("verified design");
+            deployment.set_capacity_analysis(&analysis);
+            deployment.set_execution_mode(mode).expect("valid mode");
+            deployment.feed("p0", stream.iter().copied());
+            let outcome = deployment.run().expect("the deployment runs");
+            for component in &outcome.stats().components {
+                prop_assert_ne!(
+                    &component.stop,
+                    &StopReason::Deadlocked,
+                    "derived capacities deadlocked ({mode})"
+                );
             }
+            prop_assert_eq!(outcome.flow(&format!("p{n}")), stream.as_slice());
+            let report = outcome.check_conformance().expect("reference registered");
+            prop_assert!(report.is_isochronous(), "{}", report);
         }
     }
 }
@@ -442,30 +434,27 @@ fn the_multirate_design_derives_a_kperiodic_bound_beyond_the_alternating_classes
     );
 
     // And the derived deployment actually runs and conforms, under both
-    // backends and both execution modes.
+    // execution modes.
     let a: Vec<Value> = (0..18).map(|i| Value::Bool(i % 2 == 0)).collect();
     // `x` carries `a` on phases 1-3 of the 6-phase ring and `y` keeps every
     // third `x` token, so `y` sees `a` at instants 3, 9, 15, ...
     let expected_y: Vec<Value> = a.iter().skip(2).step_by(6).copied().collect();
     for mode in MODES {
-        for backend in [Backend::Mpsc, Backend::SpscRing] {
-            let mut deployment = design.deploy().expect("verified design");
-            deployment.set_capacity_analysis(&analysis);
-            deployment.set_execution_mode(mode).expect("valid mode");
-            deployment.set_backend(backend);
-            deployment.feed("a", a.iter().copied());
-            let outcome = deployment.run().expect("the deployment runs");
-            for component in &outcome.stats().components {
-                assert_ne!(component.stop, StopReason::Deadlocked, "{mode}, {backend}");
-            }
-            assert_eq!(
-                outcome.flow("y"),
-                expected_y.as_slice(),
-                "y decimates every third x ({mode}, {backend})"
-            );
-            let report = outcome.check_conformance().expect("reference registered");
-            assert!(report.is_isochronous(), "{mode}, {backend}: {report}");
+        let mut deployment = design.deploy().expect("verified design");
+        deployment.set_capacity_analysis(&analysis);
+        deployment.set_execution_mode(mode).expect("valid mode");
+        deployment.feed("a", a.iter().copied());
+        let outcome = deployment.run().expect("the deployment runs");
+        for component in &outcome.stats().components {
+            assert_ne!(component.stop, StopReason::Deadlocked, "{mode}");
         }
+        assert_eq!(
+            outcome.flow("y"),
+            expected_y.as_slice(),
+            "y decimates every third x ({mode})"
+        );
+        let report = outcome.check_conformance().expect("reference registered");
+        assert!(report.is_isochronous(), "{mode}: {report}");
     }
 }
 

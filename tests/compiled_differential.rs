@@ -23,8 +23,8 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use polychrony::codegen::emitted::{compile_binary, EmittedMachine};
-use polychrony::codegen::{machine_of, signal_types, SigType, StepProgram};
-use polychrony::gals_rt::{MachineKind, StepFault, StepMachine};
+use polychrony::codegen::{signal_types, CompiledRuntime, SequentialRuntime, SigType, StepProgram};
+use polychrony::gals_rt::{StepFault, StepMachine};
 use polychrony::isochron::Component;
 use polychrony::moc::Value;
 use polychrony::signal_lang::stdlib;
@@ -154,12 +154,12 @@ proptest! {
     ) {
         for case in cases() {
             let feeds = random_feeds(case, seed, base_len);
-            let mut interpreted = machine_of(MachineKind::Interpreted, &case.program);
-            let mut compiled = machine_of(MachineKind::Compiled, &case.program);
+            let mut interpreted = SequentialRuntime::new(case.program.clone());
+            let mut compiled = CompiledRuntime::from_program(&case.program);
             let mut emitted = EmittedMachine::spawn(&case.program, &case.binary)
                 .expect("the emitted binary spawns");
-            let reference = drive(interpreted.as_mut(), &feeds);
-            let compiled_run = drive(compiled.as_mut(), &feeds);
+            let reference = drive(&mut interpreted, &feeds);
+            let compiled_run = drive(&mut compiled, &feeds);
             let emitted_run = drive(&mut emitted, &feeds);
             prop_assert_eq!(
                 &compiled_run,

@@ -1,7 +1,7 @@
 //! Conformance fuzzing: proptest-generated designs and environment
 //! streams replayed through `Deployment` and the dynamic isochrony
-//! checker, under **both** channel backends and **both** execution modes,
-//! with both fixed and clock-derived channel sizing.
+//! checker, under **both** execution modes, with both fixed and
+//! clock-derived channel sizing.
 //!
 //! Every verified scenario must conform (Theorem 1); the deliberately
 //! unverified scenario must diverge *detectably* — the checker reports
@@ -13,74 +13,64 @@
 //! PROPTEST_CASES=64 cargo test --test conformance_fuzz
 //! ```
 
-use polychrony::gals_rt::{Backend, Deployment, ExecutionMode, MachineKind, StopReason};
+mod support;
+
+use polychrony::gals_rt::{Deployment, ExecutionMode, StopReason};
 use polychrony::isochron::{design::chain_of_pairs, library, Design};
 use polychrony::moc::Value;
 use proptest::prelude::*;
+use support::bools;
 
-const MODES: [ExecutionMode; 2] = [
-    ExecutionMode::ThreadPerComponent,
-    ExecutionMode::Pool {
-        workers: 2,
-        quantum: 3,
-    },
-];
+/// The execution modes of this suite: the shared pair, with the pool
+/// yielding every 3 reactions instead of 4, so the fuzzed streams meet
+/// interleavings the fixed scenarios do not.
+const MODES: [ExecutionMode; 2] = support::modes(3);
 
-fn bools(values: &[bool]) -> Vec<Value> {
-    values.iter().map(|&b| Value::Bool(b)).collect()
-}
-
-/// Replays the design under every (kind × mode × backend × sizing)
-/// combination and asserts conformance plus deadlock-freedom for each;
-/// all runs must observe identical flows.
+/// Replays the design under every (mode × sizing) combination and
+/// asserts conformance plus deadlock-freedom for each; all runs must
+/// observe identical flows.
 fn assert_conformant_everywhere(design: &Design, feeds: &[(&str, Vec<Value>)], capacity: usize) {
     // Derive once per case: the clock inference + BDD work is a
     // per-design cost, not a per-combination one.
     let analysis = design.capacity_analysis().expect("the design is verified");
     let mut reference: Option<polychrony::sim::Flows> = None;
-    for kind in [MachineKind::Interpreted, MachineKind::Compiled] {
-        for mode in MODES {
-            for backend in [Backend::Mpsc, Backend::SpscRing] {
-                for derived in [false, true] {
-                    let mut deployment: Deployment =
-                        design.deploy_with(kind).expect("the design is verified");
-                    if derived {
-                        deployment.set_capacity_analysis(&analysis);
-                    } else {
-                        deployment.set_capacity(capacity).expect("nonzero");
-                    }
-                    deployment.set_execution_mode(mode).expect("valid mode");
-                    deployment.set_backend(backend);
-                    for (signal, values) in feeds {
-                        deployment.feed(*signal, values.iter().copied());
-                    }
-                    let outcome = deployment.run().expect("the deployment runs");
-                    for component in &outcome.stats().components {
-                        assert_ne!(
-                            component.stop,
-                            StopReason::Deadlocked,
-                            "{} deadlocked ({kind}, {mode}, {backend}, derived {derived})",
-                            design.name()
-                        );
-                    }
-                    let report = outcome.check_conformance().expect("reference registered");
-                    assert!(
-                        report.is_isochronous(),
-                        "{} diverged ({kind}, {mode}, {backend}, derived {derived}, capacity \
-                         {capacity}): {report}\nstats:\n{}",
-                        design.name(),
-                        outcome.stats()
-                    );
-                    match &reference {
-                        None => reference = Some(outcome.flows().clone()),
-                        Some(flows) => assert_eq!(
-                            outcome.flows(),
-                            flows,
-                            "{} observed different flows across combinations",
-                            design.name()
-                        ),
-                    }
-                }
+    for mode in MODES {
+        for derived in [false, true] {
+            let mut deployment: Deployment = design.deploy().expect("the design is verified");
+            if derived {
+                deployment.set_capacity_analysis(&analysis);
+            } else {
+                deployment.set_capacity(capacity).expect("nonzero");
+            }
+            deployment.set_execution_mode(mode).expect("valid mode");
+            for (signal, values) in feeds {
+                deployment.feed(*signal, values.iter().copied());
+            }
+            let outcome = deployment.run().expect("the deployment runs");
+            for component in &outcome.stats().components {
+                assert_ne!(
+                    component.stop,
+                    StopReason::Deadlocked,
+                    "{} deadlocked ({mode}, derived {derived})",
+                    design.name()
+                );
+            }
+            let report = outcome.check_conformance().expect("reference registered");
+            assert!(
+                report.is_isochronous(),
+                "{} diverged ({mode}, derived {derived}, capacity {capacity}): \
+                 {report}\nstats:\n{}",
+                design.name(),
+                outcome.stats()
+            );
+            match &reference {
+                None => reference = Some(outcome.flows().clone()),
+                Some(flows) => assert_eq!(
+                    outcome.flows(),
+                    flows,
+                    "{} observed different flows across combinations",
+                    design.name()
+                ),
             }
         }
     }
@@ -157,7 +147,7 @@ proptest! {
     /// conform on fuzzed streams: the edge bound is the k-periodic
     /// backlog (the full burst), derivable only from the local words,
     /// and the decimated output must still match the synchronous
-    /// reference under every mode, backend and sizing.
+    /// reference under every mode and sizing.
     #[test]
     fn multirate_burst_pipelines_conform(
         k in 2usize..7,
@@ -229,7 +219,7 @@ proptest! {
 
     /// The negative control: an unverified design (the consumer without
     /// the `^x = [b]` coupling) must diverge *detectably* — the checker
-    /// reports the mismatch on every backend and mode.
+    /// reports the mismatch under every mode.
     #[test]
     fn divergence_of_an_unverified_design_is_detected(rounds in 2usize..8) {
         use polychrony::signal_lang::{stdlib, Expr, ProcessBuilder};
@@ -253,20 +243,17 @@ proptest! {
         let a: Vec<bool> = (0..2 * rounds).map(|i| i % 2 == 0).collect();
         let b: Vec<bool> = a.iter().map(|&v| !v).collect();
         for mode in MODES {
-            for backend in [Backend::Mpsc, Backend::SpscRing] {
-                let mut deployment = design.deploy_unchecked();
-                deployment.set_execution_mode(mode).expect("valid mode");
-                deployment.set_backend(backend);
-                deployment.feed("a", bools(&a));
-                deployment.feed("b", bools(&b));
-                let outcome = deployment.run().expect("the deployment still runs");
-                let report = outcome.check_conformance().expect("reference registered");
-                prop_assert!(
-                    !report.is_isochronous(),
-                    "the divergence went undetected ({mode}, {backend}): {report}"
-                );
-                prop_assert!(!report.mismatches().is_empty());
-            }
+            let mut deployment = design.deploy_unchecked();
+            deployment.set_execution_mode(mode).expect("valid mode");
+            deployment.feed("a", bools(&a));
+            deployment.feed("b", bools(&b));
+            let outcome = deployment.run().expect("the deployment still runs");
+            let report = outcome.check_conformance().expect("reference registered");
+            prop_assert!(
+                !report.is_isochronous(),
+                "the divergence went undetected ({mode}): {report}"
+            );
+            prop_assert!(!report.mismatches().is_empty());
         }
     }
 }

@@ -7,22 +7,13 @@
 //! whose drift report agrees with the static performance predictor on the
 //! analytic pipelines, and whose Chrome trace-event export is valid JSON.
 
-use polychrony::gals_rt::{Backend, ExecutionMode, Trace, TraceConfig, TraceEvent};
+mod support;
+
+use polychrony::gals_rt::{ExecutionMode, Trace, TraceConfig, TraceEvent};
 use polychrony::isochron::{library, Design};
 use polychrony::moc::Value;
 use proptest::prelude::*;
-
-const MODES: [ExecutionMode; 2] = [
-    ExecutionMode::ThreadPerComponent,
-    ExecutionMode::Pool {
-        workers: 2,
-        quantum: 4,
-    },
-];
-
-fn bools(values: &[bool]) -> Vec<Value> {
-    values.iter().map(|&b| Value::Bool(b)).collect()
-}
+use support::{bools, MODES};
 
 /// A minimal JSON validity checker (no serde in the offline image): parses
 /// the full grammar and panics with position context on the first
@@ -278,13 +269,12 @@ fn assert_timeline_invariants(trace: &Trace, context: &str) {
     }
 }
 
-/// Runs the design traced under the given mode/backend and returns the
-/// outcome (panics when tracing produced nothing).
+/// Runs the design traced under the given mode and returns the outcome
+/// (panics when tracing produced nothing).
 fn traced_run(
     design: &Design,
     feeds: &[(&str, Vec<Value>)],
     mode: ExecutionMode,
-    backend: Backend,
     derived: bool,
 ) -> polychrony::gals_rt::DeploymentOutcome {
     let mut deployment = if derived {
@@ -293,7 +283,6 @@ fn traced_run(
         design.deploy().expect("verified design")
     };
     deployment.set_execution_mode(mode).expect("valid mode");
-    deployment.set_backend(backend);
     deployment.set_tracing(true);
     for (signal, values) in feeds {
         deployment.feed(*signal, values.iter().copied());
@@ -304,19 +293,13 @@ fn traced_run(
 #[test]
 fn a_traced_pipeline_exports_parseable_chrome_json_within_capacity_bounds() {
     // The acceptance scenario: a verified stdlib pipeline, traced, under
-    // both execution modes on the derived-capacity ring backend.
+    // both execution modes with derived capacities.
     const TOKENS: usize = 32;
     let n = 4usize;
     let design = library::buffer_pipeline_design(n).expect("builds");
     let stream: Vec<bool> = (0..TOKENS).map(|i| i % 3 == 0).collect();
     for mode in MODES {
-        let outcome = traced_run(
-            &design,
-            &[("p0", bools(&stream))],
-            mode,
-            Backend::SpscRing,
-            true,
-        );
+        let outcome = traced_run(&design, &[("p0", bools(&stream))], mode, true);
         let trace = outcome.trace().expect("tracing was on");
         assert_timeline_invariants(trace, &format!("pipe{n} {mode}"));
         assert_eq!(trace.dropped(), 0, "default buffers hold this run");
@@ -328,8 +311,8 @@ fn a_traced_pipeline_exports_parseable_chrome_json_within_capacity_bounds() {
         assert!(json.contains("\"thread_name\""));
         assert!(json.contains("stage0"), "component rows labeled");
 
-        // Occupancy witness: on the ring backend every edge reports a
-        // high-water mark, and it never exceeds the derived bound.
+        // Occupancy witness: the ring reports every edge's high-water
+        // mark, and it never exceeds the derived bound.
         let summary = trace.summary();
         assert_eq!(summary.edges.len(), n - 1);
         for edge in &summary.edges {
@@ -383,13 +366,7 @@ fn the_drift_report_matches_the_analytic_pipeline_model() {
         let prediction = design.performance_prediction().expect("derives");
         let stream: Vec<bool> = (0..TOKENS).map(|i| i % 2 == 0).collect();
         for mode in MODES {
-            let outcome = traced_run(
-                &design,
-                &[("p0", bools(&stream))],
-                mode,
-                Backend::SpscRing,
-                true,
-            );
+            let outcome = traced_run(&design, &[("p0", bools(&stream))], mode, true);
             let trace = outcome.trace().expect("tracing was on");
             let report = trace.drift_report(&prediction, TOKENS as u64);
             assert_eq!(report.components.len(), n);
@@ -481,13 +458,7 @@ fn pool_workers_record_their_scheduling_timeline() {
         quantum: 4,
     };
     let stream: Vec<bool> = (0..16).map(|i| i % 2 == 0).collect();
-    let outcome = traced_run(
-        &design,
-        &[("p0", bools(&stream))],
-        mode,
-        Backend::SpscRing,
-        false,
-    );
+    let outcome = traced_run(&design, &[("p0", bools(&stream))], mode, false);
     let trace = outcome.trace().expect("tracing on");
     assert_eq!(trace.workers().len(), 2);
     let dispatch_records: u64 = trace
@@ -514,10 +485,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(ProptestConfig::cases_from_env(8)))]
 
     /// The recorder's structural invariants hold on fuzzed verified
-    /// pipelines across modes, backends and capacities: merged buffers
-    /// are timestamp-monotonic per component, events balance, and on the
-    /// occupancy-reporting ring backend every high-water mark respects
-    /// the resolved capacity.
+    /// pipelines across modes and capacities: merged buffers are
+    /// timestamp-monotonic per component, events balance, and every
+    /// high-water mark the ring reports respects the resolved capacity.
     #[test]
     fn traced_runs_keep_their_invariants(
         n in 1usize..5,
@@ -527,47 +497,42 @@ proptest! {
     ) {
         let design = library::buffer_pipeline_design(n).expect("builds");
         for mode in MODES {
-            for backend in [Backend::Mpsc, Backend::SpscRing] {
-                let mut deployment = if derived {
-                    design.deploy_derived().expect("verified")
-                } else {
-                    let mut d = design.deploy().expect("verified");
-                    d.set_capacity(capacity).expect("nonzero");
-                    d
-                };
-                deployment.set_execution_mode(mode).expect("valid mode");
-                deployment.set_backend(backend);
-                deployment.set_tracing(true);
-                deployment.feed("p0", bools(&stream));
-                let outcome = deployment.run().expect("runs");
-                let trace = outcome.trace().expect("tracing on");
-                let context = format!(
-                    "pipe{n} ({mode}, {backend}, derived {derived}, capacity {capacity})"
-                );
-                assert_timeline_invariants(trace, &context);
-                let summary = trace.summary();
-                for edge in &summary.edges {
-                    if let Some(hw) = edge.high_water {
-                        assert!(
-                            hw <= edge.capacity,
-                            "{context}: edge {} high water {hw} > capacity {}",
-                            edge.signal,
-                            edge.capacity
-                        );
-                    }
+            let mut deployment = if derived {
+                design.deploy_derived().expect("verified")
+            } else {
+                let mut d = design.deploy().expect("verified");
+                d.set_capacity(capacity).expect("nonzero");
+                d
+            };
+            deployment.set_execution_mode(mode).expect("valid mode");
+            deployment.set_tracing(true);
+            deployment.feed("p0", bools(&stream));
+            let outcome = deployment.run().expect("runs");
+            let trace = outcome.trace().expect("tracing on");
+            let context = format!("pipe{n} ({mode}, derived {derived}, capacity {capacity})");
+            assert_timeline_invariants(trace, &context);
+            let summary = trace.summary();
+            for edge in &summary.edges {
+                if let Some(hw) = edge.high_water {
+                    assert!(
+                        hw <= edge.capacity,
+                        "{context}: edge {} high water {hw} > capacity {}",
+                        edge.signal,
+                        edge.capacity
+                    );
                 }
-                prop_assert!(summary.occupancy_within_capacity());
-                // Exact aggregates agree with the end-of-run counters.
-                let stats = outcome.stats();
-                prop_assert_eq!(
-                    summary.components.iter().map(|c| c.reactions).sum::<u64>(),
-                    stats.total_reactions()
-                );
-                prop_assert_eq!(
-                    summary.edges.iter().map(|e| e.tokens_sent).sum::<u64>(),
-                    stats.total_tokens()
-                );
             }
+            prop_assert!(summary.occupancy_within_capacity());
+            // Exact aggregates agree with the end-of-run counters.
+            let stats = outcome.stats();
+            prop_assert_eq!(
+                summary.components.iter().map(|c| c.reactions).sum::<u64>(),
+                stats.total_reactions()
+            );
+            prop_assert_eq!(
+                summary.edges.iter().map(|e| e.tokens_sent).sum::<u64>(),
+                stats.total_tokens()
+            );
         }
     }
 
@@ -583,8 +548,7 @@ proptest! {
                 &design,
                 &[("a", bools(&stream))],
                 mode,
-                Backend::SpscRing,
-                true,
+                    true,
             );
             let trace = outcome.trace().expect("tracing on");
             assert_timeline_invariants(trace, &format!("multirate {mode}"));

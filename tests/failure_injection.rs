@@ -192,25 +192,18 @@ fn deployment_divergence_of_a_non_isochronous_design_is_detected() {
     assert!(matches!(design.deploy(), Err(DesignError::NotVerified(_))));
 
     // Forcing the deployment anyway: the run completes, but the flows
-    // diverge from the synchronous reference and the checker says so —
-    // whichever channel backend carries the tokens.
-    for backend in [
-        polychrony::gals_rt::Backend::Mpsc,
-        polychrony::gals_rt::Backend::SpscRing,
-    ] {
-        let mut deployment = design.deploy_unchecked();
-        deployment.set_backend(backend);
-        deployment.feed("a", [true, false, true, false]);
-        deployment.feed("b", [false, true, false, true]);
-        let outcome = deployment.run().expect("the deployment still runs");
-        let report = outcome.check_conformance().expect("reference registered");
-        assert!(
-            !report.is_isochronous(),
-            "the divergence went undetected over {backend}: {report}"
-        );
-        assert!(!report.mismatches().is_empty());
-        assert!(report.to_string().contains("NOT conformant"));
-    }
+    // diverge from the synchronous reference and the checker says so.
+    let mut deployment = design.deploy_unchecked();
+    deployment.feed("a", [true, false, true, false]);
+    deployment.feed("b", [false, true, false, true]);
+    let outcome = deployment.run().expect("the deployment still runs");
+    let report = outcome.check_conformance().expect("reference registered");
+    assert!(
+        !report.is_isochronous(),
+        "the divergence went undetected: {report}"
+    );
+    assert!(!report.mismatches().is_empty());
+    assert!(report.to_string().contains("NOT conformant"));
 }
 
 #[test]

@@ -4,37 +4,25 @@
 //! reference replay — Theorem 1 as an executable test (the conformance
 //! checker of `gals_rt`).
 //!
-//! Every scenario runs over **both** channel backends and under **both**
-//! execution modes — dedicated threads and a 2-worker work-stealing pool
-//! (fewer workers than components for every multi-component design), so
-//! the cooperative scheduler must observe the same synchronous flows as
-//! the blocking one.
+//! Every scenario runs under **both** execution modes — dedicated threads
+//! and a 2-worker work-stealing pool (fewer workers than components for
+//! every multi-component design), so the cooperative scheduler must
+//! observe the same synchronous flows as the blocking one.
+
+mod support;
 
 use polychrony::gals_rt::{
-    Backend, CapacityRange, DeployError, Deployment, DeploymentOutcome, ExecutionMode, MachineKind,
-    StopReason,
+    CapacityRange, DeployError, Deployment, DeploymentOutcome, ExecutionMode, StopReason,
 };
 use polychrony::isochron::{design::chain_of_pairs, library, Design};
 use polychrony::moc::Value;
-
-/// The execution modes every scenario is replayed under: the classic
-/// dedicated-thread mode and a deliberately undersized pool (2 workers,
-/// small quantum) that forces component multiplexing and stealing.
-const MODES: [ExecutionMode; 2] = [
-    ExecutionMode::ThreadPerComponent,
-    ExecutionMode::Pool {
-        workers: 2,
-        quantum: 4,
-    },
-];
+use support::{bools, ints, MODES};
 
 /// Deploys the design with every feed applied, at the given channel
-/// capacity, over **both** built-in channel backends, under **both**
-/// execution modes, with **both** machine kinds (the interpreter and the
-/// slot-indexed compiled runtime); asserts the conformance verdict for
-/// each of the eight runs, and returns the last outcome — Theorem 1's
-/// isochrony is transport-, scheduler- and execution-strategy-agnostic,
-/// so every combination must observe the synchronous flows.
+/// capacity, under **both** execution modes; asserts the conformance
+/// verdict of each run, and returns the last outcome — Theorem 1's
+/// isochrony is scheduler-agnostic, so both modes must observe the
+/// synchronous flows.
 fn assert_conformant(
     design: &Design,
     feeds: &[(&str, Vec<Value>)],
@@ -45,76 +33,58 @@ fn assert_conformant(
     // repro artifact.
     let trace_dir = std::env::var_os("GALS_TRACE_DIR");
     let mut outcomes = Vec::new();
-    for kind in [MachineKind::Interpreted, MachineKind::Compiled] {
-        for mode in MODES {
-            for backend in [Backend::Mpsc, Backend::SpscRing] {
-                let mut deployment: Deployment =
-                    design.deploy_with(kind).expect("the design is verified");
-                assert_eq!(deployment.machine_kind(), Some(kind));
-                deployment.set_execution_mode(mode).expect("valid mode");
-                deployment.set_backend(backend);
-                deployment.set_capacity(capacity).expect("nonzero");
-                deployment.set_tracing(trace_dir.is_some());
-                for (signal, values) in feeds {
-                    deployment.feed(*signal, values.iter().copied());
-                }
-                let outcome = deployment.run().expect("the deployment runs");
-                let stats = outcome.stats();
-                assert_eq!(stats.machine_kind, Some(kind));
-                // Token conservation: a token is counted sent when it enters
-                // a channel and received when it leaves, so the receiving
-                // side can never lead (a component stopping early only
-                // strands tokens, leaving the sent side ahead).
-                assert!(
-                    stats.total_tokens_received() <= stats.total_tokens(),
-                    "{} ({kind}, {mode}, backend {backend}, capacity {capacity}): received \
-                     more tokens than were sent\nstats:\n{stats}",
-                    design.name()
-                );
-                let report = outcome.check_conformance().expect("reference registered");
-                if !report.is_isochronous() {
-                    let saved = trace_dir.as_ref().and_then(|dir| {
-                        let trace = outcome.trace()?;
-                        let stem =
-                            format!("{}-{kind}-{mode}-{backend}-cap{capacity}", design.name())
-                                .replace(|c: char| !c.is_ascii_alphanumeric() && c != '-', "_");
-                        let file = std::path::Path::new(dir).join(format!("{stem}.trace.json"));
-                        std::fs::create_dir_all(dir).ok()?;
-                        std::fs::write(&file, trace.to_chrome_json()).ok()?;
-                        Some(file)
-                    });
-                    panic!(
-                        "{} ({kind}, {mode}, backend {backend}, capacity {capacity}): {report}\n\
-                         stats:\n{}\ntrace: {}",
-                        design.name(),
-                        outcome.stats(),
-                        saved
-                            .map(|p| p.display().to_string())
-                            .unwrap_or_else(|| "not captured (set GALS_TRACE_DIR)".into())
-                    );
-                }
-                outcomes.push(outcome);
-            }
+    for mode in MODES {
+        let mut deployment: Deployment = design.deploy().expect("the design is verified");
+        deployment.set_execution_mode(mode).expect("valid mode");
+        deployment.set_capacity(capacity).expect("nonzero");
+        deployment.set_tracing(trace_dir.is_some());
+        for (signal, values) in feeds {
+            deployment.feed(*signal, values.iter().copied());
         }
+        let outcome = deployment.run().expect("the deployment runs");
+        let stats = outcome.stats();
+        // Token conservation: a token is counted sent when it enters a
+        // channel and received when it leaves, so the receiving side can
+        // never lead (a component stopping early only strands tokens,
+        // leaving the sent side ahead).
+        assert!(
+            stats.total_tokens_received() <= stats.total_tokens(),
+            "{} ({mode}, capacity {capacity}): received more tokens than were \
+             sent\nstats:\n{stats}",
+            design.name()
+        );
+        let report = outcome.check_conformance().expect("reference registered");
+        if !report.is_isochronous() {
+            let saved = trace_dir.as_ref().and_then(|dir| {
+                let trace = outcome.trace()?;
+                let stem = format!("{}-{mode}-cap{capacity}", design.name())
+                    .replace(|c: char| !c.is_ascii_alphanumeric() && c != '-', "_");
+                let file = std::path::Path::new(dir).join(format!("{stem}.trace.json"));
+                std::fs::create_dir_all(dir).ok()?;
+                std::fs::write(&file, trace.to_chrome_json()).ok()?;
+                Some(file)
+            });
+            panic!(
+                "{} ({mode}, capacity {capacity}): {report}\nstats:\n{}\ntrace: {}",
+                design.name(),
+                outcome.stats(),
+                saved
+                    .map(|p| p.display().to_string())
+                    .unwrap_or_else(|| "not captured (set GALS_TRACE_DIR)".into())
+            );
+        }
+        outcomes.push(outcome);
     }
     let reference = outcomes[0].flows().clone();
     for outcome in &outcomes[1..] {
         assert_eq!(
             outcome.flows(),
             &reference,
-            "{} (capacity {capacity}): a kind/mode/backend combination observed different flows",
+            "{} (capacity {capacity}): the execution modes observed different flows",
             design.name()
         );
     }
-    outcomes.pop().expect("eight outcomes")
-}
-
-fn bools(values: &[bool]) -> Vec<Value> {
-    values.iter().map(|&b| Value::Bool(b)).collect()
-}
-
-fn ints(values: impl IntoIterator<Item = i64>) -> Vec<Value> {
-    values.into_iter().map(Value::Int).collect()
+    outcomes.pop().expect("one outcome per mode")
 }
 
 #[test]
@@ -318,7 +288,7 @@ fn clean_runs_exchange_exactly_as_many_tokens_as_they_send() {
     // producer/consumer pair drain completely (each consumer's stop is
     // observing its upstream close, or its pacing stream and the channel
     // run dry together), so sent == received must hold exactly, per run,
-    // under every mode x backend combination.
+    // under every mode.
     type Scenario = (Design, Vec<(&'static str, Vec<Value>)>);
     let scenarios: Vec<Scenario> = vec![
         (
@@ -341,22 +311,19 @@ fn clean_runs_exchange_exactly_as_many_tokens_as_they_send() {
     ];
     for (design, feeds) in &scenarios {
         for mode in MODES {
-            for backend in [Backend::Mpsc, Backend::SpscRing] {
-                let mut deployment = design.deploy().expect("verified");
-                deployment.set_execution_mode(mode).expect("valid mode");
-                deployment.set_backend(backend);
-                for (signal, values) in feeds {
-                    deployment.feed(*signal, values.iter().copied());
-                }
-                let outcome = deployment.run().expect("runs");
-                let stats = outcome.stats();
-                assert_eq!(
-                    stats.total_tokens(),
-                    stats.total_tokens_received(),
-                    "{} ({mode}, {backend}): tokens stranded in a channel\n{stats}",
-                    design.name()
-                );
+            let mut deployment = design.deploy().expect("verified");
+            deployment.set_execution_mode(mode).expect("valid mode");
+            for (signal, values) in feeds {
+                deployment.feed(*signal, values.iter().copied());
             }
+            let outcome = deployment.run().expect("runs");
+            let stats = outcome.stats();
+            assert_eq!(
+                stats.total_tokens(),
+                stats.total_tokens_received(),
+                "{} ({mode}): tokens stranded in a channel\n{stats}",
+                design.name()
+            );
         }
     }
 }
@@ -364,8 +331,8 @@ fn clean_runs_exchange_exactly_as_many_tokens_as_they_send() {
 #[test]
 fn derived_capacities_conform_across_modes_and_backends() {
     // The capacity-derivation story on the stdlib designs: every edge
-    // gets a clock-derived bound and every (mode x backend) combination
-    // still observes the synchronous flows — the hand-tuned capacity knob
+    // gets a clock-derived bound and both execution modes still observe
+    // the synchronous flows — the hand-tuned capacity knob
     // replaced by an artifact of the verification, with no loss of
     // conformance.
     use polychrony::gals_rt::{CapacitySource, ChannelSizing};
@@ -392,39 +359,34 @@ fn derived_capacities_conform_across_modes_and_backends() {
         ),
     ];
     for (design, feeds) in &scenarios {
-        for kind in [MachineKind::Interpreted, MachineKind::Compiled] {
-            for mode in MODES {
-                for backend in [Backend::Mpsc, Backend::SpscRing] {
-                    let mut deployment = design.deploy_derived_with(kind).expect("verified design");
-                    deployment.set_execution_mode(mode).expect("valid mode");
-                    deployment.set_backend(backend);
-                    for (signal, values) in feeds {
-                        deployment.feed(*signal, values.iter().copied());
-                    }
-                    let outcome = deployment.run().expect("the deployment runs");
-                    let stats = outcome.stats();
-                    assert_eq!(stats.sizing, ChannelSizing::Derived);
-                    for edge in &stats.edges {
-                        assert_eq!(
-                            edge.source,
-                            CapacitySource::Derived,
-                            "{}: {}",
-                            design.name(),
-                            edge.signal
-                        );
-                        assert!(edge.derivation.is_some());
-                    }
-                    for component in &stats.components {
-                        assert_ne!(component.stop, StopReason::Deadlocked);
-                    }
-                    let report = outcome.check_conformance().expect("reference registered");
-                    assert!(
-                        report.is_isochronous(),
-                        "{} ({kind}, {mode}, {backend}): {report}",
-                        design.name()
-                    );
-                }
+        for mode in MODES {
+            let mut deployment = design.deploy_derived().expect("verified design");
+            deployment.set_execution_mode(mode).expect("valid mode");
+            for (signal, values) in feeds {
+                deployment.feed(*signal, values.iter().copied());
             }
+            let outcome = deployment.run().expect("the deployment runs");
+            let stats = outcome.stats();
+            assert_eq!(stats.sizing, ChannelSizing::Derived);
+            for edge in &stats.edges {
+                assert_eq!(
+                    edge.source,
+                    CapacitySource::Derived,
+                    "{}: {}",
+                    design.name(),
+                    edge.signal
+                );
+                assert!(edge.derivation.is_some());
+            }
+            for component in &stats.components {
+                assert_ne!(component.stop, StopReason::Deadlocked);
+            }
+            let report = outcome.check_conformance().expect("reference registered");
+            assert!(
+                report.is_isochronous(),
+                "{} ({mode}): {report}",
+                design.name()
+            );
         }
     }
 }

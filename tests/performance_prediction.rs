@@ -18,17 +18,12 @@
 //!   *longer* pipelines from statics alone, and require the prediction
 //!   to land within 2x of the wall-clock measurement.
 
-use polychrony::gals_rt::{Backend, ExecutionMode, StopReason};
+mod support;
+
+use polychrony::gals_rt::{ExecutionMode, StopReason};
 use polychrony::isochron::library;
 use polychrony::moc::Value;
-
-const MODES: [ExecutionMode; 2] = [
-    ExecutionMode::ThreadPerComponent,
-    ExecutionMode::Pool {
-        workers: 2,
-        quantum: 4,
-    },
-];
+use support::MODES;
 
 #[test]
 fn the_pipeline_prediction_matches_the_analytic_rate_model() {
@@ -129,7 +124,6 @@ fn the_calibrated_throughput_prediction_lands_within_2x_of_e13() {
         for _ in 0..3 {
             let mut deployment = design.deploy_derived().expect("verified");
             deployment.set_execution_mode(mode).expect("valid mode");
-            deployment.set_backend(Backend::SpscRing);
             deployment.feed("p0", (0..TOKENS).map(|i| Value::Int(i as i64)));
             let outcome = deployment.run().expect("the deployment runs");
             let stats = outcome.stats();

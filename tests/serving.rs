@@ -18,7 +18,7 @@
 //! * priorities: a high-priority tenant admitted *last* into a paused
 //!   single-worker pool finishes before every earlier batch tenant;
 //! * the timeout path: a finish deadline that expires hands the handle
-//!   back intact, reservation included.
+//!   back with its reservation, its inputs closed.
 
 use std::sync::Barrier;
 use std::time::Duration;
@@ -245,10 +245,7 @@ fn a_high_priority_tenant_admitted_last_finishes_first() {
         handle.close_inputs();
         batch.push(handle);
     }
-    let critical_options = AdmitOptions {
-        base_priority: 10,
-        ..AdmitOptions::default()
-    };
+    let critical_options = AdmitOptions { base_priority: 10 };
     let mut critical = server
         .admit_with("critical", &design, &critical_options)
         .expect("fits");
@@ -301,6 +298,18 @@ fn a_finish_timeout_hands_the_handle_back_with_its_reservation() {
         server.load().deployments,
         1,
         "the reservation survived the timeout"
+    );
+    // Finishing closed the inputs: the returned handle refuses further
+    // tokens on its own input as closed, and still tells a name that was
+    // never an input apart.
+    let mut handle = *handle;
+    assert_eq!(
+        handle.feed("p0", [Value::Int(4)]).unwrap_err(),
+        DeployError::InputsClosed("p0".into())
+    );
+    assert_eq!(
+        handle.feed("nosuch", [Value::Int(4)]).unwrap_err(),
+        DeployError::UnknownFeed("nosuch".into())
     );
 
     server.resume();
