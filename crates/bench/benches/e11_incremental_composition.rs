@@ -1,7 +1,13 @@
 //! E11 — compositionality of the methodology (the paper's `main2`):
-//! extending an already-checked design with one more endochronous component
-//! only requires re-checking the new composition, and the cost of the check
-//! grows smoothly with the number of components.
+//! extending an already-checked design with one more endochronous
+//! component, and the cost of checking a design as it grows.
+//!
+//! `Design::extend` does not reuse the checked design: it recomposes every
+//! component from scratch, so it re-analyzes each component and each prefix
+//! of the composition (Definition 12), and one extension costs a whole
+//! `Design::compose`.  Making it one step — checking the new prefix on
+//! interface summaries of the components — is the incremental half of
+//! ROADMAP item F.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use isochron::design::chain_of_pairs;

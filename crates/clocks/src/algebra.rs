@@ -91,31 +91,41 @@ impl ClockAlgebra {
             value,
             relation: NodeRef::TRUE,
         };
-        let mut relation = algebra.bdd.one();
-
-        // Clock equalities and inclusions.
+        // The facts of R: clock equalities and inclusions, then the
+        // instantaneous boolean value facts of the kernel equations.
+        let mut facts = Vec::new();
         for (l, r) in &relations.equalities {
             let el = algebra.encode_expr(l);
             let er = algebra.encode_expr(r);
-            let eq = algebra.bdd.iff(el, er);
-            relation = algebra.bdd.and(relation, eq);
+            facts.push(algebra.bdd.iff(el, er));
         }
         for (small, large) in &relations.inclusions {
             let es = algebra.encode_expr(small);
             let el = algebra.encode_expr(large);
-            let imp = algebra.bdd.implies(es, el);
-            relation = algebra.bdd.and(relation, imp);
+            facts.push(algebra.bdd.implies(es, el));
         }
-
-        // Instantaneous boolean value facts from the kernel equations.
         let booleans = process.boolean_signals();
         for eq in process.equations() {
             if let Some(fact) = algebra.value_fact(eq, &booleans) {
-                relation = algebra.bdd.and(relation, fact);
+                facts.push(fact);
             }
         }
 
-        algebra.relation = relation;
+        // Conjoin them pairwise in a balanced tree rather than folding each
+        // into one growing BDD: neighbouring facts mostly share signals, so
+        // the partial conjunctions stay small until the last levels.  R is
+        // canonical, so the order changes no verdict, only the intermediate
+        // node count.
+        while facts.len() > 1 {
+            facts = facts
+                .chunks(2)
+                .map(|pair| match *pair {
+                    [a, b] => algebra.bdd.and(a, b),
+                    _ => pair[0],
+                })
+                .collect();
+        }
+        algebra.relation = facts.pop().unwrap_or(NodeRef::TRUE);
         algebra
     }
 

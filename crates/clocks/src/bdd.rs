@@ -7,12 +7,19 @@
 //! provides a classic hash-consed BDD with memoized `apply`, negation and
 //! existential quantification.
 //!
-//! The implementation is deliberately self-contained (no external crate) and
-//! favours clarity over raw speed: processes in this domain have at most a
-//! few hundred Boolean variables.
+//! The implementation is self-contained (no external crate).  The clock
+//! calculus runs once per prefix of every composition it checks, so the
+//! manager's tables sit on the hot path: the unique table and the three
+//! operation caches hash with `FxHasher`, a multiplicative hasher
+//! that is far cheaper than the default SipHash on their small integer
+//! keys.  Those keys are node and variable indices the manager allocates
+//! itself, never input from outside the program, so SipHash's protection
+//! against crafted collisions buys nothing here; and nothing iterates the
+//! tables, so their order never shows.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A Boolean variable, identified by its index in the global ordering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -58,14 +65,54 @@ enum Op {
     Xor,
 }
 
+/// An Fx-style multiplicative hasher for keys made of the manager's own
+/// indices: each word is added to the state and multiplied by an odd
+/// constant, and `finish` rotates the well-mixed high bits down to where
+/// the table takes its bucket index.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct FxHasher(u64);
+
+impl FxHasher {
+    /// An odd multiplier with well-spread bits: multiplying by it is a
+    /// bijection that carries every bit of a word into the high bits.
+    const SEED: u64 = 0xf135_7aea_2e62_a9c5;
+
+    fn add(&mut self, word: u64) {
+        self.0 = self.0.wrapping_add(word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.add(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A hash map keyed by manager-allocated indices.
+pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
 /// The BDD manager: owns every node and the operation caches.
 #[derive(Debug, Default)]
 pub struct Bdd {
     nodes: Vec<Node>,
-    unique: HashMap<Node, NodeRef>,
-    apply_cache: HashMap<(Op, NodeRef, NodeRef), NodeRef>,
-    not_cache: HashMap<NodeRef, NodeRef>,
-    exists_cache: HashMap<(NodeRef, u32), NodeRef>,
+    unique: FxHashMap<Node, NodeRef>,
+    apply_cache: FxHashMap<(Op, NodeRef, NodeRef), NodeRef>,
+    not_cache: FxHashMap<NodeRef, NodeRef>,
+    exists_cache: FxHashMap<(NodeRef, u32), NodeRef>,
 }
 
 impl Bdd {
@@ -80,10 +127,7 @@ impl Bdd {
         };
         Bdd {
             nodes: vec![sentinel, sentinel],
-            unique: HashMap::new(),
-            apply_cache: HashMap::new(),
-            not_cache: HashMap::new(),
-            exists_cache: HashMap::new(),
+            ..Bdd::default()
         }
     }
 

@@ -13,6 +13,14 @@
 //! difference it contains is eliminable; a process is **well-clocked**
 //! (Definition 7) when its hierarchy is well-formed and its relations are
 //! disjunctive.
+//!
+//! The witness is looked up, not searched for.  `R ⊨ d = [w]` holds exactly
+//! when `R ∧ enc(d)` and `R ∧ enc([w])` are the same BDD node, and the
+//! hierarchy groups its clocks by that node.  So the candidate witnesses of
+//! `c \ d` are the samplings `[w]` / `[not w]` in the class of `d`, found
+//! with one conjunction and one lookup whether `d` is atomic or composite.
+//! They are tried in signal-name order, and the first whose `^w` passes the
+//! dominance test is the rewrite.
 
 use std::fmt;
 
@@ -67,56 +75,55 @@ pub struct DisjunctiveForm {
 
 impl DisjunctiveForm {
     /// Analyzes every symmetric difference of the relations.
+    ///
+    /// The candidate witnesses come from `hierarchy`, which must have been
+    /// built from `process` with `algebra`.
     pub fn analyze(
-        process: &KernelProcess,
+        _process: &KernelProcess,
         relations: &TimingRelations,
         hierarchy: &ClockHierarchy,
         algebra: &mut ClockAlgebra,
     ) -> Self {
-        let booleans = process.boolean_signals();
+        let relation = algebra.relation();
         let mut resolutions = Vec::new();
         for (minuend, subtrahend) in relations.diff_occurrences() {
-            // A difference with a provably null subtrahend is trivially
-            // disjunctive (`c \ 0 = c`) and needs no rewrite at all.
-            if algebra.clock_is_null(&subtrahend) {
+            let enc = algebra.encode_expr(&subtrahend);
+            let conditioned = algebra.bdd_mut().and(relation, enc);
+            // A difference with a provably null subtrahend (`R ∧ enc(d)` is
+            // false) is trivially disjunctive (`c \ 0 = c`) and needs no
+            // rewrite at all.
+            if algebra.bdd_mut().is_false(conditioned) {
                 continue;
             }
-            let rewrite = booleans.iter().find_map(|w| {
-                let on_true = ClockExpr::on_true(w.clone());
-                let on_false = ClockExpr::on_false(w.clone());
-                let candidate = if algebra.clocks_equal(&subtrahend, &on_true) {
-                    Some(Clock::on_false(w.clone()))
-                } else if algebra.clocks_equal(&subtrahend, &on_false) {
-                    Some(Clock::on_true(w.clone()))
-                } else {
-                    None
-                }?;
+            // Class members are listed signal by signal in name order, so
+            // the candidates come out in signal-name order.
+            let candidates = hierarchy
+                .class_of_node(conditioned)
+                .map(|class| hierarchy.class_members(class))
+                .unwrap_or_default();
+            let rewrite = candidates.iter().find_map(|sampling| {
+                let (w, candidate) = match sampling {
+                    Clock::True(w) => (w, Clock::on_false(w.clone())),
+                    Clock::False(w) => (w, Clock::on_true(w.clone())),
+                    Clock::Tick(_) => return None,
+                };
                 // The witness w must sit above a common ancestor of both
-                // operands: both operand classes must be dominated by the
-                // class of ^w or share a dominator with it.
+                // operands: each operand class must share a dominator with
+                // the class of ^w (which covers ^w dominating it).
                 let tick_class = hierarchy.class_of(&Clock::tick(w.clone()))?;
                 let dominated = |expr: &ClockExpr| {
                     let mut atoms = Vec::new();
                     expr.atoms(&mut atoms);
                     atoms.iter().all(|a| {
-                        hierarchy
-                            .class_of(a)
-                            .map(|c| {
-                                hierarchy.dominates_star(tick_class, c)
-                                    || hierarchy
-                                        .dominators_of(c)
-                                        .intersection(&hierarchy.dominators_of(tick_class))
-                                        .next()
-                                        .is_some()
+                        hierarchy.class_of(a).is_some_and(|c| {
+                            (0..hierarchy.class_count()).any(|k| {
+                                hierarchy.dominates_star(k, tick_class)
+                                    && hierarchy.dominates_star(k, c)
                             })
-                            .unwrap_or(false)
+                        })
                     })
                 };
-                if dominated(&minuend) && dominated(&subtrahend) {
-                    Some(candidate)
-                } else {
-                    None
-                }
+                (dominated(&minuend) && dominated(&subtrahend)).then_some(candidate)
             });
             resolutions.push(DiffResolution {
                 minuend,

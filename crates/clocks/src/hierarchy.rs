@@ -12,6 +12,17 @@
 //!
 //! A process whose hierarchy has a single root is *hierarchic*; a compilable
 //! and hierarchic process is endochronous (Property 2 of the paper).
+//!
+//! Two representations keep the queries cheap.  Classes are keyed by the
+//! BDD node `R ∧ enc(c)` itself, and the hierarchy keeps that map, so the
+//! class of any clock expression is one conjunction and one lookup away
+//! (the disjunctive pass finds its witnesses that way).  Dominance is kept
+//! *closed*: besides the direct edges, every class carries the bitset of
+//! the classes it dominates reflexively and transitively, updated on every
+//! edge rule 1 or the rule-3 fixpoint inserts.
+//! [`ClockHierarchy::dominates_star`] is then a bit test, and the
+//! dominators, the roots and the Definition 6 cycle check read the same
+//! bitsets.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -19,6 +30,7 @@ use std::fmt;
 use signal_lang::{KernelProcess, Name};
 
 use crate::algebra::ClockAlgebra;
+use crate::bdd::{FxHashMap, NodeRef};
 use crate::clock::{Clock, ClockExpr};
 use crate::relation::TimingRelations;
 
@@ -30,8 +42,13 @@ pub type ClassId = usize;
 pub struct ClockHierarchy {
     classes: Vec<Vec<Clock>>,
     class_of: BTreeMap<Clock, ClassId>,
+    /// The class of every node `R ∧ enc(c)` of a considered clock `c`.
+    class_of_node: FxHashMap<NodeRef, ClassId>,
     /// `dominates[i]` is the set of classes directly dominated by `i`.
     dominates: Vec<BTreeSet<ClassId>>,
+    /// `reach[i]` is the bitset of the classes `i` dominates, reflexively
+    /// and transitively: the closure of `dominates`.
+    reach: Vec<Vec<u64>>,
     ill_formed: Vec<String>,
     null_classes: BTreeSet<ClassId>,
 }
@@ -56,17 +73,17 @@ impl ClockHierarchy {
         }
 
         // 2. Equivalence classes: c ~ d iff R ⊨ c = d, i.e. R ∧ enc(c) and
-        //    R ∧ enc(d) denote the same Boolean function.
+        //    R ∧ enc(d) denote the same Boolean function, which canonicity
+        //    makes the same node.
         let relation = algebra.relation();
-        let mut key_to_class: BTreeMap<u64, ClassId> = BTreeMap::new();
+        let mut class_of_node: FxHashMap<NodeRef, ClassId> = FxHashMap::default();
         let mut classes: Vec<Vec<Clock>> = Vec::new();
         let mut class_of: BTreeMap<Clock, ClassId> = BTreeMap::new();
         let mut null_classes: BTreeSet<ClassId> = BTreeSet::new();
         for clock in &clocks {
             let enc = algebra.encode_clock(clock);
             let conditioned = algebra.bdd_mut().and(relation, enc);
-            let key = node_key(conditioned);
-            let id = *key_to_class.entry(key).or_insert_with(|| {
+            let id = *class_of_node.entry(conditioned).or_insert_with(|| {
                 classes.push(Vec::new());
                 classes.len() - 1
             });
@@ -77,10 +94,20 @@ impl ClockHierarchy {
             }
         }
 
+        let words = classes.len().div_ceil(64);
+        let reach = (0..classes.len())
+            .map(|id| {
+                let mut row = vec![0; words];
+                row[id / 64] |= 1 << (id % 64);
+                row
+            })
+            .collect();
         let mut hierarchy = ClockHierarchy {
             dominates: vec![BTreeSet::new(); classes.len()],
+            reach,
             classes,
             class_of,
+            class_of_node,
             ill_formed: Vec::new(),
             null_classes,
         };
@@ -105,7 +132,7 @@ impl ClockHierarchy {
                             .push(format!("^{name} is equivalent to {sample}"));
                     }
                 } else {
-                    hierarchy.dominates[tick].insert(sampled);
+                    hierarchy.insert_edge(tick, sampled);
                 }
             }
         }
@@ -124,23 +151,18 @@ impl ClockHierarchy {
                 ) else {
                     continue;
                 };
-                let dominators1 = hierarchy.dominators_of(k1);
-                let dominators2 = hierarchy.dominators_of(k2);
-                let common: BTreeSet<ClassId> =
-                    dominators1.intersection(&dominators2).copied().collect();
-                if common.is_empty() {
-                    continue;
-                }
+                let common: Vec<ClassId> = (0..hierarchy.classes.len())
+                    .filter(|&c| hierarchy.dominates_star(c, k1) && hierarchy.dominates_star(c, k2))
+                    .collect();
                 // The lowest common dominator: dominated by every other
                 // common dominator.
-                let lowest = common.iter().copied().find(|candidate| {
-                    common.iter().all(|other| {
-                        other == candidate || hierarchy.dominates_star(*other, *candidate)
-                    })
+                let lowest = common.iter().copied().find(|&candidate| {
+                    common
+                        .iter()
+                        .all(|&other| hierarchy.dominates_star(other, candidate))
                 });
                 if let Some(b2) = lowest {
-                    if b2 != b1 && !hierarchy.dominates[b2].contains(&b1) {
-                        hierarchy.dominates[b2].insert(b1);
+                    if b2 != b1 && hierarchy.insert_edge(b2, b1) {
                         changed = true;
                     }
                 }
@@ -164,12 +186,31 @@ impl ClockHierarchy {
         hierarchy
     }
 
+    /// Records that `from` directly dominates `to` and closes `reach` over
+    /// the new edge: every class that reaches `from` gains `to`'s set.
+    /// Returns `false` when the edge was already there.
+    fn insert_edge(&mut self, from: ClassId, to: ClassId) -> bool {
+        if !self.dominates[from].insert(to) {
+            return false;
+        }
+        let gained = self.reach[to].clone();
+        for row in &mut self.reach {
+            if has_bit(row, from) {
+                for (word, bits) in row.iter_mut().zip(&gained) {
+                    *word |= bits;
+                }
+            }
+        }
+        true
+    }
+
     /// The number of clock equivalence classes.
     pub fn class_count(&self) -> usize {
         self.classes.len()
     }
 
-    /// The members of a class.
+    /// The members of a class, in signal-name order (`^x`, then `[x]` and
+    /// `[not x]` for a boolean `x`).
     pub fn class_members(&self, id: ClassId) -> &[Clock] {
         &self.classes[id]
     }
@@ -177,6 +218,14 @@ impl ClockHierarchy {
     /// The class of a clock, if the clock was considered.
     pub fn class_of(&self, clock: &Clock) -> Option<ClassId> {
         self.class_of.get(clock).copied()
+    }
+
+    /// The class of the clocks `c` with `R ∧ enc(c) = node`, if any.  For
+    /// `node = R ∧ enc(e)`, computed in the algebra the hierarchy was built
+    /// with, this is the class of the clocks equal to the expression `e`
+    /// under `R`.
+    pub(crate) fn class_of_node(&self, node: NodeRef) -> Option<ClassId> {
+        self.class_of_node.get(&node).copied()
     }
 
     /// Returns `true` when two clocks are in the same equivalence class.
@@ -194,23 +243,7 @@ impl ClockHierarchy {
 
     /// Does `a` dominate `b` (reflexively and transitively)?
     pub fn dominates_star(&self, a: ClassId, b: ClassId) -> bool {
-        if a == b {
-            return true;
-        }
-        let mut seen = BTreeSet::new();
-        let mut stack = vec![a];
-        while let Some(c) = stack.pop() {
-            if !seen.insert(c) {
-                continue;
-            }
-            for &d in &self.dominates[c] {
-                if d == b {
-                    return true;
-                }
-                stack.push(d);
-            }
-        }
-        false
+        has_bit(&self.reach[a], b)
     }
 
     /// The classes that dominate `id`, reflexively and transitively.
@@ -336,14 +369,9 @@ fn collect_binary(
     }
 }
 
-/// A stable key for a BDD node reference (used to group clocks by the
-/// function `R ∧ enc(c)` they denote).
-fn node_key(node: crate::bdd::NodeRef) -> u64 {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    let mut h = DefaultHasher::new();
-    node.hash(&mut h);
-    h.finish()
+/// Is class `id` in the bitset `row`?
+fn has_bit(row: &[u64], id: ClassId) -> bool {
+    row[id / 64] & (1 << (id % 64)) != 0
 }
 
 #[cfg(test)]
