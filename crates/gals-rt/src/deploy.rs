@@ -3,10 +3,14 @@
 //! A [`Deployment`] assembles separately compiled [`StepMachine`]s, derives
 //! the channel topology from their interfaces (an output of one machine
 //! feeding the homonymous input of others becomes a bounded FIFO channel),
-//! preloads the environment streams, and runs every machine on its own OS
-//! thread until the streams are drained — the concurrent execution scheme
-//! of Section 5 of the paper generalized from one producer/consumer pair to
-//! arbitrary component counts.
+//! preloads the environment streams, and runs the machines until the
+//! streams are drained — the concurrent execution scheme of Section 5 of
+//! the paper generalized from one producer/consumer pair to arbitrary
+//! component counts.  Its [`ExecutionMode`] decides the threads: one
+//! dedicated OS thread per machine, or the pool scheduler of
+//! [`crate::sched`], which runs the machines as one group on a fixed set
+//! of workers.  [`Deployment::stage`] instead hands the wired machines to
+//! a long-lived [`SharedPool`](crate::SharedPool).
 //!
 //! The channels themselves are minted by a [`Transport`] — the lock-free
 //! SPSC ring unless [`Deployment::set_transport`] plugs in another
@@ -856,7 +860,7 @@ impl Deployment {
                 (reports, Vec::new(), Vec::new())
             }
             ExecutionMode::Pool { workers, quantum } => {
-                sched::run_pool(drivers, &topology, workers, quantum, sched_trace)
+                sched::run_batch(drivers, &topology, workers, quantum, sched_trace)
             }
         };
         let elapsed = started.elapsed();

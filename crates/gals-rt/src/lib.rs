@@ -8,10 +8,14 @@
 //!
 //! * a [`Deployment`] builder that assembles separately compiled
 //!   components ([`StepMachine`]s), derives the channel topology from
-//!   their interfaces, and runs **each component on its own OS thread**;
-//! * **bounded** FIFO channels with blocking-read/blocking-write
-//!   backpressure — the finite-buffer refinement of the paper's
-//!   unbounded-FIFO asynchronous model (`^` [`sim::AsyncNetwork`]);
+//!   their interfaces, and runs the components either **each on its own
+//!   OS thread** or on a **fixed pool of worker threads** ([`sched`]) —
+//!   the same scheduler a [`SharedPool`] uses to host many deployments at
+//!   once;
+//! * **bounded** FIFO channels with backpressure (a dedicated thread
+//!   blocks on a full or empty channel; a pooled component yields and is
+//!   woken when the edge moves) — the finite-buffer refinement of the
+//!   paper's unbounded-FIFO asynchronous model (`^` [`sim::AsyncNetwork`]);
 //! * a **pluggable transport layer** ([`Transport`] minting
 //!   [`TokenTx`]/[`TokenRx`] endpoint pairs) whose built-in medium is a
 //!   **lock-free SPSC ring buffer** ([`ring`]) — every edge the topology
@@ -673,10 +677,10 @@ mod tests {
 
     #[test]
     fn a_quantum_yield_round_robins_the_deque_instead_of_starving_it() {
-        // Regression: a yielded component used to be pushed to the back of
-        // the deque its owner also pops from the back, so a single worker
-        // re-dispatched the same component until its stream was exhausted
-        // and deque siblings starved.  With two independent components on
+        // Regression: a yielded component used to be re-queued where its
+        // worker popped next, so a single worker re-dispatched the same
+        // component until its stream was exhausted and its ready siblings
+        // starved.  With two independent components on
         // one worker at quantum 1, fair scheduling interleaves their
         // global stamps; starvation would give one component an entirely
         // smaller stamp range than the other.
@@ -741,6 +745,152 @@ mod tests {
             assert_eq!(component.stop, StopReason::Deadlocked);
             assert_eq!(component.reactions, 0);
         }
+    }
+
+    #[test]
+    fn a_deadlocked_cycle_stops_alone_beside_a_live_pipeline() {
+        // Quiescence is judged per group, after the last dispatch: the
+        // unfed a <-> b cycle is finalized, the pipeline beside it runs
+        // out its stream.
+        for workers in [1usize, 2, 3] {
+            let mut deployment = pipeline(2);
+            deployment.add_machine(Box::new(Summer::new("a", "q", "p")));
+            deployment.add_machine(Box::new(Summer::new("b", "p", "q")));
+            deployment.set_allow_cycles(true);
+            deployment
+                .set_execution_mode(ExecutionMode::Pool {
+                    workers,
+                    quantum: 4,
+                })
+                .expect("valid mode");
+            deployment.feed("s0", (1..=64).map(Value::Int));
+            let outcome = deployment.run().expect("terminates");
+            for component in &outcome.stats().components {
+                let cyclic = component.name == "a" || component.name == "b";
+                assert_eq!(
+                    component.stop == StopReason::Deadlocked,
+                    cyclic,
+                    "workers {workers}: {component}"
+                );
+            }
+            assert_eq!(outcome.flow("s2").len(), 64, "workers {workers}");
+        }
+    }
+
+    #[test]
+    fn placing_a_group_never_makes_it_look_deadlocked() {
+        // A cell can be dispatched and block before its peers are queued;
+        // its group must not look out of work until placement is over.
+        for round in 0..200 {
+            let mut deployment = pipeline(8);
+            deployment
+                .set_execution_mode(ExecutionMode::Pool {
+                    workers: 4,
+                    quantum: 1,
+                })
+                .expect("valid mode");
+            deployment.feed("s0", (1..=8).map(Value::Int));
+            let outcome = deployment.run().expect("runs");
+            for component in &outcome.stats().components {
+                assert_ne!(
+                    component.stop,
+                    StopReason::Deadlocked,
+                    "round {round}: {component}"
+                );
+            }
+            let got: Vec<i64> = outcome
+                .flow("s8")
+                .iter()
+                .map(|v| v.as_int().unwrap())
+                .collect();
+            assert_eq!(got, pipeline_reference(8, 8), "round {round}");
+        }
+    }
+
+    /// A [`Summer`] whose third step panics: a machine bug.
+    struct Panicky {
+        inner: Summer,
+        steps: u32,
+    }
+
+    impl StepMachine for Panicky {
+        fn machine_name(&self) -> &str {
+            self.inner.machine_name()
+        }
+        fn input_signals(&self) -> Vec<Name> {
+            self.inner.input_signals()
+        }
+        fn output_signals(&self) -> Vec<Name> {
+            self.inner.output_signals()
+        }
+        fn feed_value(&mut self, signal: &str, value: Value) {
+            self.inner.feed_value(signal, value);
+        }
+        fn try_step(&mut self) -> Result<(), StepFault> {
+            self.steps += 1;
+            assert!(self.steps < 3, "machine bug");
+            self.inner.try_step()
+        }
+        fn produced(&self, signal: &str) -> &[Value] {
+            self.inner.produced(signal)
+        }
+    }
+
+    /// `in -> a -> b -> c -> out`, where `a` panics on its third step.
+    fn panicking_pipeline() -> Deployment {
+        let mut deployment = Deployment::new();
+        deployment.add_machine(Box::new(Panicky {
+            inner: Summer::new("a", "in", "b"),
+            steps: 0,
+        }));
+        deployment.add_machine(Box::new(Summer::new("c", "b", "out")));
+        deployment
+    }
+
+    /// Runs [`panicking_pipeline`] under `mode` and checks that the panic
+    /// ended the run as a fault of `a` alone.  A watchdog thread makes a
+    /// hang or a re-panic fail the test instead of stalling the suite.
+    fn assert_a_machine_panic_is_a_fault(mode: ExecutionMode) {
+        let mut deployment = panicking_pipeline();
+        deployment.set_execution_mode(mode).expect("valid mode");
+        deployment.feed("in", (1..=8).map(Value::Int));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(deployment.run());
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(20))
+            .unwrap_or_else(|e| panic!("{mode}: the run never returned ({e})"))
+            .expect("runs");
+        let stops: Vec<String> = outcome
+            .stats()
+            .components
+            .iter()
+            .map(|c| c.stop.to_string())
+            .collect();
+        assert_eq!(
+            stops,
+            [
+                "fault: machine panicked: machine bug",
+                "upstream of b closed"
+            ],
+            "{mode}"
+        );
+        // The two tokens published before the panic were delivered.
+        assert_eq!(outcome.flow("out").len(), 2, "{mode}");
+    }
+
+    #[test]
+    fn a_panicking_machine_ends_a_pool_run_with_a_fault() {
+        assert_a_machine_panic_is_a_fault(ExecutionMode::Pool {
+            workers: 2,
+            quantum: 4,
+        });
+    }
+
+    #[test]
+    fn a_panicking_machine_ends_a_thread_run_with_a_fault() {
+        assert_a_machine_panic_is_a_fault(ExecutionMode::ThreadPerComponent);
     }
 
     #[test]
@@ -938,15 +1088,54 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_tenant_faults_without_killing_its_pool_worker() {
+        let pool = SharedPool::start(PoolOptions::new(1, 4)).expect("pool");
+        let staged = panicking_pipeline().stage().expect("stages");
+        let mut faulty = pool.submit(staged, &SubmitOptions::default());
+        faulty
+            .feed("in", (1..=8).map(Value::Int))
+            .expect("env input");
+        let outcome = faulty
+            .drain(Duration::from_secs(20))
+            .expect("the faulty tenant ends");
+        assert_eq!(
+            outcome.stats().components[0].stop,
+            StopReason::Fault("machine panicked: machine bug".into())
+        );
+        // The pool's only worker survived to serve the next tenant.
+        let staged = pipeline(2).stage().expect("stages");
+        let mut healthy = pool.submit(staged, &SubmitOptions::default());
+        healthy
+            .feed("s0", (1..=8).map(Value::Int))
+            .expect("env input");
+        let outcome = healthy
+            .drain(Duration::from_secs(20))
+            .expect("the healthy tenant finishes");
+        let got: Vec<i64> = outcome
+            .flow("s2")
+            .iter()
+            .map(|v| v.as_int().unwrap())
+            .collect();
+        assert_eq!(got, pipeline_reference(2, 8));
+        pool.shutdown();
+    }
+
+    #[test]
     fn the_worker_setup_hook_reports_the_pinned_flag() {
         let mut options = PoolOptions::new(2, 4);
         options.worker_setup = Some(std::sync::Arc::new(|worker: usize| worker == 0));
         let pool = SharedPool::start(options).expect("pool");
-        // Run something so the workers are certainly up.
         let staged = pipeline(2).stage().expect("stages");
         let mut handle = pool.submit(staged, &SubmitOptions::default());
         handle.feed("s0", (1..=4).map(Value::Int)).expect("env");
         let _ = handle.drain(Duration::from_secs(20)).expect("finishes");
+        // A worker runs its hook when its thread first gets a CPU, and one
+        // worker can run the whole tenant before the other does: wait for
+        // worker 0's flag instead of assuming the drain saw both workers.
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        while !pool.worker_stats()[0].pinned && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
         let stats = pool.worker_stats();
         assert_eq!(stats.len(), 2);
         assert!(stats[0].pinned, "hook returned true for worker 0");

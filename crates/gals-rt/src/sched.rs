@@ -1,91 +1,74 @@
-//! The work-stealing batched pool scheduler — batch and shared (serving)
-//! flavors.
+//! The pool scheduler: a fixed set of worker threads cooperatively runs
+//! the components of any number of deployments.
 //!
 //! Thread-per-component execution oversubscribes every real machine once a
 //! deployment grows past core count — the paper's claim is about
 //! *arbitrary* component counts, so the runtime needs an execution mode
-//! whose OS-thread footprint is fixed.  This module provides it: a pool of
-//! `workers` OS threads cooperatively runs every component
-//! (the `crate::worker::Driver`) by pulling **ready** components from
-//! per-worker deques — each worker pops its own deque from the back and,
-//! when empty, steals from a sibling's front — and stepping each one up to
-//! `quantum` reactions per dispatch (the batching that amortizes channel
-//! hand-offs and deque traffic over many reactions).  A component that
-//! yields its quantum is re-queued at the *front* of the deque, behind
-//! every other ready component, so the quantum really does round-robin
-//! the deque instead of re-dispatching the yielder forever.
+//! whose OS-thread footprint is fixed.  This module provides it, and it is
+//! the only pool: a [`Deployment::run`](crate::Deployment::run) under
+//! [`ExecutionMode::Pool`] starts one for the run and places its
+//! components as one **group**, while a long-lived [`SharedPool`] hosts
+//! one group per submitted deployment (the substrate of `gals-serve`).
 //!
-//! A dispatch never blocks the worker thread: a driver that runs into an
-//! empty upstream or a full downstream edge returns
-//! `Pending` (see `crate::worker`) and is parked in a per-component
-//! *blocked* state.  Readiness notification is topological: every token a
-//! dispatch moves can only unblock the component's channel neighbors, so
-//! after each dispatch that moved tokens (or finished, closing its edges)
-//! the scheduler re-queues the blocked neighbors.  A wake that races a
-//! concurrent dispatch of the same component is latched in a `NOTIFIED`
-//! state instead of being lost — the dispatching worker observes it when it
-//! tries to block and re-queues the component itself.  Workers with no
-//! runnable component park on a condvar with a bounded timeout (same
-//! insurance as the SPSC ring: a hypothetically missed notify costs a
-//! retry, never a hang).
-//!
-//! Because environment streams are preloaded, every wake originates inside
-//! a dispatch; when nothing is queued, nothing is running and components
-//! remain, the blocked components can never make progress again — a true
-//! communication deadlock (only reachable on a cyclic topology that got
-//! past the static cycle analysis: explicitly allowed, or derivably
-//! bounded but never primed with a first token).  The pool detects that
-//! state and finalizes the survivors with [`StopReason::Deadlocked`]
-//! instead of hanging, which the dedicated-thread mode would.
-//!
-//! # The shared pool (serving flavor)
-//!
-//! [`SharedPool`] generalizes the same machinery from one batch deployment
-//! to **many concurrent deployments on one pool of workers** — the
-//! substrate of the `gals-serve` crate.  The differences, and the
-//! invariants each upholds:
-//!
-//! * **Dynamic component registry.**  Components are not a fixed `Vec`
-//!   sized at startup: each submitted deployment contributes its own
-//!   reference-counted cells, namespaced per deployment (a cell knows its
-//!   deployment group and its local index; global identity is the `Arc`
-//!   itself, so component indices of different deployments can never
-//!   collide).  Neighbor links are weak references — a drained deployment
-//!   frees its cells even though its components referenced each other.
-//! * **Priority-aware ready set.**  The per-worker FIFO deques become
-//!   per-worker max-heaps ordered by `(priority, submission age)`: a
-//!   higher-priority ready component is dispatched before any
-//!   lower-priority one *on every pop, including steals* — this is what
-//!   lets a latency-critical deployment overtake batch tenants — while
-//!   components of equal priority keep the FIFO fairness of the batch
-//!   pool (a yielded component re-enters behind its equal-priority peers,
-//!   because re-enqueueing assigns a fresh, larger age).
-//! * **External wakes.**  Batch runs preload every environment stream, so
-//!   every wake originates inside a dispatch.  A served deployment is fed
-//!   *while it runs*: [`SubmittedDeployment::feed`] pushes tokens into an
-//!   ingress channel and then performs the same latched wake the
-//!   scheduler uses internally, so a component blocked on an empty
-//!   environment edge is re-queued by the client's feed — and draining an
-//!   egress channel ([`SubmittedDeployment::poll_outputs`]) wakes the
-//!   producer that a full egress buffer had blocked.
-//! * **No deadlock finalization.**  Nothing queued with components
-//!   remaining is a *normal* state here — every tenant may simply be
-//!   waiting for its next external feed — so the shared pool never
-//!   finalizes blocked components; idle workers just park.  Static
-//!   admission (the serve layer prices only verified designs whose
-//!   cycles are refused or proven) is what replaces the batch pool's
-//!   dynamic detection.
-//! * **Worker↔core affinity.**  Each worker thread runs an optional
-//!   setup hook at startup ([`PoolOptions::worker_setup`]); the hook's
-//!   success is reported as the `pinned` flag of that worker's
-//!   [`PoolWorkerStats`].  The scheduler itself stays OS-agnostic — the
-//!   hook is where a serving layer pins workers to cores.
+//! * **Dispatch.**  Each of the `workers` threads pops a ready component
+//!   (a *cell*: its `crate::worker::Driver` plus scheduling state) and
+//!   steps it up to `quantum` reactions — the batching that amortizes
+//!   channel hand-offs and queue traffic.  A dispatch never blocks its
+//!   thread: a driver that runs into an empty upstream or a full
+//!   downstream edge returns `Pending` and its cell becomes *blocked*.
+//! * **Ready order.**  Each worker owns a max-heap keyed by
+//!   `(priority, age)`.  A worker pops its own heap's best entry and, when
+//!   that is empty, steals a sibling's best, so a higher-priority ready
+//!   component runs before any lower-priority one on every pop.  Among
+//!   equal priorities the oldest entry wins: a component that yields its
+//!   quantum re-enters with a fresh age behind its peers, so the quantum
+//!   round-robins the ready set instead of re-dispatching the yielder.
+//! * **Wakes.**  Every token a dispatch moves can only unblock the
+//!   component's channel neighbors, so a dispatch that moved tokens (or
+//!   finished, closing its edges) re-queues its blocked neighbors.  A wake
+//!   that races a dispatch of the same cell is latched in a `NOTIFIED`
+//!   state and re-queued by the dispatching worker, never lost.  A
+//!   dispatch re-queues onto its own worker's heap, which that worker pops
+//!   next.  A client wakes the same way from outside the pool, on the
+//!   cell's home worker: feeding an ingress edge wakes its consumer
+//!   ([`SubmittedDeployment::feed`]) and draining an egress edge wakes its
+//!   producer ([`SubmittedDeployment::poll_outputs`]).
+//! * **Parking.**  A worker with nothing to pop parks on a condvar, and
+//!   an enqueue notifies the parked workers — except when a worker pushes
+//!   onto its own empty heap during a dispatch, since it takes that cell
+//!   itself.  The enqueue side and the parking side meet in a `SeqCst`
+//!   handshake; the park is still bounded by `PARK_TIMEOUT`, so a
+//!   hypothetically missed notify costs a retry, never a hang.
+//! * **Groups.**  A group owns the cells of one deployment, addressed by
+//!   their index, and tracks its remaining components, their reports and
+//!   its completion.  Its handle and its queued entries hold it by
+//!   reference count, so a drained deployment frees its cells.
+//! * **Quiescence.**  A group counts its cells that are queued or being
+//!   dispatched (`work`): an enqueue increments it before the push, and a
+//!   dispatch decrements it only after publishing every wake.  A group
+//!   with no ingress or egress port is *sealed* — no client can ever wake
+//!   it, which is every batch run, whose environment streams are
+//!   preloaded.  When a sealed group's `work` drops to 0 with components
+//!   remaining, every survivor is blocked and no wake can originate: a
+//!   communication deadlock (only reachable on a cyclic topology that got
+//!   past the static cycle analysis).  The thread that made the last
+//!   decrement finalizes the survivors with [`StopReason::Deadlocked`]
+//!   instead of hanging, which the dedicated-thread mode would.  Placing a
+//!   group holds its `work` at 1 until every cell is queued, so a cell
+//!   that blocks before its peers are placed cannot make the group look
+//!   quiescent.  An *open* group (a served tenant) is never finalized:
+//!   all of its cells blocked is its normal idle state between feeds.
+//! * **Affinity.**  Each worker of a [`SharedPool`] runs an optional
+//!   startup hook ([`PoolOptions::worker_setup`]) whose success is
+//!   reported as the `pinned` flag of its [`PoolWorkerStats`]: the seam
+//!   where a serving layer pins workers to cores.
 
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use signal_lang::{Name, Value};
@@ -109,8 +92,9 @@ pub enum ExecutionMode {
     #[default]
     ThreadPerComponent,
     /// A fixed pool of `workers` OS threads cooperatively runs every
-    /// component: ready components are pulled from work-stealing deques
-    /// and stepped up to `quantum` reactions per dispatch.  The OS-thread
+    /// component: ready components are pulled from per-worker priority
+    /// heaps (stealing from a sibling's when a worker's own is empty) and
+    /// stepped up to `quantum` reactions per dispatch.  The OS-thread
     /// footprint is `workers`, whatever the component count.
     Pool {
         /// Pool size in OS threads (must be nonzero).
@@ -147,14 +131,15 @@ impl fmt::Display for ExecutionMode {
     }
 }
 
-/// Per-component scheduling states (one `AtomicU8` per component).
+/// Per-component scheduling states (one `AtomicU8` per cell).
 ///
 /// Transitions:
-/// `QUEUED -> RUNNING` (a worker pops the component and takes its driver),
+/// `QUEUED -> RUNNING` (a worker pops the cell and takes its driver),
 /// `RUNNING -> QUEUED|BLOCKED|DONE` (dispatch concluded),
 /// `RUNNING -> NOTIFIED` (a wake raced the dispatch; latched, not lost),
 /// `NOTIFIED -> QUEUED` (the dispatching worker re-queues instead of
-/// blocking), `BLOCKED -> QUEUED` (a neighbor's wake re-queues).
+/// blocking), `BLOCKED -> QUEUED` (a wake re-queues),
+/// `BLOCKED -> DONE` (a quiescent sealed group is finalized as deadlocked).
 const BLOCKED: u8 = 0;
 const QUEUED: u8 = 1;
 const RUNNING: u8 = 2;
@@ -163,389 +148,7 @@ const DONE: u8 = 4;
 
 /// Bound on one idle park: a missed notify (prevented by the `SeqCst`
 /// handshake, but cheap to insure against) costs a retry, not a hang.
-const PARK_TIMEOUT: Duration = Duration::from_millis(1);
-
-struct Shared {
-    /// Driver storage while a component is not being dispatched.  A
-    /// component index lives in at most one deque at a time, and `QUEUED`
-    /// implies its driver is in the slot.
-    slots: Vec<Mutex<Option<Driver>>>,
-    states: Vec<AtomicU8>,
-    reports: Vec<Mutex<Option<WorkerReport>>>,
-    /// The per-worker deques: owner pushes/pops at the back, thieves steal
-    /// from the front.
-    queues: Vec<Mutex<VecDeque<usize>>>,
-    /// Channel neighbors (upstream producers and downstream consumers) of
-    /// each component — the only components a dispatch can unblock.
-    neighbors: Vec<Vec<usize>>,
-    /// Components not yet `DONE`.
-    remaining: AtomicUsize,
-    /// Component indices sitting in some deque.
-    queued: AtomicUsize,
-    /// Outstanding work: queued components plus dispatches in flight.  A
-    /// dequeued component stays counted until its dispatch has published
-    /// every wake, so observing `work == 0` with `remaining > 0` proves no
-    /// future wake can originate — a communication deadlock.
-    work: AtomicUsize,
-    /// Workers parked on `idle`.
-    sleepers: AtomicUsize,
-    park_lock: Mutex<()>,
-    idle: Condvar,
-}
-
-impl Shared {
-    fn lock_park(&self) -> MutexGuard<'_, ()> {
-        self.park_lock.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Pushes a ready component onto a worker's deque and wakes a parked
-    /// worker if any.  The counters are incremented *before* the push: a
-    /// popped component can then never precede its own increments, so the
-    /// `queued`/`work` decrements that follow a pop cannot transiently
-    /// underflow the counters (which would let `park` misdiagnose a
-    /// healthy deployment as deadlocked).  The `SeqCst` fence pairs with
-    /// the re-check a parking worker performs under the lock: either this
-    /// side sees `sleepers > 0` and notifies, or the parking side's
-    /// re-check sees `queued > 0` and never sleeps.
-    fn enqueue(&self, worker: usize, component: usize) {
-        self.enqueue_at(worker, component, false);
-    }
-
-    /// Re-queues a component that yielded its quantum at the *front* of
-    /// the owner's deque — the end the owner pops last — so the remaining
-    /// ready components run before the yielder is dispatched again.
-    /// Pushing it to the back would let the owner's back-pop re-dispatch
-    /// the same component immediately, starving its deque siblings and
-    /// defeating the fairness the quantum exists for.
-    fn enqueue_yielded(&self, worker: usize, component: usize) {
-        self.enqueue_at(worker, component, true);
-    }
-
-    fn enqueue_at(&self, worker: usize, component: usize, front: bool) {
-        self.queued.fetch_add(1, SeqCst);
-        self.work.fetch_add(1, SeqCst);
-        {
-            let mut queue = self.queues[worker]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            if front {
-                queue.push_front(component);
-            } else {
-                queue.push_back(component);
-            }
-        }
-        fence(SeqCst);
-        if self.sleepers.load(Relaxed) > 0 {
-            let _guard = self.lock_park();
-            self.idle.notify_all();
-        }
-    }
-
-    /// Re-queues `component` if it is blocked; latches the wake if it is
-    /// being dispatched right now.  Spurious wakes are harmless — a
-    /// re-driven component that is still blocked simply re-blocks.
-    fn wake(&self, worker: usize, component: usize) {
-        let state = &self.states[component];
-        loop {
-            match state.load(SeqCst) {
-                BLOCKED => {
-                    if state
-                        .compare_exchange(BLOCKED, QUEUED, SeqCst, SeqCst)
-                        .is_ok()
-                    {
-                        self.enqueue(worker, component);
-                        return;
-                    }
-                }
-                RUNNING => {
-                    if state
-                        .compare_exchange(RUNNING, NOTIFIED, SeqCst, SeqCst)
-                        .is_ok()
-                    {
-                        return;
-                    }
-                }
-                // Already queued, already latched, or finished: the wake is
-                // subsumed.
-                QUEUED | NOTIFIED | DONE => return,
-                other => unreachable!("component state {other}"),
-            }
-        }
-    }
-}
-
-/// Runs `drivers` to completion on a pool of `workers` OS threads and
-/// returns the per-component reports (in component order), the per-worker
-/// scheduling counters, and — when `trace` carries the deployment's trace
-/// epoch and buffer limit — one scheduling-event buffer per worker (empty
-/// `Vec` otherwise).
-pub(crate) fn run_pool(
-    drivers: Vec<Driver>,
-    topology: &Topology,
-    workers: usize,
-    quantum: u64,
-    trace: Option<(Instant, usize)>,
-) -> (Vec<WorkerReport>, Vec<PoolWorkerStats>, Vec<TraceBuffer>) {
-    let n = drivers.len();
-    let mut neighbors: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for spec in &topology.channels {
-        if !neighbors[spec.producer].contains(&spec.consumer) {
-            neighbors[spec.producer].push(spec.consumer);
-        }
-        if !neighbors[spec.consumer].contains(&spec.producer) {
-            neighbors[spec.consumer].push(spec.producer);
-        }
-    }
-
-    let mut queues: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-    for component in 0..n {
-        // Round-robin seeding spreads the initial ready set evenly.
-        queues[component % workers].push_back(component);
-    }
-    let shared = Shared {
-        slots: drivers.into_iter().map(|d| Mutex::new(Some(d))).collect(),
-        states: (0..n).map(|_| AtomicU8::new(QUEUED)).collect(),
-        reports: (0..n).map(|_| Mutex::new(None)).collect(),
-        queues: queues.into_iter().map(Mutex::new).collect(),
-        neighbors,
-        remaining: AtomicUsize::new(n),
-        queued: AtomicUsize::new(n),
-        work: AtomicUsize::new(n),
-        sleepers: AtomicUsize::new(0),
-        park_lock: Mutex::new(()),
-        idle: Condvar::new(),
-    };
-
-    let outcomes: Vec<(PoolWorkerStats, Option<TraceBuffer>)> = std::thread::scope(|scope| {
-        let shared = &shared;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| scope.spawn(move || worker_loop(shared, w, quantum, trace)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("pool worker panicked"))
-            .collect()
-    });
-
-    let reports = shared
-        .reports
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("every component finished")
-        })
-        .collect();
-    let mut worker_stats = Vec::with_capacity(outcomes.len());
-    let mut worker_traces = Vec::new();
-    for (stats, buffer) in outcomes {
-        worker_stats.push(stats);
-        if let Some(buffer) = buffer {
-            worker_traces.push(buffer);
-        }
-    }
-    (reports, worker_stats, worker_traces)
-}
-
-fn worker_loop(
-    shared: &Shared,
-    me: usize,
-    quantum: u64,
-    trace: Option<(Instant, usize)>,
-) -> (PoolWorkerStats, Option<TraceBuffer>) {
-    let mut stats = PoolWorkerStats::new(me);
-    // The worker's private scheduling-event recorder: dispatches, steals
-    // and parks land here (component events ride in the drivers' own
-    // buffers), so the hot path never shares a buffer between threads.
-    let mut recorder = trace.map(|(epoch, limit)| TraceBuffer::new(epoch, limit));
-    while shared.remaining.load(SeqCst) > 0 {
-        match pop_task(shared, me) {
-            Some((component, stolen)) => {
-                stats.dispatches += 1;
-                if stolen {
-                    stats.steals += 1;
-                }
-                if let Some(recorder) = recorder.as_mut() {
-                    recorder.dispatch(component, stolen);
-                }
-                dispatch(shared, me, component, quantum);
-            }
-            None => {
-                stats.parks += 1;
-                if let Some(recorder) = recorder.as_mut() {
-                    recorder.park();
-                }
-                park(shared);
-            }
-        }
-    }
-    // Someone must still be parked: make sure every sibling re-checks the
-    // exit condition.
-    let _guard = shared.lock_park();
-    shared.idle.notify_all();
-    drop(_guard);
-    (stats, recorder)
-}
-
-/// Pops the next ready component: own deque from the back first, then each
-/// sibling's front (steal-on-empty).
-fn pop_task(shared: &Shared, me: usize) -> Option<(usize, bool)> {
-    let workers = shared.queues.len();
-    if let Some(component) = {
-        let mut own = shared.queues[me].lock().unwrap_or_else(|e| e.into_inner());
-        own.pop_back()
-    } {
-        shared.queued.fetch_sub(1, SeqCst);
-        return Some((component, false));
-    }
-    for offset in 1..workers {
-        let victim = (me + offset) % workers;
-        if let Some(component) = {
-            let mut queue = shared.queues[victim]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            queue.pop_front()
-        } {
-            shared.queued.fetch_sub(1, SeqCst);
-            return Some((component, true));
-        }
-    }
-    None
-}
-
-/// Runs one quantum of one component and performs the resulting state
-/// transition, waking the channel neighbors its progress may have
-/// unblocked.
-fn dispatch(shared: &Shared, me: usize, component: usize, quantum: u64) {
-    let state = &shared.states[component];
-    let previous = state.swap(RUNNING, SeqCst);
-    debug_assert_eq!(previous, QUEUED, "a dequeued component is queued");
-
-    let mut driver = shared.slots[component]
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .take()
-        .expect("a queued component's driver is parked in its slot");
-    let before = driver.tokens_moved();
-    let outcome = driver.drive(quantum);
-    let moved = driver.tokens_moved() != before;
-
-    let mut finished = false;
-    match outcome {
-        DriveOutcome::Yielded => {
-            *shared.slots[component]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()) = Some(driver);
-            // The wake latch is subsumed: the component goes straight back
-            // to the ready set either way.
-            state.store(QUEUED, SeqCst);
-            shared.enqueue_yielded(me, component);
-        }
-        DriveOutcome::Pending(_edge) => {
-            // Park the driver *before* publishing the blocked state: a
-            // concurrent wake that sees BLOCKED may immediately re-queue
-            // the component for another worker, which will look for the
-            // driver in the slot.
-            *shared.slots[component]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()) = Some(driver);
-            if state
-                .compare_exchange(RUNNING, BLOCKED, SeqCst, SeqCst)
-                .is_err()
-            {
-                // A wake raced the dispatch (NOTIFIED): the edge may have
-                // moved since the driver observed it, so re-queue instead
-                // of blocking.
-                state.store(QUEUED, SeqCst);
-                shared.enqueue(me, component);
-            }
-        }
-        DriveOutcome::Done(stop) => {
-            // Finalizing drops the endpoints, closing every adjacent
-            // channel *before* the neighbors are woken to observe it.
-            let report = driver.finish(stop);
-            *shared.reports[component]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()) = Some(report);
-            state.store(DONE, SeqCst);
-            finished = true;
-        }
-    }
-
-    if moved || finished {
-        // Every token this dispatch moved (and every channel it closed)
-        // can only unblock the component's channel neighbors.
-        for &neighbor in &shared.neighbors[component] {
-            shared.wake(me, neighbor);
-        }
-    }
-    if finished && shared.remaining.fetch_sub(1, SeqCst) == 1 {
-        let _guard = shared.lock_park();
-        shared.idle.notify_all();
-    }
-    // The decrement is ordered after every wake/re-queue above: a worker
-    // that observes `work == 0` knows no wake is still in flight.
-    shared.work.fetch_sub(1, SeqCst);
-}
-
-/// Parks an idle worker until work may exist again, detecting the terminal
-/// all-blocked state (a communication deadlock on a cyclic topology the
-/// static analysis let through) instead of sleeping forever on it.
-fn park(shared: &Shared) {
-    let guard = shared.lock_park();
-    // Register as a sleeper *before* re-checking for work: the enqueue
-    // side increments `queued` before loading `sleepers`, and this side
-    // increments `sleepers` before loading `queued` — two store→load
-    // pairs under `SeqCst`, so at least one side observes the other
-    // (either the enqueuer notifies, or this re-check sees the queued
-    // component and skips the wait).  The notify itself is taken under
-    // `park_lock`, which this thread holds until `wait_timeout` releases
-    // it, so it cannot fire between the re-check and the wait.
-    shared.sleepers.fetch_add(1, SeqCst);
-    if shared.queued.load(SeqCst) == 0 && shared.remaining.load(SeqCst) > 0 {
-        if shared.work.load(SeqCst) == 0 {
-            // Nothing queued, nothing running, components remaining:
-            // every survivor is BLOCKED and no future wake can originate.
-            // Finalize them as deadlocked (the park lock serializes this
-            // recovery).
-            for component in 0..shared.states.len() {
-                let state = &shared.states[component];
-                if state
-                    .compare_exchange(BLOCKED, DONE, SeqCst, SeqCst)
-                    .is_ok()
-                {
-                    let driver = shared.slots[component]
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .take()
-                        .expect("a blocked component's driver is parked in its slot");
-                    *shared.reports[component]
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner()) =
-                        Some(driver.finish(StopReason::Deadlocked));
-                    shared.remaining.fetch_sub(1, SeqCst);
-                }
-            }
-            shared.idle.notify_all();
-        } else {
-            let _guard = shared
-                .idle
-                .wait_timeout(guard, PARK_TIMEOUT)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-    shared.sleepers.fetch_sub(1, SeqCst);
-}
-
-// ---------------------------------------------------------------------------
-// The shared pool (serving flavor): many deployments, one set of workers.
-// ---------------------------------------------------------------------------
-
-/// Bound on one idle park of a shared-pool worker.  Longer than the batch
-/// pool's [`PARK_TIMEOUT`]: an idle *serving* pool is a normal steady
-/// state (every tenant waiting on its next feed), so the insurance wakeup
-/// can afford to be lazier.
-const SERVE_PARK_TIMEOUT: Duration = Duration::from_millis(5);
+const PARK_TIMEOUT: Duration = Duration::from_millis(5);
 
 /// How long one `drain` waiting slice lasts between egress polls.
 const DRAIN_POLL_INTERVAL: Duration = Duration::from_millis(1);
@@ -622,14 +225,15 @@ pub struct SubmitOptions {
     pub boosts: BTreeMap<String, u32>,
 }
 
-/// One entry of a worker's priority heap.  Higher priority wins; among
-/// equals, the *smaller* submission sequence wins — FIFO, so a yielded
-/// component (re-enqueued with a fresh, larger sequence) goes behind its
-/// equal-priority peers exactly like the batch pool's front-push.
+/// One entry of a worker's priority heap: cell `cell` of `group`.  Higher
+/// priority wins; among equals, the *smaller* sequence wins — FIFO, so a
+/// yielded component (re-enqueued with a fresh, larger sequence) goes
+/// behind its equal-priority peers.
 struct ReadyEntry {
     priority: u32,
     seq: u64,
-    cell: Arc<Cell>,
+    group: Arc<Group>,
+    cell: usize,
 }
 
 impl PartialEq for ReadyEntry {
@@ -654,10 +258,7 @@ impl Ord for ReadyEntry {
     }
 }
 
-/// One component living on a shared pool.  Identity is the `Arc` itself:
-/// cells of different deployments can never collide, and a drained
-/// deployment's cells are freed by reference counting (neighbor links are
-/// weak, so a deployment's cells do not keep each other alive).
+/// One component living on a pool, addressed by its index in its group.
 struct Cell {
     state: AtomicU8,
     priority: u32,
@@ -665,26 +266,38 @@ struct Cell {
     /// external wakes (feed/poll) land here; internal wakes land on the
     /// waking worker for locality.
     home: usize,
-    /// The component's index inside its own deployment.
-    local: usize,
-    group: Arc<Group>,
     /// Driver storage while the component is not being dispatched.
     slot: Mutex<Option<Driver>>,
-    /// Channel neighbors inside the same deployment, set once right after
-    /// every cell of the deployment is created.
-    neighbors: OnceLock<Vec<Weak<Cell>>>,
+    /// The group indices of the component's channel neighbors.
+    neighbors: Vec<usize>,
 }
 
-/// Completion tracking of one submitted deployment.
+impl Cell {
+    fn lock_slot(&self) -> MutexGuard<'_, Option<Driver>> {
+        self.slot.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// One placed deployment: its cells and its completion tracking.  The
+/// group is reference-counted by its handle and by its queued entries, so
+/// a drained deployment frees its cells.
 struct Group {
     started: Instant,
+    /// Whether no client can wake the group: it has no ingress or egress
+    /// port.  Only a sealed group is finalized when it quiesces.
+    sealed: bool,
     /// Components not yet `DONE`.
     remaining: AtomicUsize,
+    /// Cells queued or being dispatched, plus the placement hold.  A
+    /// dequeued cell stays counted until its dispatch has published every
+    /// wake, so a sealed group observed at 0 can never be woken again.
+    work: AtomicUsize,
+    cells: Vec<Cell>,
     /// Per-component reports, filled as components finish.
     reports: Mutex<Vec<Option<WorkerReport>>>,
-    /// Wall-clock from submission to the last component's finish.
+    /// Wall-clock from placement to the last component's finish.
     elapsed: Mutex<Option<Duration>>,
-    /// This deployment's rank in the pool-wide completion order.
+    /// This group's rank in the pool-wide completion order.
     completion: Mutex<Option<u64>>,
     done_lock: Mutex<bool>,
     done_cv: Condvar,
@@ -694,10 +307,40 @@ impl Group {
     fn lock_reports(&self) -> MutexGuard<'_, Vec<Option<WorkerReport>>> {
         self.reports.lock().unwrap_or_else(|e| e.into_inner())
     }
+
+    /// Blocks until every component finished, or until `deadline` passes;
+    /// returns whether the group finished.
+    fn wait(&self, deadline: Option<Instant>) -> bool {
+        let mut done = self.done_lock.lock().unwrap_or_else(|e| e.into_inner());
+        while !*done {
+            done = match deadline {
+                None => self.done_cv.wait(done).unwrap_or_else(|e| e.into_inner()),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return false;
+                    }
+                    self.done_cv
+                        .wait_timeout(done, deadline - now)
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
+                }
+            };
+        }
+        true
+    }
+
+    /// The reports of a finished group, in component order.
+    fn take_reports(&self) -> Vec<WorkerReport> {
+        self.lock_reports()
+            .iter_mut()
+            .map(|slot| slot.take().expect("every finished component reported"))
+            .collect()
+    }
 }
 
-/// Per-worker scheduling counters of a shared pool, updated lock-free by
-/// the worker itself and snapshot by [`SharedPool::worker_stats`].
+/// Per-worker scheduling counters, updated lock-free by the worker itself
+/// and snapshot by [`SharedPool::worker_stats`].
 struct WorkerCounters {
     dispatches: AtomicU64,
     steals: AtomicU64,
@@ -705,7 +348,8 @@ struct WorkerCounters {
     pinned: AtomicBool,
 }
 
-struct ServeShared {
+/// The state the workers of one pool share.
+struct Scheduler {
     /// The per-worker ready heaps (priority-ordered, FIFO among equals).
     queues: Vec<Mutex<BinaryHeap<ReadyEntry>>>,
     counters: Vec<WorkerCounters>,
@@ -720,35 +364,47 @@ struct ServeShared {
     idle: Condvar,
     paused: AtomicBool,
     shutdown: AtomicBool,
-    /// Pool-wide deployment completion counter (the source of
+    /// Pool-wide group completion counter (the source of
     /// [`SubmittedDeployment::completion_index`]).
     completions: AtomicU64,
-    /// Round-robin cursor assigning home workers to submitted components.
+    /// Round-robin cursor assigning home workers to placed components.
     next_home: AtomicUsize,
 }
 
-impl ServeShared {
+impl Scheduler {
     fn lock_park(&self) -> MutexGuard<'_, ()> {
         self.park_lock.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Pushes a ready cell onto a worker's heap and wakes a parked worker
-    /// if any.  Same `SeqCst` enqueue/park handshake as the batch pool's
-    /// [`Shared::enqueue`]; the fresh sequence number is what keeps equal
-    /// priorities FIFO.
-    fn enqueue(&self, worker: usize, cell: Arc<Cell>) {
-        let seq = self.seq.fetch_add(1, SeqCst);
+    /// if any.  The counters are incremented *before* the push, so the
+    /// decrements that follow a pop never precede them.  The `SeqCst`
+    /// fence pairs with the re-check a parking worker performs under the
+    /// lock: either this side sees `sleepers > 0` and notifies, or the
+    /// parking side's re-check sees `queued > 0` and never sleeps.
+    ///
+    /// `by_owner` marks a push by the heap's own worker while it
+    /// dispatches.  Onto an empty heap, that worker pops the cell itself
+    /// right after the dispatch, so no parked sibling is woken for it.
+    fn enqueue(&self, worker: usize, group: &Arc<Group>, cell: usize, by_owner: bool) {
+        group.work.fetch_add(1, SeqCst);
         let entry = ReadyEntry {
-            priority: cell.priority,
-            seq,
+            priority: group.cells[cell].priority,
+            seq: self.seq.fetch_add(1, SeqCst),
+            group: Arc::clone(group),
             cell,
         };
         self.queued.fetch_add(1, SeqCst);
-        {
-            let mut queue = self.queues[worker]
+        let was_empty = {
+            let mut heap = self.queues[worker]
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());
-            queue.push(entry);
+            let was_empty = heap.is_empty();
+            heap.push(entry);
+            was_empty
+        };
+        if by_owner && was_empty {
+            return;
         }
         fence(SeqCst);
         if self.sleepers.load(Relaxed) > 0 {
@@ -758,12 +414,12 @@ impl ServeShared {
     }
 
     /// Re-queues `cell` if it is blocked; latches the wake if it is being
-    /// dispatched right now.  The same latched CAS loop as the batch
-    /// pool's [`Shared::wake`] — and additionally the entry point of
-    /// *external* wakes: a client's `feed` or `poll_outputs` calls this
-    /// from outside any worker thread.
-    fn wake(&self, worker: usize, cell: &Arc<Cell>) {
-        let state = &cell.state;
+    /// dispatched right now.  Spurious wakes are harmless — a re-driven
+    /// component that is still blocked simply re-blocks.  Dispatches call
+    /// this for their neighbors, and clients (`feed`, `poll_outputs`,
+    /// `close_inputs`) from outside any worker thread.
+    fn wake(&self, worker: usize, group: &Arc<Group>, cell: usize, by_owner: bool) {
+        let state = &group.cells[cell].state;
         loop {
             match state.load(SeqCst) {
                 BLOCKED => {
@@ -771,7 +427,7 @@ impl ServeShared {
                         .compare_exchange(BLOCKED, QUEUED, SeqCst, SeqCst)
                         .is_ok()
                     {
-                        self.enqueue(worker, Arc::clone(cell));
+                        self.enqueue(worker, group, cell, by_owner);
                         return;
                     }
                 }
@@ -783,164 +439,229 @@ impl ServeShared {
                         return;
                     }
                 }
+                // Already queued, already latched, or finished: the wake is
+                // subsumed.
                 QUEUED | NOTIFIED | DONE => return,
                 other => unreachable!("component state {other}"),
             }
         }
     }
-}
 
-/// Pops the next ready cell: the own heap's best entry first, then each
-/// sibling's best (steal-on-empty).  Priority-aware on every pop,
-/// including steals — a heap has no FIFO front to protect, so a thief
-/// takes the victim's best entry too.
-fn serve_pop(shared: &ServeShared, me: usize) -> Option<(Arc<Cell>, bool)> {
-    if shared.paused.load(SeqCst) {
-        return None;
+    /// A client's wake (`feed`, `poll_outputs`, `close_inputs`), landing on
+    /// the cell's home worker.
+    fn wake_home(&self, group: &Arc<Group>, cell: usize) {
+        self.wake(group.cells[cell].home, group, cell, false);
     }
-    let workers = shared.queues.len();
-    if let Some(entry) = {
-        let mut own = shared.queues[me].lock().unwrap_or_else(|e| e.into_inner());
-        own.pop()
-    } {
-        shared.queued.fetch_sub(1, SeqCst);
-        return Some((entry.cell, false));
-    }
-    for offset in 1..workers {
-        let victim = (me + offset) % workers;
-        if let Some(entry) = {
-            let mut queue = shared.queues[victim]
+
+    /// Pops the next ready cell: the own heap's best entry first, then each
+    /// sibling's best (steal-on-empty).
+    fn pop(&self, me: usize) -> Option<(ReadyEntry, bool)> {
+        if self.paused.load(SeqCst) {
+            return None;
+        }
+        let workers = self.queues.len();
+        for offset in 0..workers {
+            let victim = (me + offset) % workers;
+            let entry = self.queues[victim]
                 .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            queue.pop()
-        } {
-            shared.queued.fetch_sub(1, SeqCst);
-            return Some((entry.cell, true));
-        }
-    }
-    None
-}
-
-/// Runs one quantum of one cell and performs the resulting state
-/// transition — the shared-pool analog of the batch [`dispatch`], minus
-/// the deadlock accounting (idle is normal here) and plus the group
-/// completion bookkeeping.
-fn serve_dispatch(shared: &ServeShared, me: usize, cell: &Arc<Cell>) {
-    let state = &cell.state;
-    let previous = state.swap(RUNNING, SeqCst);
-    debug_assert_eq!(previous, QUEUED, "a dequeued component is queued");
-
-    let mut driver = cell
-        .slot
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .take()
-        .expect("a queued component's driver is parked in its slot");
-    let before = driver.tokens_moved();
-    let outcome = driver.drive(shared.quantum);
-    let moved = driver.tokens_moved() != before;
-
-    let mut finished = false;
-    match outcome {
-        DriveOutcome::Yielded => {
-            *cell.slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(driver);
-            state.store(QUEUED, SeqCst);
-            // The fresh sequence number puts the yielder behind its
-            // equal-priority peers — the heap analog of the batch pool's
-            // front-push.
-            shared.enqueue(me, Arc::clone(cell));
-        }
-        DriveOutcome::Pending(_edge) => {
-            *cell.slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(driver);
-            if state
-                .compare_exchange(RUNNING, BLOCKED, SeqCst, SeqCst)
-                .is_err()
-            {
-                // A wake (internal or a client's feed/poll) raced the
-                // dispatch: re-queue instead of blocking.
-                state.store(QUEUED, SeqCst);
-                shared.enqueue(me, Arc::clone(cell));
+                .unwrap_or_else(|e| e.into_inner())
+                .pop();
+            if let Some(entry) = entry {
+                self.queued.fetch_sub(1, SeqCst);
+                return Some((entry, offset != 0));
             }
         }
-        DriveOutcome::Done(stop) => {
-            let report = driver.finish(stop);
-            cell.group.lock_reports()[cell.local] = Some(report);
-            state.store(DONE, SeqCst);
-            finished = true;
-        }
+        None
     }
 
-    if moved || finished {
-        if let Some(neighbors) = cell.neighbors.get() {
-            for weak in neighbors {
-                if let Some(neighbor) = weak.upgrade() {
-                    shared.wake(me, &neighbor);
+    /// Runs one quantum of one cell, performs the resulting state
+    /// transition and wakes the channel neighbors its progress may have
+    /// unblocked.
+    fn dispatch(&self, me: usize, group: &Arc<Group>, index: usize) {
+        let cell = &group.cells[index];
+        let state = &cell.state;
+        let previous = state.swap(RUNNING, SeqCst);
+        debug_assert_eq!(previous, QUEUED, "a dequeued component is queued");
+
+        let mut driver = cell
+            .lock_slot()
+            .take()
+            .expect("a queued component's driver is parked in its slot");
+        let before = driver.tokens_moved();
+        let outcome = driver.drive(self.quantum);
+        let moved = driver.tokens_moved() != before;
+
+        let mut finished = None;
+        match outcome {
+            DriveOutcome::Yielded => {
+                *cell.lock_slot() = Some(driver);
+                // The wake latch is subsumed: the component goes straight
+                // back to the ready set either way, and its fresh sequence
+                // puts it behind its equal-priority peers.
+                state.store(QUEUED, SeqCst);
+                self.enqueue(me, group, index, true);
+            }
+            DriveOutcome::Pending(_edge) => {
+                // Park the driver *before* publishing the blocked state: a
+                // concurrent wake that sees BLOCKED may immediately re-queue
+                // the cell for another worker, which will look for the
+                // driver in the slot.
+                *cell.lock_slot() = Some(driver);
+                if state
+                    .compare_exchange(RUNNING, BLOCKED, SeqCst, SeqCst)
+                    .is_err()
+                {
+                    // A wake raced the dispatch (NOTIFIED): the edge may
+                    // have moved since the driver observed it, so re-queue
+                    // instead of blocking.
+                    state.store(QUEUED, SeqCst);
+                    self.enqueue(me, group, index, true);
                 }
             }
+            DriveOutcome::Done(stop) => {
+                // Finalizing drops the endpoints, closing every adjacent
+                // channel *before* the neighbors are woken to observe it.
+                finished = Some(driver.finish(stop));
+                state.store(DONE, SeqCst);
+            }
+        }
+
+        if moved || finished.is_some() {
+            for &neighbor in &cell.neighbors {
+                self.wake(me, group, neighbor, true);
+            }
+        }
+        if let Some(report) = finished {
+            self.retire(group, index, report);
+        }
+        // Ordered after every wake above: a group observed at `work == 0`
+        // has no wake still in flight.
+        self.release(group);
+    }
+
+    /// Files a finished component's report; the group's last one stamps
+    /// the group and publishes its pool-wide completion rank.
+    fn retire(&self, group: &Group, cell: usize, report: WorkerReport) {
+        group.lock_reports()[cell] = Some(report);
+        if group.remaining.fetch_sub(1, SeqCst) == 1 {
+            *group.elapsed.lock().unwrap_or_else(|e| e.into_inner()) =
+                Some(group.started.elapsed());
+            *group.completion.lock().unwrap_or_else(|e| e.into_inner()) =
+                Some(self.completions.fetch_add(1, SeqCst));
+            let mut done = group.done_lock.lock().unwrap_or_else(|e| e.into_inner());
+            *done = true;
+            group.done_cv.notify_all();
         }
     }
-    if finished && cell.group.remaining.fetch_sub(1, SeqCst) == 1 {
-        // Last component of its deployment: stamp the group and publish
-        // the pool-wide completion rank.
-        let group = &cell.group;
-        *group.elapsed.lock().unwrap_or_else(|e| e.into_inner()) = Some(group.started.elapsed());
-        *group.completion.lock().unwrap_or_else(|e| e.into_inner()) =
-            Some(shared.completions.fetch_add(1, SeqCst));
-        let mut done = group.done_lock.lock().unwrap_or_else(|e| e.into_inner());
-        *done = true;
-        group.done_cv.notify_all();
-    }
-}
 
-/// Parks an idle (or paused) shared-pool worker.  No deadlock detection:
-/// a fully blocked tenant set is the pool's normal idle state — every
-/// tenant may be waiting on its next external feed.
-fn serve_park(shared: &ServeShared) {
-    let guard = shared.lock_park();
-    shared.sleepers.fetch_add(1, SeqCst);
-    if !shared.shutdown.load(SeqCst)
-        && (shared.paused.load(SeqCst) || shared.queued.load(SeqCst) == 0)
-    {
-        let _guard = shared
-            .idle
-            .wait_timeout(guard, SERVE_PARK_TIMEOUT)
-            .unwrap_or_else(|e| e.into_inner());
+    /// Drops one unit of a group's outstanding work.  A sealed group taken
+    /// to 0 with components remaining is quiescent for good: every
+    /// survivor is blocked and nothing can wake it, so this thread
+    /// finalizes the survivors as deadlocked.
+    fn release(&self, group: &Group) {
+        if group.work.fetch_sub(1, SeqCst) != 1
+            || !group.sealed
+            || group.remaining.load(SeqCst) == 0
+        {
+            return;
+        }
+        for (index, cell) in group.cells.iter().enumerate() {
+            if cell
+                .state
+                .compare_exchange(BLOCKED, DONE, SeqCst, SeqCst)
+                .is_ok()
+            {
+                let driver = cell
+                    .lock_slot()
+                    .take()
+                    .expect("a blocked component's driver is parked in its slot");
+                self.retire(group, index, driver.finish(StopReason::Deadlocked));
+            }
+        }
     }
-    shared.sleepers.fetch_sub(1, SeqCst);
-}
 
-fn serve_worker_loop(shared: &ServeShared, me: usize) {
-    while !shared.shutdown.load(SeqCst) {
-        match serve_pop(shared, me) {
-            Some((cell, stolen)) => {
-                let counters = &shared.counters[me];
+    /// Parks an idle (or paused) worker until work may exist again.
+    fn park(&self) {
+        let guard = self.lock_park();
+        // Register as a sleeper *before* re-checking for work: the enqueue
+        // side increments `queued` before loading `sleepers`, and this side
+        // increments `sleepers` before loading `queued` — two store→load
+        // pairs under `SeqCst`, so at least one side observes the other.
+        // The notify is taken under `park_lock`, which this thread holds
+        // until `wait_timeout` releases it.
+        self.sleepers.fetch_add(1, SeqCst);
+        if !self.shutdown.load(SeqCst)
+            && (self.paused.load(SeqCst) || self.queued.load(SeqCst) == 0)
+        {
+            let _guard = self
+                .idle
+                .wait_timeout(guard, PARK_TIMEOUT)
+                .unwrap_or_else(|e| e.into_inner());
+        }
+        self.sleepers.fetch_sub(1, SeqCst);
+    }
+
+    /// One worker's loop, until shutdown.  `recorder` is the worker's
+    /// private trace buffer for its dispatch and park events; it is handed
+    /// back when the worker stops.
+    fn work(&self, me: usize, mut recorder: Option<TraceBuffer>) -> Option<TraceBuffer> {
+        let counters = &self.counters[me];
+        while !self.shutdown.load(SeqCst) {
+            if let Some((entry, stolen)) = self.pop(me) {
                 counters.dispatches.fetch_add(1, Relaxed);
                 if stolen {
                     counters.steals.fetch_add(1, Relaxed);
                 }
-                serve_dispatch(shared, me, &cell);
-            }
-            None => {
-                shared.counters[me].parks.fetch_add(1, Relaxed);
-                serve_park(shared);
+                if let Some(recorder) = recorder.as_mut() {
+                    recorder.dispatch(entry.cell, stolen);
+                }
+                self.dispatch(me, &entry.group, entry.cell);
+            } else {
+                counters.parks.fetch_add(1, Relaxed);
+                if let Some(recorder) = recorder.as_mut() {
+                    recorder.park();
+                }
+                self.park();
             }
         }
+        recorder
     }
 }
 
-/// A long-lived work-stealing pool hosting **many** concurrent
-/// deployments — the execution substrate of the `gals-serve` crate.
+/// Runs `drivers` to completion on a pool of `workers` OS threads started
+/// for this run, and returns the per-component reports (in component
+/// order), the per-worker scheduling counters, and — when `trace` carries
+/// the deployment's trace epoch and buffer limit — one scheduling-event
+/// buffer per worker (empty `Vec` otherwise).
+pub(crate) fn run_batch(
+    drivers: Vec<Driver>,
+    topology: &Topology,
+    workers: usize,
+    quantum: u64,
+    trace: Option<(Instant, usize)>,
+) -> (Vec<WorkerReport>, Vec<PoolWorkerStats>, Vec<TraceBuffer>) {
+    let mut pool = SharedPool::launch(PoolOptions::new(workers, quantum), trace)
+        .expect("set_execution_mode refuses empty pools and zero quanta");
+    // A batch run's environment streams are preloaded: it has no ports,
+    // so its group is sealed.
+    let group = pool.place(drivers, topology, true, Instant::now(), |_| 0);
+    group.wait(None);
+    let worker_traces = pool.stop_workers();
+    (group.take_reports(), pool.worker_stats(), worker_traces)
+}
+
+/// A long-lived pool hosting **many** concurrent deployments — the
+/// execution substrate of the `gals-serve` crate.
 ///
-/// Unlike the batch pool a [`Deployment::run`](crate::Deployment::run)
-/// spins up and tears down per run, a `SharedPool` starts its workers
-/// once ([`SharedPool::start`]) and accepts staged deployments at any
-/// time ([`SharedPool::submit`]); tenants stream their inputs and
-/// outputs through their [`SubmittedDeployment`] handle while the pool
-/// runs.  See the module docs for the invariants (priority heaps,
-/// external wakes, no deadlock finalization, affinity hooks).
+/// A `SharedPool` starts its workers once ([`SharedPool::start`]) and
+/// accepts staged deployments at any time ([`SharedPool::submit`]);
+/// tenants stream their inputs and outputs through their
+/// [`SubmittedDeployment`] handle while the pool runs.  See the module
+/// docs for the invariants (priority heaps, external wakes, quiescence,
+/// affinity hooks).
 pub struct SharedPool {
-    shared: Arc<ServeShared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    sched: Arc<Scheduler>,
+    handles: Vec<JoinHandle<Option<TraceBuffer>>>,
     workers: usize,
     quantum: u64,
 }
@@ -954,13 +675,23 @@ impl SharedPool {
     /// [`DeployError::ZeroQuantum`] for an empty pool or a 0-reaction
     /// quantum.
     pub fn start(options: PoolOptions) -> Result<SharedPool, DeployError> {
+        SharedPool::launch(options, None)
+    }
+
+    /// [`start`](Self::start), with each worker recording its dispatch and
+    /// park events into a private buffer when `trace` carries an epoch and
+    /// a buffer limit.
+    fn launch(
+        options: PoolOptions,
+        trace: Option<(Instant, usize)>,
+    ) -> Result<SharedPool, DeployError> {
         if options.workers == 0 {
             return Err(DeployError::ZeroPoolWorkers);
         }
         if options.quantum == 0 {
             return Err(DeployError::ZeroQuantum);
         }
-        let shared = Arc::new(ServeShared {
+        let sched = Arc::new(Scheduler {
             queues: (0..options.workers)
                 .map(|_| Mutex::new(BinaryHeap::new()))
                 .collect(),
@@ -985,23 +716,24 @@ impl SharedPool {
         });
         let handles = (0..options.workers)
             .map(|w| {
-                let shared = Arc::clone(&shared);
+                let sched = Arc::clone(&sched);
                 let setup = options.worker_setup.clone();
                 std::thread::Builder::new()
-                    .name(format!("gals-serve-{w}"))
+                    .name(format!("gals-pool-{w}"))
                     .spawn(move || {
                         if let Some(setup) = setup {
                             if setup(w) {
-                                shared.counters[w].pinned.store(true, Relaxed);
+                                sched.counters[w].pinned.store(true, Relaxed);
                             }
                         }
-                        serve_worker_loop(&shared, w);
+                        let recorder = trace.map(|(epoch, limit)| TraceBuffer::new(epoch, limit));
+                        sched.work(w, recorder)
                     })
-                    .expect("spawn shared-pool worker")
+                    .expect("spawn pool worker")
             })
             .collect();
         Ok(SharedPool {
-            shared,
+            sched,
             handles,
             workers: options.workers,
             quantum: options.quantum,
@@ -1022,20 +754,20 @@ impl SharedPool {
     /// Ready components stay queued; [`resume`](Self::resume) picks them
     /// back up.
     pub fn pause(&self) {
-        self.shared.paused.store(true, SeqCst);
+        self.sched.paused.store(true, SeqCst);
     }
 
     /// Resumes a paused pool.
     pub fn resume(&self) {
-        self.shared.paused.store(false, SeqCst);
-        let _guard = self.shared.lock_park();
-        self.shared.idle.notify_all();
+        self.sched.paused.store(false, SeqCst);
+        let _guard = self.sched.lock_park();
+        self.sched.idle.notify_all();
     }
 
     /// A snapshot of the per-worker scheduling counters, including the
     /// `pinned` flag the startup hook reported.
     pub fn worker_stats(&self) -> Vec<PoolWorkerStats> {
-        self.shared
+        self.sched
             .counters
             .iter()
             .enumerate()
@@ -1068,61 +800,19 @@ impl SharedPool {
             prediction,
             trace,
         } = staged;
-        let n = drivers.len();
         let started = Instant::now();
         if let Some(config) = &trace {
             for driver in &mut drivers {
                 driver.set_trace(TraceBuffer::new(started, config.buffer_capacity));
             }
         }
-        let group = Arc::new(Group {
-            started,
-            remaining: AtomicUsize::new(n),
-            reports: Mutex::new((0..n).map(|_| None).collect()),
-            elapsed: Mutex::new(None),
-            completion: Mutex::new(None),
-            done_lock: Mutex::new(n == 0),
-            done_cv: Condvar::new(),
+        let sealed = ingress.is_empty() && egress.is_empty();
+        let group = self.place(drivers, &topology, sealed, started, |i| {
+            let boost = options.boosts.get(&names[i]).copied().unwrap_or(0);
+            options.base_priority.saturating_add(boost)
         });
-        let base = self.shared.next_home.fetch_add(n.max(1), SeqCst);
-        let cells: Vec<Arc<Cell>> = drivers
-            .into_iter()
-            .enumerate()
-            .map(|(i, driver)| {
-                let boost = options.boosts.get(&names[i]).copied().unwrap_or(0);
-                Arc::new(Cell {
-                    state: AtomicU8::new(QUEUED),
-                    priority: options.base_priority.saturating_add(boost),
-                    home: (base + i) % self.workers,
-                    local: i,
-                    group: Arc::clone(&group),
-                    slot: Mutex::new(Some(driver)),
-                    neighbors: OnceLock::new(),
-                })
-            })
-            .collect();
-        let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for spec in &topology.channels {
-            if !adjacency[spec.producer].contains(&spec.consumer) {
-                adjacency[spec.producer].push(spec.consumer);
-            }
-            if !adjacency[spec.consumer].contains(&spec.producer) {
-                adjacency[spec.consumer].push(spec.producer);
-            }
-        }
-        for (i, cell) in cells.iter().enumerate() {
-            let links: Vec<Weak<Cell>> = adjacency[i]
-                .iter()
-                .map(|&j| Arc::downgrade(&cells[j]))
-                .collect();
-            assert!(cell.neighbors.set(links).is_ok(), "neighbors set once");
-        }
-        for cell in &cells {
-            self.shared.enqueue(cell.home, Arc::clone(cell));
-        }
         SubmittedDeployment {
-            shared: Arc::clone(&self.shared),
-            cells,
+            sched: Arc::clone(&self.sched),
             group,
             topology,
             ingress,
@@ -1140,15 +830,71 @@ impl SharedPool {
         }
     }
 
-    fn stop_workers(&mut self) {
-        self.shared.shutdown.store(true, SeqCst);
+    /// Places `drivers` as one group: one cell per driver, linked to its
+    /// channel neighbors and enqueued on its home worker.
+    fn place(
+        &self,
+        drivers: Vec<Driver>,
+        topology: &Topology,
+        sealed: bool,
+        started: Instant,
+        priority: impl Fn(usize) -> u32,
+    ) -> Arc<Group> {
+        let n = drivers.len();
+        let mut neighbors: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for spec in &topology.channels {
+            if !neighbors[spec.producer].contains(&spec.consumer) {
+                neighbors[spec.producer].push(spec.consumer);
+            }
+            if !neighbors[spec.consumer].contains(&spec.producer) {
+                neighbors[spec.consumer].push(spec.producer);
+            }
+        }
+        let base = self.sched.next_home.fetch_add(n.max(1), SeqCst);
+        let cells = drivers
+            .into_iter()
+            .zip(neighbors)
+            .enumerate()
+            .map(|(i, (driver, neighbors))| Cell {
+                state: AtomicU8::new(QUEUED),
+                priority: priority(i),
+                home: (base + i) % self.workers,
+                slot: Mutex::new(Some(driver)),
+                neighbors,
+            })
+            .collect();
+        let group = Arc::new(Group {
+            started,
+            sealed,
+            remaining: AtomicUsize::new(n),
+            // The placement hold, released once every cell is queued.
+            work: AtomicUsize::new(1),
+            cells,
+            reports: Mutex::new((0..n).map(|_| None).collect()),
+            elapsed: Mutex::new(None),
+            completion: Mutex::new(None),
+            done_lock: Mutex::new(n == 0),
+            done_cv: Condvar::new(),
+        });
+        for (i, cell) in group.cells.iter().enumerate() {
+            self.sched.enqueue(cell.home, &group, i, false);
+        }
+        self.sched.release(&group);
+        group
+    }
+
+    /// Stops and joins the worker threads, handing back their trace
+    /// buffers (none for an untraced pool).
+    fn stop_workers(&mut self) -> Vec<TraceBuffer> {
+        self.sched.shutdown.store(true, SeqCst);
         {
-            let _guard = self.shared.lock_park();
-            self.shared.idle.notify_all();
+            let _guard = self.sched.lock_park();
+            self.sched.idle.notify_all();
         }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
+        self.handles
+            .drain(..)
+            .filter_map(|handle| handle.join().ok().flatten())
+            .collect()
     }
 
     /// Stops and joins the worker threads.  Drain the tenants first: a
@@ -1221,8 +967,7 @@ impl std::error::Error for DrainError {}
 /// ([`drain`](Self::drain)) — the same [`DeploymentOutcome`] (stats,
 /// flows, trace, conformance replay) a batch run produces.
 pub struct SubmittedDeployment {
-    shared: Arc<ServeShared>,
-    cells: Vec<Arc<Cell>>,
+    sched: Arc<Scheduler>,
     group: Arc<Group>,
     topology: Topology,
     ingress: BTreeMap<Name, IngressPort>,
@@ -1247,7 +992,7 @@ impl SubmittedDeployment {
 
     /// The number of components the deployment occupies on the pool.
     pub fn component_count(&self) -> usize {
-        self.cells.len()
+        self.group.cells.len()
     }
 
     /// Streams values into an environment input *while the deployment
@@ -1289,8 +1034,7 @@ impl SubmittedDeployment {
                     Err(TrySendError::Full) => {
                         // Wake the consumer so a worker drains the
                         // ingress, then wait the room out.
-                        let cell = &self.cells[*consumer];
-                        self.shared.wake(cell.home, cell);
+                        self.sched.wake_home(&self.group, *consumer);
                         let _ = tx.send(value);
                     }
                     Err(TrySendError::Closed) => {}
@@ -1298,8 +1042,7 @@ impl SubmittedDeployment {
             }
         }
         for (consumer, _) in &port.consumers {
-            let cell = &self.cells[*consumer];
-            self.shared.wake(cell.home, cell);
+            self.sched.wake_home(&self.group, *consumer);
         }
         Ok(())
     }
@@ -1318,8 +1061,7 @@ impl SubmittedDeployment {
                 values.push(value);
             }
             if !values.is_empty() {
-                let cell = &self.cells[port.producer];
-                self.shared.wake(cell.home, cell);
+                self.sched.wake_home(&self.group, port.producer);
                 drained.insert(signal.clone(), values);
             }
         }
@@ -1342,8 +1084,7 @@ impl SubmittedDeployment {
             .flat_map(|port| port.consumers.drain(..).map(|(consumer, _)| consumer))
             .collect();
         for consumer in consumers {
-            let cell = &self.cells[consumer];
-            self.shared.wake(cell.home, cell);
+            self.sched.wake_home(&self.group, consumer);
         }
     }
 
@@ -1355,25 +1096,7 @@ impl SubmittedDeployment {
     /// Blocks until the deployment finishes or the timeout elapses;
     /// returns whether it finished.
     pub fn wait(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut done = self
-            .group
-            .done_lock
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        while !*done {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            done = self
-                .group
-                .done_cv
-                .wait_timeout(done, deadline - now)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
-        true
+        self.group.wait(Some(Instant::now() + timeout))
     }
 
     /// This deployment's rank in the pool-wide completion order (0 for
@@ -1391,10 +1114,12 @@ impl SubmittedDeployment {
 
     /// Names of the components still live.
     pub fn pending(&self) -> Vec<String> {
-        self.cells
+        self.group
+            .cells
             .iter()
-            .filter(|cell| cell.state.load(SeqCst) != DONE)
-            .map(|cell| self.names[cell.local].clone())
+            .zip(&self.names)
+            .filter(|(cell, _)| cell.state.load(SeqCst) != DONE)
+            .map(|(_, name)| name.clone())
             .collect()
     }
 
@@ -1428,12 +1153,7 @@ impl SubmittedDeployment {
             let _ = self.wait(DRAIN_POLL_INTERVAL);
         }
         let _ = self.poll_outputs();
-        let reports: Vec<WorkerReport> = self
-            .group
-            .lock_reports()
-            .iter_mut()
-            .map(|slot| slot.take().expect("every finished component reported"))
-            .collect();
+        let reports = self.group.take_reports();
         let elapsed = self
             .group
             .elapsed

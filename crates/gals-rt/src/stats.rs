@@ -24,12 +24,13 @@ pub enum StopReason {
     StepLimit,
     /// The machine faulted.
     Fault(String),
-    /// The pool scheduler found every surviving component blocked on a
-    /// channel edge with no dispatch in flight: a communication deadlock
-    /// (only reachable on a cyclic topology the static cycle analysis let
-    /// through — explicitly allowed, or derivably bounded but never
-    /// primed with a first token).  The dedicated-thread mode would hang
-    /// on the same state; the pool detects it and stops.
+    /// The pool scheduler found every surviving component of a batch run
+    /// blocked on a channel edge with nothing queued or dispatched: a
+    /// communication deadlock (only reachable on a cyclic topology the
+    /// static cycle analysis let through — explicitly allowed, or
+    /// derivably bounded but never primed with a first token).  The
+    /// dedicated-thread mode would hang on the same state; the pool
+    /// detects it and stops.
     Deadlocked,
 }
 
@@ -87,26 +88,15 @@ pub struct PoolWorkerStats {
     pub worker: usize,
     /// Components dispatched (each dispatch runs up to one quantum).
     pub dispatches: u64,
-    /// Dispatches whose component was stolen from a sibling's deque.
+    /// Dispatches whose component was stolen from a sibling's ready heap.
     pub steals: u64,
     /// Times the worker found no runnable component and parked.
     pub parks: u64,
     /// Whether the worker's startup hook pinned it to a core
     /// ([`crate::PoolOptions::worker_setup`]).  Always `false` for the
-    /// batch pool, which runs no startup hook.
+    /// pool a [`crate::Deployment::run`] starts, which runs no startup
+    /// hook.
     pub pinned: bool,
-}
-
-impl PoolWorkerStats {
-    pub(crate) fn new(worker: usize) -> Self {
-        PoolWorkerStats {
-            worker,
-            dispatches: 0,
-            steals: 0,
-            parks: 0,
-            pinned: false,
-        }
-    }
 }
 
 impl fmt::Display for PoolWorkerStats {
@@ -429,7 +419,13 @@ mod tests {
         // being present, not on the mode — a thread-per-component run
         // handed stale pool counters printed a bogus worker section.
         let mut stats = sample();
-        stats.pool_workers = vec![PoolWorkerStats::new(0)];
+        stats.pool_workers = vec![PoolWorkerStats {
+            worker: 0,
+            dispatches: 0,
+            steals: 0,
+            parks: 0,
+            pinned: false,
+        }];
         assert_eq!(stats.mode, ExecutionMode::ThreadPerComponent);
         let text = stats.to_string();
         assert!(!text.contains("worker 0:"));

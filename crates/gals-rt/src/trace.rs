@@ -115,7 +115,7 @@ pub enum TraceEvent {
     Dispatch {
         /// Index of the dispatched component.
         component: usize,
-        /// Whether the task was stolen from a sibling worker's deque.
+        /// Whether the task was stolen from a sibling worker's ready heap.
         stolen: bool,
     },
     /// A pool worker found no runnable component and parked.

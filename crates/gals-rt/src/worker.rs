@@ -18,7 +18,9 @@
 //! ring, shared memory, a socket) is the deployment's business, not the
 //! driver's.
 
+use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
+use std::panic::{self, AssertUnwindSafe};
 
 use signal_lang::Name;
 use sim::Flows;
@@ -243,7 +245,12 @@ impl Driver {
                 return DriveOutcome::Yielded;
             }
             let begin = self.trace.as_ref().map(|trace| trace.now());
-            match self.machine.try_step() {
+            // A panicking machine is a fault of its component alone: it
+            // stops like any other fault, closing its channels, instead of
+            // unwinding into the thread that drives it.
+            let step = panic::catch_unwind(AssertUnwindSafe(|| self.machine.try_step()))
+                .unwrap_or_else(|payload| Err(StepFault::Fault(panic_message(&*payload))));
+            match step {
                 Ok(()) => {
                     self.reactions += 1;
                     steps += 1;
@@ -344,6 +351,16 @@ impl Driver {
             trace: self.trace.map(|buffer| *buffer),
         }
     }
+}
+
+/// The fault message of a caught machine panic.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a non-string payload");
+    format!("machine panicked: {message}")
 }
 
 /// Runs one driver to completion on the current (dedicated) OS thread:

@@ -9,7 +9,9 @@ use polychrony::moc::Value;
 
 /// The execution modes every scenario is replayed under: the classic
 /// dedicated-thread mode and a deliberately undersized pool (2 workers,
-/// small quantum) that forces component multiplexing and stealing.
+/// small quantum) that forces component multiplexing and stealing.  The
+/// pool is the scheduler that also serves `gals-serve` tenants, so every
+/// pool scenario covers the serving path's dispatch, wake and park.
 pub const MODES: [ExecutionMode; 2] = modes(4);
 
 /// [`MODES`] with another pool quantum.  The fuzz suite yields every 3
