@@ -434,7 +434,7 @@ pub fn merged_conformance(
     let tokens: usize = feeds.values().map(Vec::len).sum();
     let budget = (tokens + 16) * 16 * components.len().max(1);
     let reference = replay_reference(&components, feeds, &paced, budget);
-    ConformanceReport::compare(&reference, merged)
+    ConformanceReport::compare(reference, merged)
 }
 
 /// The outgoing boundary of a partition: consumes a cut signal from its

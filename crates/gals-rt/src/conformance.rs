@@ -78,18 +78,19 @@ pub fn replay_reference(
         }
     }
     network.run_until_quiescent(max_turns);
-    network.flows().clone()
+    network.into_flows()
 }
 
-/// The verdict of one conformance check.
+/// The verdict of one conformance check.  It keeps no copy of the
+/// deployed flows (their owner already holds them): only the reference
+/// replay, moved in, and the comparison, whose mismatches carry both
+/// sides of every divergence.
 #[derive(Debug, Clone)]
 pub struct ConformanceReport {
     /// The signal-per-signal comparison (deployed vs reference).
     pub comparison: FlowComparison,
     /// The flows of the synchronous reference replay.
     pub reference: Flows,
-    /// The flows of the deployed execution.
-    pub deployed: Flows,
 }
 
 impl ConformanceReport {
@@ -99,12 +100,11 @@ impl ConformanceReport {
     ///
     /// Public for the same reason as [`replay_reference`]: a distributed
     /// runner compares merged cross-process flows against one reference.
-    pub fn compare(reference: &Flows, deployed: &Flows) -> Self {
+    pub fn compare(reference: Flows, deployed: &Flows) -> Self {
         let signals: Vec<Name> = deployed.keys().cloned().collect();
         ConformanceReport {
-            comparison: FlowComparison::compare_on(reference, deployed, signals),
-            reference: reference.clone(),
-            deployed: deployed.clone(),
+            comparison: FlowComparison::compare_on(&reference, deployed, signals),
+            reference,
         }
     }
 

@@ -988,7 +988,7 @@ impl Deployment {
                 max_steps,
             );
             for signal in &topology.environment {
-                driver.mark_environment(signal.clone());
+                driver.mark_environment(signal);
             }
             drivers.push(driver);
         }
@@ -1153,7 +1153,7 @@ impl DeploymentOutcome {
             return Err(ConformanceError::NoReference);
         }
         let reference = replay_reference(&self.reference, &self.feeds, &self.paced, max_turns);
-        Ok(ConformanceReport::compare(&reference, &self.flows))
+        Ok(ConformanceReport::compare(reference, &self.flows))
     }
 
     /// A generous default turn budget for the reference replay, scaled to
@@ -1269,7 +1269,11 @@ impl OutcomeParts {
         let mut components = Vec::with_capacity(self.reports.len());
         let mut component_traces = Vec::new();
         for report in self.reports {
-            flows.extend(report.flows);
+            // Each machine is dropped right after its flows are copied.
+            for output in report.machine.output_signals() {
+                let flow = report.machine.produced(output.as_str()).to_vec();
+                flows.insert(output, flow);
+            }
             if let Some(buffer) = report.trace {
                 component_traces.push((report.stats.name.clone(), buffer));
             }

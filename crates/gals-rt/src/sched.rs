@@ -10,60 +10,77 @@
 //! components as one **group**, while a long-lived [`SharedPool`] hosts
 //! one group per submitted deployment (the substrate of `gals-serve`).
 //!
-//! * **Dispatch.**  Each of the `workers` threads pops a ready component
-//!   (a *cell*: its `crate::worker::Driver` plus scheduling state) and
-//!   steps it up to `quantum` reactions — the batching that amortizes
-//!   channel hand-offs and queue traffic.  A dispatch never blocks its
-//!   thread: a driver that runs into an empty upstream or a full
-//!   downstream edge returns `Pending` and its cell becomes *blocked*.
+//! * **Islands.**  The unit of scheduling is an *island*: one weakly
+//!   connected component of the deployment's channel graph (a whole
+//!   pipeline, a whole served tenant), run as one *cell* — its members'
+//!   `crate::worker::Driver`s plus scheduling state.  Theorem 1 is the
+//!   license: a verified design's flows do not depend on how its
+//!   components are scheduled over FIFOs at least as large as the derived
+//!   bounds (Kahn, 1974), so fusing them changes no flow.  Every channel
+//!   of a group lies inside one island, with its endpoints and resolved
+//!   capacity untouched, so occupancy never exceeds capacity.
+//!   Disconnected parts of one deployment, and separate tenants, are
+//!   separate islands: that is where the pool's parallelism comes from.
+//! * **Dispatch.**  Each of the `workers` threads pops a ready island and
+//!   sweeps its live members in topological order of its edges (cycles in
+//!   a fixed order), stepping each until it blocks.  Sweeps repeat until
+//!   one makes no progress (no reaction ran and no token moved: the
+//!   island is *stuck* and becomes *blocked*), every member is done, or
+//!   the island ran `quantum` reactions per live member — the batching
+//!   that amortizes queue traffic.  A dispatch never blocks its thread:
+//!   a member that runs into an empty upstream or a full downstream edge
+//!   returns `Pending`, and the sweep moves on to its island-mates.  A
+//!   member that stops closes its channels, which its island-mates observe
+//!   on the next sweep; a panicking member faults alone.
 //! * **Ready order.**  Each worker owns a max-heap keyed by
-//!   `(priority, age)`.  A worker pops its own heap's best entry and, when
-//!   that is empty, steals a sibling's best, so a higher-priority ready
-//!   component runs before any lower-priority one on every pop.  Among
-//!   equal priorities the oldest entry wins: a component that yields its
-//!   quantum re-enters with a fresh age behind its peers, so the quantum
-//!   round-robins the ready set instead of re-dispatching the yielder.
-//! * **Wakes.**  Every token a dispatch moves can only unblock the
-//!   component's channel neighbors, so a dispatch that moved tokens (or
-//!   finished, closing its edges) re-queues its blocked neighbors.  A wake
-//!   that races a dispatch of the same cell is latched in a `NOTIFIED`
-//!   state and re-queued by the dispatching worker, never lost.  A
-//!   dispatch re-queues onto its own worker's heap, which that worker pops
-//!   next.  A client wakes the same way from outside the pool, on the
-//!   cell's home worker: feeding an ingress edge wakes its consumer
-//!   ([`SubmittedDeployment::feed`]) and draining an egress edge wakes its
-//!   producer ([`SubmittedDeployment::poll_outputs`]).
+//!   `(priority, age)`; an island's priority is the maximum of its
+//!   members'.  A worker pops its own heap's best entry and, when that is
+//!   empty, steals a sibling's best, so a higher-priority ready island
+//!   runs before any lower-priority one on every pop.  Among equal
+//!   priorities the oldest entry wins: an island that used its quantum
+//!   re-enters with a fresh age behind its peers, so the quantum
+//!   round-robins the ready set (tenants stay fair) instead of
+//!   re-dispatching the yielder.
+//! * **Wakes.**  A dispatch never wakes another cell: no channel leaves
+//!   its island.  Only clients wake, from outside the pool, on the
+//!   island's home worker: feeding an ingress edge wakes its consumer's
+//!   island ([`SubmittedDeployment::feed`]), draining an egress edge
+//!   wakes its producer's ([`SubmittedDeployment::poll_outputs`]), and
+//!   closing the inputs wakes the consumers'.  A wake that races a
+//!   dispatch of the same island is latched in a `NOTIFIED` state and
+//!   re-queued by the dispatching worker, never lost.
 //! * **Parking.**  A worker with nothing to pop parks on a condvar, and
 //!   an enqueue notifies the parked workers — except when a worker pushes
-//!   onto its own empty heap during a dispatch, since it takes that cell
+//!   onto its own empty heap during a dispatch, since it takes that island
 //!   itself.  The enqueue side and the parking side meet in a `SeqCst`
 //!   handshake; the park is still bounded by `PARK_TIMEOUT`, so a
 //!   hypothetically missed notify costs a retry, never a hang.
-//! * **Groups.**  A group owns the cells of one deployment, addressed by
-//!   their index, and tracks its remaining components, their reports and
-//!   its completion.  Its handle and its queued entries hold it by
-//!   reference count, so a drained deployment frees its cells.
-//! * **Quiescence.**  A group counts its cells that are queued or being
+//! * **Groups.**  A group owns the islands of one deployment and tracks
+//!   its remaining components, their per-component reports and its
+//!   completion.  Its handle and its queued entries hold it by reference
+//!   count, so a drained deployment frees its islands.
+//! * **Quiescence.**  A group counts its islands that are queued or being
 //!   dispatched (`work`): an enqueue increments it before the push, and a
-//!   dispatch decrements it only after publishing every wake.  A group
+//!   dispatch decrements it only after publishing its outcome.  A group
 //!   with no ingress or egress port is *sealed* — no client can ever wake
 //!   it, which is every batch run, whose environment streams are
 //!   preloaded.  When a sealed group's `work` drops to 0 with components
-//!   remaining, every survivor is blocked and no wake can originate: a
-//!   communication deadlock (only reachable on a cyclic topology that got
-//!   past the static cycle analysis).  The thread that made the last
-//!   decrement finalizes the survivors with [`StopReason::Deadlocked`]
-//!   instead of hanging, which the dedicated-thread mode would.  Placing a
-//!   group holds its `work` at 1 until every cell is queued, so a cell
-//!   that blocks before its peers are placed cannot make the group look
-//!   quiescent.  An *open* group (a served tenant) is never finalized:
-//!   all of its cells blocked is its normal idle state between feeds.
+//!   remaining, every surviving island is stuck and no wake can
+//!   originate: a communication deadlock (only reachable on a cyclic
+//!   topology that got past the static cycle analysis).  The thread that
+//!   made the last decrement finalizes each live member with
+//!   [`StopReason::Deadlocked`] instead of hanging, which the
+//!   dedicated-thread mode would.  Placing a group holds its `work` at 1
+//!   until every island is queued, so an island that blocks before its
+//!   peers are placed cannot make the group look quiescent.  An *open*
+//!   group (a served tenant) is never finalized: all of its islands
+//!   blocked is its normal idle state between feeds.
 //! * **Affinity.**  Each worker of a [`SharedPool`] runs an optional
 //!   startup hook ([`PoolOptions::worker_setup`]) whose success is
 //!   reported as the `pinned` flag of its [`PoolWorkerStats`]: the seam
 //!   where a serving layer pins workers to cores.
 
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt;
 use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize};
@@ -75,8 +92,8 @@ use signal_lang::{Name, Value};
 use sim::Flows;
 
 use crate::deploy::{
-    DeployError, DeploymentOutcome, EgressPort, IngressPort, OutcomeParts, StagedDeployment,
-    Topology,
+    ChannelSpec, DeployError, DeploymentOutcome, EgressPort, IngressPort, OutcomeParts,
+    StagedDeployment, Topology,
 };
 use crate::stats::{PoolWorkerStats, StopReason};
 use crate::trace::TraceBuffer;
@@ -92,16 +109,21 @@ pub enum ExecutionMode {
     #[default]
     ThreadPerComponent,
     /// A fixed pool of `workers` OS threads cooperatively runs every
-    /// component: ready components are pulled from per-worker priority
-    /// heaps (stealing from a sibling's when a worker's own is empty) and
-    /// stepped up to `quantum` reactions per dispatch.  The OS-thread
-    /// footprint is `workers`, whatever the component count.
+    /// component.  Each weakly connected component of the channel graph is
+    /// one *island*, scheduled as a unit: ready islands are pulled from
+    /// per-worker priority heaps (stealing from a sibling's when a worker's
+    /// own is empty), and one dispatch sweeps the island's members in
+    /// topological order until it is stuck, finished, or has run `quantum`
+    /// reactions per live member.  Channels keep their resolved
+    /// capacities.  The OS-thread footprint is `workers`, whatever the
+    /// component count; parallelism comes from independent islands.
     Pool {
         /// Pool size in OS threads (must be nonzero).
         workers: usize,
-        /// Reactions one dispatch may run before the component is re-queued
-        /// behind its peers (must be nonzero).  Larger quanta amortize
-        /// scheduling overhead; smaller quanta interleave more fairly.
+        /// Reactions per live member one dispatch may run before the
+        /// island is re-queued behind its peers (must be nonzero).  Larger
+        /// quanta amortize scheduling overhead; smaller quanta interleave
+        /// islands more fairly.
         quantum: u64,
     },
 }
@@ -131,11 +153,12 @@ impl fmt::Display for ExecutionMode {
     }
 }
 
-/// Per-component scheduling states (one `AtomicU8` per cell).
+/// Per-island scheduling states (one `AtomicU8` per cell).
 ///
 /// Transitions:
 /// `QUEUED -> RUNNING` (a worker pops the cell and takes its driver),
-/// `RUNNING -> QUEUED|BLOCKED|DONE` (dispatch concluded),
+/// `RUNNING -> QUEUED|BLOCKED|DONE` (dispatch concluded: yielded, stuck,
+/// every member finished),
 /// `RUNNING -> NOTIFIED` (a wake raced the dispatch; latched, not lost),
 /// `NOTIFIED -> QUEUED` (the dispatching worker re-queues instead of
 /// blocking), `BLOCKED -> QUEUED` (a wake re-queues),
@@ -158,8 +181,8 @@ const DRAIN_POLL_INTERVAL: Duration = Duration::from_millis(1);
 pub struct PoolOptions {
     /// Pool size in OS threads (must be nonzero).
     pub workers: usize,
-    /// Reactions one dispatch may run before the component is re-queued
-    /// behind its equal-priority peers (must be nonzero).
+    /// Reactions per live member one dispatch may run before the island
+    /// is re-queued behind its equal-priority peers (must be nonzero).
     pub quantum: u64,
     /// Start the pool paused: workers park without dispatching until
     /// [`SharedPool::resume`].  Useful to stage a reproducible backlog.
@@ -215,19 +238,19 @@ impl fmt::Debug for PoolOptions {
 #[derive(Debug, Clone, Default)]
 pub struct SubmitOptions {
     /// Scheduling priority of every component of the deployment: a ready
-    /// component always dispatches before any lower-priority ready
-    /// component, on every pop and steal.
+    /// island always dispatches before any lower-priority ready island, on
+    /// every pop and steal.
     pub base_priority: u32,
     /// Per-component boosts keyed by component (machine) name, added on
-    /// top of the base — the hook the serving layer uses to push a
-    /// deployment's predicted bottleneck components ahead of their peers.
-    /// Names that match no component are ignored.
+    /// top of the base.  An island runs at the maximum of its members'
+    /// priorities, so a boost raises its whole island.  Names that match
+    /// no component are ignored.
     pub boosts: BTreeMap<String, u32>,
 }
 
-/// One entry of a worker's priority heap: cell `cell` of `group`.  Higher
-/// priority wins; among equals, the *smaller* sequence wins — FIFO, so a
-/// yielded component (re-enqueued with a fresh, larger sequence) goes
+/// One entry of a worker's priority heap: island `cell` of `group`.
+/// Higher priority wins; among equals, the *smaller* sequence wins — FIFO,
+/// so a yielded island (re-enqueued with a fresh, larger sequence) goes
 /// behind its equal-priority peers.
 struct ReadyEntry {
     priority: u32,
@@ -258,41 +281,61 @@ impl Ord for ReadyEntry {
     }
 }
 
-/// One component living on a pool, addressed by its index in its group.
+/// The live members of one island, in topological order of its edges:
+/// `(component index in the group, driver)`.  A member leaves the list
+/// when it finishes.
+type Members = Vec<(usize, Driver)>;
+
+/// One island living on a pool, addressed by its index in its group.
 struct Cell {
     state: AtomicU8,
+    /// The maximum of the members' priorities.
     priority: u32,
-    /// The worker whose heap this component is enqueued on by default —
-    /// external wakes (feed/poll) land here; internal wakes land on the
-    /// waking worker for locality.
+    /// The worker whose heap this island is enqueued on by client wakes
+    /// (feed, poll, close); a yielding dispatch re-queues on its own
+    /// worker for locality.
     home: usize,
-    /// Driver storage while the component is not being dispatched.
-    slot: Mutex<Option<Driver>>,
-    /// The group indices of the component's channel neighbors.
-    neighbors: Vec<usize>,
+    /// The component a dispatch of this island is recorded under: its
+    /// first member in topological order.
+    label: usize,
+    /// Member storage while the island is not being dispatched.
+    slot: Mutex<Option<Members>>,
 }
 
 impl Cell {
-    fn lock_slot(&self) -> MutexGuard<'_, Option<Driver>> {
+    fn lock_slot(&self) -> MutexGuard<'_, Option<Members>> {
         self.slot.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
-/// One placed deployment: its cells and its completion tracking.  The
+/// How one dispatch of an island ended.
+enum Sweep {
+    /// The island used its quantum with members still runnable.
+    Yielded,
+    /// A full sweep made no progress: every live member is blocked.
+    Stuck,
+    /// Every member finished.
+    Done,
+}
+
+/// One placed deployment: its islands and its completion tracking.  The
 /// group is reference-counted by its handle and by its queued entries, so
-/// a drained deployment frees its cells.
+/// a drained deployment frees its islands.
 struct Group {
     started: Instant,
     /// Whether no client can wake the group: it has no ingress or egress
     /// port.  Only a sealed group is finalized when it quiesces.
     sealed: bool,
-    /// Components not yet `DONE`.
+    /// Components that have not reported yet.
     remaining: AtomicUsize,
-    /// Cells queued or being dispatched, plus the placement hold.  A
-    /// dequeued cell stays counted until its dispatch has published every
-    /// wake, so a sealed group observed at 0 can never be woken again.
+    /// Islands queued or being dispatched, plus the placement hold.  A
+    /// dequeued island stays counted until its dispatch has published its
+    /// outcome, so a sealed group observed at 0 can never be woken again.
     work: AtomicUsize,
+    /// The islands.
     cells: Vec<Cell>,
+    /// The island of each component, by component index.
+    island_of: Vec<usize>,
     /// Per-component reports, filled as components finish.
     reports: Mutex<Vec<Option<WorkerReport>>>,
     /// Wall-clock from placement to the last component's finish.
@@ -413,12 +456,10 @@ impl Scheduler {
         }
     }
 
-    /// Re-queues `cell` if it is blocked; latches the wake if it is being
-    /// dispatched right now.  Spurious wakes are harmless — a re-driven
-    /// component that is still blocked simply re-blocks.  Dispatches call
-    /// this for their neighbors, and clients (`feed`, `poll_outputs`,
-    /// `close_inputs`) from outside any worker thread.
-    fn wake(&self, worker: usize, group: &Arc<Group>, cell: usize, by_owner: bool) {
+    /// Re-queues island `cell` if it is blocked; latches the wake if it is
+    /// being dispatched right now.  Spurious wakes are harmless — a
+    /// re-swept island that is still stuck simply re-blocks.
+    fn wake(&self, worker: usize, group: &Arc<Group>, cell: usize) {
         let state = &group.cells[cell].state;
         loop {
             match state.load(SeqCst) {
@@ -427,7 +468,7 @@ impl Scheduler {
                         .compare_exchange(BLOCKED, QUEUED, SeqCst, SeqCst)
                         .is_ok()
                     {
-                        self.enqueue(worker, group, cell, by_owner);
+                        self.enqueue(worker, group, cell, false);
                         return;
                     }
                 }
@@ -442,15 +483,16 @@ impl Scheduler {
                 // Already queued, already latched, or finished: the wake is
                 // subsumed.
                 QUEUED | NOTIFIED | DONE => return,
-                other => unreachable!("component state {other}"),
+                other => unreachable!("island state {other}"),
             }
         }
     }
 
-    /// A client's wake (`feed`, `poll_outputs`, `close_inputs`), landing on
-    /// the cell's home worker.
-    fn wake_home(&self, group: &Arc<Group>, cell: usize) {
-        self.wake(group.cells[cell].home, group, cell, false);
+    /// A client's wake (`feed`, `poll_outputs`, `close_inputs`) of the
+    /// island holding `component`, landing on the island's home worker.
+    fn wake_home(&self, group: &Arc<Group>, component: usize) {
+        let island = group.island_of[component];
+        self.wake(group.cells[island].home, group, island);
     }
 
     /// Pops the next ready cell: the own heap's best entry first, then each
@@ -474,69 +516,88 @@ impl Scheduler {
         None
     }
 
-    /// Runs one quantum of one cell, performs the resulting state
-    /// transition and wakes the channel neighbors its progress may have
-    /// unblocked.
+    /// Runs one dispatch of one island and performs the resulting state
+    /// transition.
     fn dispatch(&self, me: usize, group: &Arc<Group>, index: usize) {
         let cell = &group.cells[index];
         let state = &cell.state;
         let previous = state.swap(RUNNING, SeqCst);
-        debug_assert_eq!(previous, QUEUED, "a dequeued component is queued");
+        debug_assert_eq!(previous, QUEUED, "a dequeued island is queued");
 
-        let mut driver = cell
+        let mut members = cell
             .lock_slot()
             .take()
-            .expect("a queued component's driver is parked in its slot");
-        let before = driver.tokens_moved();
-        let outcome = driver.drive(self.quantum);
-        let moved = driver.tokens_moved() != before;
-
-        let mut finished = None;
-        match outcome {
-            DriveOutcome::Yielded => {
-                *cell.lock_slot() = Some(driver);
-                // The wake latch is subsumed: the component goes straight
-                // back to the ready set either way, and its fresh sequence
-                // puts it behind its equal-priority peers.
+            .expect("a queued island's members are parked in its slot");
+        match self.sweep(group, &mut members) {
+            Sweep::Yielded => {
+                *cell.lock_slot() = Some(members);
+                // The wake latch is subsumed: the island goes straight back
+                // to the ready set either way, and its fresh sequence puts
+                // it behind its equal-priority peers.
                 state.store(QUEUED, SeqCst);
                 self.enqueue(me, group, index, true);
             }
-            DriveOutcome::Pending(_edge) => {
-                // Park the driver *before* publishing the blocked state: a
+            Sweep::Stuck => {
+                // Park the members *before* publishing the blocked state: a
                 // concurrent wake that sees BLOCKED may immediately re-queue
-                // the cell for another worker, which will look for the
-                // driver in the slot.
-                *cell.lock_slot() = Some(driver);
+                // the island for another worker, which will look for the
+                // members in the slot.
+                *cell.lock_slot() = Some(members);
                 if state
                     .compare_exchange(RUNNING, BLOCKED, SeqCst, SeqCst)
                     .is_err()
                 {
-                    // A wake raced the dispatch (NOTIFIED): the edge may
-                    // have moved since the driver observed it, so re-queue
-                    // instead of blocking.
+                    // A client wake raced the dispatch (NOTIFIED): an edge
+                    // may have moved since a member observed it, so
+                    // re-queue instead of blocking.
                     state.store(QUEUED, SeqCst);
                     self.enqueue(me, group, index, true);
                 }
             }
-            DriveOutcome::Done(stop) => {
-                // Finalizing drops the endpoints, closing every adjacent
-                // channel *before* the neighbors are woken to observe it.
-                finished = Some(driver.finish(stop));
-                state.store(DONE, SeqCst);
-            }
+            Sweep::Done => state.store(DONE, SeqCst),
         }
-
-        if moved || finished.is_some() {
-            for &neighbor in &cell.neighbors {
-                self.wake(me, group, neighbor, true);
-            }
-        }
-        if let Some(report) = finished {
-            self.retire(group, index, report);
-        }
-        // Ordered after every wake above: a group observed at `work == 0`
-        // has no wake still in flight.
+        // Ordered after the outcome above: a group observed at `work == 0`
+        // has no island in flight.
         self.release(group);
+    }
+
+    /// Sweeps an island's live members in topological order, each driven
+    /// until it blocks, yields or stops, until a whole sweep makes no
+    /// progress, every member finished, or the island ran `quantum`
+    /// reactions per member it started with.  A member that stops is
+    /// finalized on the spot — dropping its endpoints closes its channels,
+    /// which its island-mates observe on the next sweep.
+    fn sweep(&self, group: &Group, members: &mut Members) -> Sweep {
+        let budget = self.quantum.saturating_mul(members.len() as u64);
+        let mut used = 0u64;
+        loop {
+            let mut progressed = false;
+            let mut i = 0;
+            while i < members.len() {
+                if used >= budget {
+                    return Sweep::Yielded;
+                }
+                let driver = &mut members[i].1;
+                let (reactions, moved) = (driver.reactions(), driver.tokens_moved());
+                let outcome = driver.drive(self.quantum.min(budget - used));
+                let reacted = driver.reactions() - reactions;
+                used += reacted;
+                progressed |= reacted > 0 || driver.tokens_moved() != moved;
+                if let DriveOutcome::Done(stop) = outcome {
+                    let (component, driver) = members.remove(i);
+                    self.retire(group, component, driver.finish(stop));
+                    progressed = true;
+                } else {
+                    i += 1;
+                }
+            }
+            if members.is_empty() {
+                return Sweep::Done;
+            }
+            if !progressed {
+                return Sweep::Stuck;
+            }
+        }
     }
 
     /// Files a finished component's report; the group's last one stamps
@@ -556,8 +617,8 @@ impl Scheduler {
 
     /// Drops one unit of a group's outstanding work.  A sealed group taken
     /// to 0 with components remaining is quiescent for good: every
-    /// survivor is blocked and nothing can wake it, so this thread
-    /// finalizes the survivors as deadlocked.
+    /// surviving island is stuck and nothing can wake it, so this thread
+    /// finalizes each live member as deadlocked.
     fn release(&self, group: &Group) {
         if group.work.fetch_sub(1, SeqCst) != 1
             || !group.sealed
@@ -565,17 +626,19 @@ impl Scheduler {
         {
             return;
         }
-        for (index, cell) in group.cells.iter().enumerate() {
+        for cell in &group.cells {
             if cell
                 .state
                 .compare_exchange(BLOCKED, DONE, SeqCst, SeqCst)
                 .is_ok()
             {
-                let driver = cell
+                let members = cell
                     .lock_slot()
                     .take()
-                    .expect("a blocked component's driver is parked in its slot");
-                self.retire(group, index, driver.finish(StopReason::Deadlocked));
+                    .expect("a blocked island's members are parked in its slot");
+                for (component, driver) in members {
+                    self.retire(group, component, driver.finish(StopReason::Deadlocked));
+                }
             }
         }
     }
@@ -602,8 +665,9 @@ impl Scheduler {
     }
 
     /// One worker's loop, until shutdown.  `recorder` is the worker's
-    /// private trace buffer for its dispatch and park events; it is handed
-    /// back when the worker stops.
+    /// private trace buffer for its dispatch and park events (a dispatch
+    /// is recorded under its island's label component); it is handed back
+    /// when the worker stops.
     fn work(&self, me: usize, mut recorder: Option<TraceBuffer>) -> Option<TraceBuffer> {
         let counters = &self.counters[me];
         while !self.shutdown.load(SeqCst) {
@@ -613,7 +677,7 @@ impl Scheduler {
                     counters.steals.fetch_add(1, Relaxed);
                 }
                 if let Some(recorder) = recorder.as_mut() {
-                    recorder.dispatch(entry.cell, stolen);
+                    recorder.dispatch(entry.group.cells[entry.cell].label, stolen);
                 }
                 self.dispatch(me, &entry.group, entry.cell);
             } else {
@@ -648,6 +712,68 @@ pub(crate) fn run_batch(
     group.wait(None);
     let worker_traces = pool.stop_workers();
     (group.take_reports(), pool.worker_stats(), worker_traces)
+}
+
+/// The islands of a channel graph over `n` components: its weakly
+/// connected components, each listed in topological order of its edges
+/// (ties, and the nodes of a cycle, by component index), and ordered by
+/// their smallest member.
+fn islands(n: usize, channels: &[ChannelSpec]) -> Vec<Vec<usize>> {
+    fn root(parent: &mut [usize], mut i: usize) -> usize {
+        while parent[i] != i {
+            parent[i] = parent[parent[i]];
+            i = parent[i];
+        }
+        i
+    }
+    let mut parent: Vec<usize> = (0..n).collect();
+    let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut indegree = vec![0usize; n];
+    for channel in channels {
+        successors[channel.producer].push(channel.consumer);
+        indegree[channel.consumer] += 1;
+        let (a, b) = (
+            root(&mut parent, channel.producer),
+            root(&mut parent, channel.consumer),
+        );
+        parent[a.max(b)] = a.min(b);
+    }
+    // Kahn's algorithm over the whole graph; when every remaining node
+    // lies on or behind a cycle, the smallest one goes next.
+    let mut order = Vec::with_capacity(n);
+    let mut placed = vec![false; n];
+    let mut ready: BTreeSet<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+    while order.len() < n {
+        let next = match ready.pop_first() {
+            Some(next) => next,
+            None => (0..n).find(|&i| !placed[i]).expect("a node is left"),
+        };
+        if placed[next] {
+            continue;
+        }
+        placed[next] = true;
+        order.push(next);
+        for &successor in &successors[next] {
+            indegree[successor] = indegree[successor].saturating_sub(1);
+            if indegree[successor] == 0 && !placed[successor] {
+                ready.insert(successor);
+            }
+        }
+    }
+    let mut index_of_root = vec![usize::MAX; n];
+    let mut islands: Vec<Vec<usize>> = Vec::new();
+    for i in 0..n {
+        let r = root(&mut parent, i);
+        if index_of_root[r] == usize::MAX {
+            index_of_root[r] = islands.len();
+            islands.push(Vec::new());
+        }
+    }
+    for i in order {
+        let r = root(&mut parent, i);
+        islands[index_of_root[r]].push(i);
+    }
+    islands
 }
 
 /// A long-lived pool hosting **many** concurrent deployments — the
@@ -745,13 +871,13 @@ impl SharedPool {
         self.workers
     }
 
-    /// Reactions per dispatch.
+    /// Reactions per live island member per dispatch.
     pub fn quantum(&self) -> u64 {
         self.quantum
     }
 
     /// Stops dispatching: workers park after their in-flight dispatch.
-    /// Ready components stay queued; [`resume`](Self::resume) picks them
+    /// Ready islands stay queued; [`resume`](Self::resume) picks them
     /// back up.
     pub fn pause(&self) {
         self.sched.paused.store(true, SeqCst);
@@ -782,7 +908,7 @@ impl SharedPool {
     }
 
     /// Places a staged deployment on the pool and returns its streaming
-    /// handle.  Components are enqueued immediately (on a paused pool
+    /// handle.  Its islands are enqueued immediately (on a paused pool
     /// they sit ready until [`resume`](Self::resume)); their home workers
     /// are assigned round-robin so tenants spread evenly.
     pub fn submit(&self, staged: StagedDeployment, options: &SubmitOptions) -> SubmittedDeployment {
@@ -830,8 +956,8 @@ impl SharedPool {
         }
     }
 
-    /// Places `drivers` as one group: one cell per driver, linked to its
-    /// channel neighbors and enqueued on its home worker.
+    /// Places `drivers` as one group: one cell per island of the channel
+    /// graph, enqueued on its home worker.
     fn place(
         &self,
         drivers: Vec<Driver>,
@@ -841,43 +967,47 @@ impl SharedPool {
         priority: impl Fn(usize) -> u32,
     ) -> Arc<Group> {
         let n = drivers.len();
-        let mut neighbors: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for spec in &topology.channels {
-            if !neighbors[spec.producer].contains(&spec.consumer) {
-                neighbors[spec.producer].push(spec.consumer);
-            }
-            if !neighbors[spec.consumer].contains(&spec.producer) {
-                neighbors[spec.consumer].push(spec.producer);
+        let islands = islands(n, &topology.channels);
+        let mut island_of = vec![0; n];
+        for (k, members) in islands.iter().enumerate() {
+            for &member in members {
+                island_of[member] = k;
             }
         }
-        let base = self.sched.next_home.fetch_add(n.max(1), SeqCst);
-        let cells = drivers
-            .into_iter()
-            .zip(neighbors)
+        let mut drivers: Vec<Option<Driver>> = drivers.into_iter().map(Some).collect();
+        let base = self.sched.next_home.fetch_add(islands.len().max(1), SeqCst);
+        let cells = islands
+            .iter()
             .enumerate()
-            .map(|(i, (driver, neighbors))| Cell {
+            .map(|(k, members)| Cell {
                 state: AtomicU8::new(QUEUED),
-                priority: priority(i),
-                home: (base + i) % self.workers,
-                slot: Mutex::new(Some(driver)),
-                neighbors,
+                priority: members.iter().map(|&i| priority(i)).max().unwrap_or(0),
+                home: (base + k) % self.workers,
+                label: members[0],
+                slot: Mutex::new(Some(
+                    members
+                        .iter()
+                        .map(|&i| (i, drivers[i].take().expect("one island per component")))
+                        .collect(),
+                )),
             })
             .collect();
         let group = Arc::new(Group {
             started,
             sealed,
             remaining: AtomicUsize::new(n),
-            // The placement hold, released once every cell is queued.
+            // The placement hold, released once every island is queued.
             work: AtomicUsize::new(1),
             cells,
+            island_of,
             reports: Mutex::new((0..n).map(|_| None).collect()),
             elapsed: Mutex::new(None),
             completion: Mutex::new(None),
             done_lock: Mutex::new(n == 0),
             done_cv: Condvar::new(),
         });
-        for (i, cell) in group.cells.iter().enumerate() {
-            self.sched.enqueue(cell.home, &group, i, false);
+        for (k, cell) in group.cells.iter().enumerate() {
+            self.sched.enqueue(cell.home, &group, k, false);
         }
         self.sched.release(&group);
         group
@@ -990,14 +1120,14 @@ impl SubmittedDeployment {
         &self.names
     }
 
-    /// The number of components the deployment occupies on the pool.
+    /// The number of components the deployment runs on the pool.
     pub fn component_count(&self) -> usize {
-        self.group.cells.len()
+        self.names.len()
     }
 
     /// Streams values into an environment input *while the deployment
     /// runs*: the tokens land in the bounded ingress channel and the
-    /// consumer is woken exactly like an internal channel neighbor.  When
+    /// consumer's island is woken.  When
     /// the channel is full the call wakes the consumer and blocks until
     /// room frees up — client-side backpressure (note that feeding a
     /// *paused* pool past the stream capacity therefore blocks until
@@ -1115,10 +1245,10 @@ impl SubmittedDeployment {
     /// Names of the components still live.
     pub fn pending(&self) -> Vec<String> {
         self.group
-            .cells
+            .lock_reports()
             .iter()
             .zip(&self.names)
-            .filter(|(cell, _)| cell.state.load(SeqCst) != DONE)
+            .filter(|(report, _)| report.is_none())
             .map(|(_, name)| name.clone())
             .collect()
     }

@@ -111,9 +111,12 @@ pub enum TraceEvent {
         /// can report it.
         occupancy: Option<usize>,
     },
-    /// A pool worker dispatched a component for one quantum.
+    /// A pool worker dispatched an island (one weakly connected component
+    /// of the channel graph) for one quantum.
     Dispatch {
-        /// Index of the dispatched component.
+        /// Index of the island's first member in topological order — the
+        /// component the dispatch is recorded under, so the Chrome export
+        /// names a component of the run.
         component: usize,
         /// Whether the task was stolen from a sibling worker's ready heap.
         stolen: bool,

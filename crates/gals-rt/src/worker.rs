@@ -4,9 +4,11 @@
 //! advances it **cooperatively**: [`Driver::drive`] steps the machine up to
 //! a quantum of reactions and, instead of parking the OS thread, returns
 //! [`DriveOutcome::Pending`] when progress needs a peer — a token on an
-//! empty upstream edge, or room in a full downstream buffer.  The
-//! work-stealing pool scheduler ([`crate::sched`]) dispatches drivers from
-//! its ready set and re-queues them when the blocking edge drains.
+//! empty upstream edge, or room in a full downstream buffer.  The pool
+//! scheduler ([`crate::sched`]) drives the members of an island in
+//! topological order, sweep after sweep, so one dispatch calls `drive`
+//! many times; the driver therefore indexes its ports densely once, at
+//! construction, and its hot path keys nothing by signal name.
 //!
 //! The classic one-OS-thread-per-component execution is the degenerate
 //! client of the same driver: [`run_dedicated`] drives with an unbounded
@@ -19,26 +21,25 @@
 //! driver's.
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 
 use signal_lang::Name;
-use sim::Flows;
 
 use crate::machine::{StepFault, StepMachine};
 use crate::stats::{ComponentStats, StopReason};
 use crate::trace::{BlockDirection, TraceBuffer};
 use crate::transport::{TokenRx, TokenTx, TryRecvError, TrySendError};
 
-/// The edge a cooperative driver is blocked on.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The edge a cooperative driver is blocked on, by port index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Pending {
-    /// The machine needs a token on this channel-fed input and the buffer
-    /// is empty: runnable again once the upstream producer delivers.
-    Upstream(Name),
-    /// A produced token on this output could not be published because a
+    /// The machine needs a token on this source and the buffer is empty:
+    /// runnable again once the upstream producer delivers.
+    Upstream(usize),
+    /// A produced token on this sink could not be published because a
     /// consumer's buffer is full: runnable again once that consumer drains.
-    Downstream(Name),
+    Downstream(usize),
 }
 
 /// What one [`Driver::drive`] dispatch concluded.
@@ -52,29 +53,47 @@ pub(crate) enum DriveOutcome {
     Done(StopReason),
 }
 
+/// One channel-fed input of a driver.
+struct Source {
+    signal: Name,
+    rx: Box<dyn TokenRx>,
+    /// Whether the edge is really an *environment* ingress edge (a staged
+    /// deployment streams its env inputs over channels instead of
+    /// preloading them): its close is the normal end of the input stream,
+    /// reported as [`StopReason::EnvironmentExhausted`] rather than the
+    /// mid-pipeline [`StopReason::UpstreamClosed`].
+    environment: bool,
+}
+
+/// One channel-fed output of a driver and its publication state.
+struct Sink {
+    signal: Name,
+    /// One sending endpoint per consumer (`None` once that consumer
+    /// terminated and its channel closed).
+    txs: Vec<Option<Box<dyn TokenTx>>>,
+    /// Publication cursor into `machine.produced(signal)`.
+    cursor: usize,
+    /// Mid-value publication state: the consumer to resume a partially
+    /// broadcast token at (the value is `produced[cursor]`).
+    resume: usize,
+}
+
 /// A resumable step driver: one machine, its endpoints, its counters.
+///
+/// Ports are indexed densely once, at construction: a step names the
+/// source it needs only to find its index (a binary search), and a flush
+/// walks the sinks in order, so no map keyed by signal name is touched on
+/// the hot path.
 pub(crate) struct Driver {
     machine: Box<dyn StepMachine>,
-    /// Upstream receiving endpoints, one per channel-fed input signal.
-    sources: BTreeMap<Name, Box<dyn TokenRx>>,
-    /// Downstream sending endpoints: one per consumer of each output
-    /// (`None` once that consumer terminated and its channel closed).
-    sinks: BTreeMap<Name, Vec<Option<Box<dyn TokenTx>>>>,
-    /// Per-output publication cursors into `machine.produced(..)`.
-    cursors: BTreeMap<Name, usize>,
-    /// Mid-value publication state: the sink index to resume a partially
-    /// broadcast token at (the value is `produced[cursor]` of the signal).
-    resume_sink: BTreeMap<Name, usize>,
-    /// The upstream edge of the wait episode currently charged to
-    /// `blocked_reads`, so a pool re-dispatch that finds the same edge
-    /// still empty (a spurious wake) does not count the one wait twice.
-    waiting_on: Option<Name>,
-    /// Channel-fed inputs that are really *environment* ingress edges (a
-    /// staged deployment streams its env inputs over channels instead of
-    /// preloading them): their close is the normal end of the input
-    /// stream, reported as [`StopReason::EnvironmentExhausted`] rather
-    /// than the mid-pipeline [`StopReason::UpstreamClosed`].
-    env_sources: BTreeSet<Name>,
+    /// Channel-fed inputs, sorted by signal name.
+    sources: Vec<Source>,
+    sinks: Vec<Sink>,
+    /// The source of the wait episode currently charged to
+    /// `blocked_reads`, so a re-drive that finds the same edge still empty
+    /// (a spurious wake, or another sweep of its island) does not count
+    /// the one wait twice.
+    waiting_on: Option<usize>,
     max_steps: u64,
     reactions: u64,
     blocked_reads: u64,
@@ -86,10 +105,12 @@ pub(crate) struct Driver {
     trace: Option<Box<TraceBuffer>>,
 }
 
-/// What a finished driver reports back.
+/// What a finished driver reports back.  The machine rides along, so its
+/// produced flows are copied where the outcome is assembled (the batch
+/// caller, or the client draining a served tenant), not on a pool worker.
 pub(crate) struct WorkerReport {
     pub(crate) stats: ComponentStats,
-    pub(crate) flows: Flows,
+    pub(crate) machine: Box<dyn StepMachine>,
     pub(crate) trace: Option<TraceBuffer>,
 }
 
@@ -100,23 +121,28 @@ impl Driver {
         sinks: BTreeMap<Name, Vec<Box<dyn TokenTx>>>,
         max_steps: u64,
     ) -> Self {
-        let cursors = machine
-            .output_signals()
-            .iter()
-            .map(|o| (o.clone(), 0))
+        let sources = sources
+            .into_iter()
+            .map(|(signal, rx)| Source {
+                signal,
+                rx,
+                environment: false,
+            })
             .collect();
         let sinks = sinks
             .into_iter()
-            .map(|(signal, txs)| (signal, txs.into_iter().map(Some).collect()))
+            .map(|(signal, txs)| Sink {
+                signal,
+                txs: txs.into_iter().map(Some).collect(),
+                cursor: 0,
+                resume: 0,
+            })
             .collect();
         Driver {
             machine,
             sources,
             sinks,
-            cursors,
-            resume_sink: BTreeMap::new(),
             waiting_on: None,
-            env_sources: BTreeSet::new(),
             max_steps,
             reactions: 0,
             blocked_reads: 0,
@@ -132,44 +158,50 @@ impl Driver {
     }
 
     /// Marks a channel-fed input as an environment ingress edge.
-    pub(crate) fn mark_environment(&mut self, signal: Name) {
-        self.env_sources.insert(signal);
-    }
-
-    /// The stop reason for observing `signal`'s upstream channel closed:
-    /// the normal end of the environment stream for a marked ingress edge,
-    /// a mid-pipeline producer termination otherwise.
-    fn closed_stop(&self, signal: Name) -> StopReason {
-        if self.env_sources.contains(&signal) {
-            StopReason::EnvironmentExhausted(signal)
-        } else {
-            StopReason::UpstreamClosed(signal)
+    pub(crate) fn mark_environment(&mut self, signal: &Name) {
+        for source in &mut self.sources {
+            if source.signal == *signal {
+                source.environment = true;
+            }
         }
     }
 
-    /// How many tokens this driver has moved over its channels so far —
-    /// the scheduler compares snapshots around a dispatch to decide whether
-    /// blocked neighbors may have become runnable.
+    /// The stop reason for observing source `port`'s channel closed: the
+    /// normal end of the environment stream for an ingress edge, a
+    /// mid-pipeline producer termination otherwise.
+    fn closed_stop(&self, port: usize) -> StopReason {
+        let source = &self.sources[port];
+        if source.environment {
+            StopReason::EnvironmentExhausted(source.signal.clone())
+        } else {
+            StopReason::UpstreamClosed(source.signal.clone())
+        }
+    }
+
+    /// How many tokens this driver has moved over its channels so far.
     pub(crate) fn tokens_moved(&self) -> u64 {
         self.tokens_sent + self.tokens_received
     }
 
+    /// How many reactions the machine has completed so far.
+    pub(crate) fn reactions(&self) -> u64 {
+        self.reactions
+    }
+
     /// Publishes every not-yet-published produced token.  Non-blocking by
-    /// default: returns the output signal whose broadcast stalled on a
-    /// full buffer (`None` when fully flushed), remembering the stalled
-    /// position so the next call resumes exactly where this one stopped
-    /// and no consumer ever sees a token twice.  With `blocking` (the
+    /// default: returns the sink whose broadcast stalled on a full buffer
+    /// (`None` when fully flushed), remembering the stalled position so
+    /// the next call resumes exactly where this one stopped and no
+    /// consumer ever sees a token twice.  With `blocking` (the
     /// dedicated-thread mode, where waiting on a full buffer *is* the
     /// backpressure mechanism), a full buffer is waited out instead and
     /// the flush always completes.
-    fn flush(&mut self, blocking: bool) -> Option<Name> {
-        for (signal, senders) in self.sinks.iter_mut() {
-            let produced = self.machine.produced(signal.as_str());
-            let cursor = self.cursors.get_mut(signal).expect("output cursor");
-            let mut next_sink = self.resume_sink.remove(signal).unwrap_or(0);
-            while *cursor < produced.len() {
-                let value = produced[*cursor];
-                for (idx, slot) in senders.iter_mut().enumerate().skip(next_sink) {
+    fn flush(&mut self, blocking: bool) -> Option<usize> {
+        for (port, sink) in self.sinks.iter_mut().enumerate() {
+            let produced = self.machine.produced(sink.signal.as_str());
+            while sink.cursor < produced.len() {
+                let value = produced[sink.cursor];
+                for (idx, slot) in sink.txs.iter_mut().enumerate().skip(sink.resume) {
                     let Some(tx) = slot else { continue };
                     let sent = if !blocking {
                         tx.try_send(value)
@@ -181,11 +213,11 @@ impl Driver {
                         match tx.try_send(value) {
                             Err(TrySendError::Full) => {
                                 if let Some(trace) = self.trace.as_deref_mut() {
-                                    trace.blocked(signal, BlockDirection::Downstream);
+                                    trace.blocked(&sink.signal, BlockDirection::Downstream);
                                 }
                                 let result = tx.send(value).map_err(|_closed| TrySendError::Closed);
                                 if let Some(trace) = self.trace.as_deref_mut() {
-                                    trace.unblocked(signal);
+                                    trace.unblocked(&sink.signal);
                                 }
                                 result
                             }
@@ -196,18 +228,18 @@ impl Driver {
                         Ok(()) => {
                             self.tokens_sent += 1;
                             if let Some(trace) = self.trace.as_deref_mut() {
-                                trace.sent(signal, idx, tx.occupancy());
+                                trace.sent(&sink.signal, idx, tx.occupancy());
                             }
                         }
                         Err(TrySendError::Closed) => *slot = None,
                         Err(TrySendError::Full) => {
-                            self.resume_sink.insert(signal.clone(), idx);
-                            return Some(signal.clone());
+                            sink.resume = idx;
+                            return Some(port);
                         }
                     }
                 }
-                next_sink = 0;
-                *cursor += 1;
+                sink.resume = 0;
+                sink.cursor += 1;
             }
         }
         None
@@ -216,11 +248,11 @@ impl Driver {
     /// [`Driver::flush`], non-blocking, with the blocked-episode
     /// bookkeeping of the cooperative path: a stall opens (or moves) a
     /// downstream episode, a completed flush closes any open one.
-    fn flush_cooperative(&mut self) -> Option<Name> {
+    fn flush_cooperative(&mut self) -> Option<usize> {
         let stalled = self.flush(false);
         if let Some(trace) = self.trace.as_deref_mut() {
-            match &stalled {
-                Some(signal) => trace.blocked(signal, BlockDirection::Downstream),
+            match stalled {
+                Some(port) => trace.blocked(&self.sinks[port].signal, BlockDirection::Downstream),
                 None => trace.unblocked_downstream(),
             }
         }
@@ -233,8 +265,8 @@ impl Driver {
     /// unpublished tokens are flushed before new reactions are attempted,
     /// so a resumed driver first completes the broadcast it stalled in.
     pub(crate) fn drive(&mut self, quantum: u64) -> DriveOutcome {
-        if let Some(signal) = self.flush_cooperative() {
-            return DriveOutcome::Pending(Pending::Downstream(signal));
+        if let Some(port) = self.flush_cooperative() {
+            return DriveOutcome::Pending(Pending::Downstream(port));
         }
         let mut steps = 0u64;
         loop {
@@ -257,43 +289,44 @@ impl Driver {
                     if let (Some(trace), Some(begin)) = (self.trace.as_deref_mut(), begin) {
                         trace.reaction(begin);
                     }
-                    if let Some(signal) = self.flush_cooperative() {
-                        return DriveOutcome::Pending(Pending::Downstream(signal));
+                    if let Some(port) = self.flush_cooperative() {
+                        return DriveOutcome::Pending(Pending::Downstream(port));
                     }
                 }
                 Err(StepFault::NeedInput(signal)) => {
-                    let Some(rx) = self.sources.get(&signal) else {
+                    let Ok(port) = self.sources.binary_search_by(|s| s.signal.cmp(&signal)) else {
                         return DriveOutcome::Done(StopReason::EnvironmentExhausted(signal));
                     };
                     // The machine state is unchanged on `NeedInput`, so the
                     // retried step re-solves the same instant with the
                     // token available.  Only a read that finds the buffer
                     // empty counts as blocked.
-                    match rx.try_recv() {
+                    let source = &self.sources[port];
+                    match source.rx.try_recv() {
                         Ok(value) => {
                             self.machine.feed_value(signal.as_str(), value);
                             self.tokens_received += 1;
                             self.waiting_on = None;
                             if let Some(trace) = self.trace.as_deref_mut() {
-                                trace.received(&signal, rx.occupancy());
-                                trace.unblocked(&signal);
+                                trace.received(&source.signal, source.rx.occupancy());
+                                trace.unblocked(&source.signal);
                             }
                         }
                         Err(TryRecvError::Closed) => {
-                            return DriveOutcome::Done(self.closed_stop(signal));
+                            return DriveOutcome::Done(self.closed_stop(port));
                         }
                         Err(TryRecvError::Empty) => {
                             // One wait episode counts once, however many
-                            // spurious re-dispatches find the edge still
-                            // empty before a token actually arrives.
-                            if self.waiting_on.as_ref() != Some(&signal) {
+                            // re-drives find the edge still empty before a
+                            // token actually arrives.
+                            if self.waiting_on != Some(port) {
                                 self.blocked_reads += 1;
-                                self.waiting_on = Some(signal.clone());
+                                self.waiting_on = Some(port);
                             }
                             if let Some(trace) = self.trace.as_deref_mut() {
-                                trace.blocked(&signal, BlockDirection::Upstream);
+                                trace.blocked(&source.signal, BlockDirection::Upstream);
                             }
-                            return DriveOutcome::Pending(Pending::Upstream(signal));
+                            return DriveOutcome::Pending(Pending::Upstream(port));
                         }
                     }
                 }
@@ -304,40 +337,34 @@ impl Driver {
         }
     }
 
-    /// Serves an [`Pending::Upstream`] blockage with the endpoint's
+    /// Serves a [`Pending::Upstream`] blockage with the endpoint's
     /// *blocking* receive (dedicated-thread mode).  Returns the stop reason
     /// when the wait observed the channel close instead of a token.
-    fn recv_blocking(&mut self, signal: &Name) -> Option<StopReason> {
-        let rx = self.sources.get(signal).expect("pending upstream edge");
-        match rx.recv() {
+    fn recv_blocking(&mut self, port: usize) -> Option<StopReason> {
+        let source = &self.sources[port];
+        match source.rx.recv() {
             Ok(value) => {
-                self.machine.feed_value(signal.as_str(), value);
+                self.machine.feed_value(source.signal.as_str(), value);
                 self.tokens_received += 1;
                 self.waiting_on = None;
                 if let Some(trace) = self.trace.as_deref_mut() {
-                    trace.received(signal, rx.occupancy());
-                    trace.unblocked(signal);
+                    trace.received(&source.signal, source.rx.occupancy());
+                    trace.unblocked(&source.signal);
                 }
                 None
             }
-            Err(_closed) => Some(self.closed_stop(signal.clone())),
+            Err(_closed) => Some(self.closed_stop(port)),
         }
     }
 
-    /// Finalizes the driver: snapshots the produced flows and counters and
-    /// drops the endpoints, which closes every adjacent channel (blocked
-    /// peers observe the close instead of hanging).
+    /// Finalizes the driver: snapshots the counters, hands the machine
+    /// back, and drops the endpoints, which closes every adjacent channel
+    /// (blocked peers observe the close instead of hanging).
     pub(crate) fn finish(mut self, stop: StopReason) -> WorkerReport {
         if let Some(trace) = self.trace.as_deref_mut() {
             trace.stopped(&stop);
         }
         let name = self.machine.machine_name().to_string();
-        let flows: Flows = self
-            .machine
-            .output_signals()
-            .iter()
-            .map(|o| (o.clone(), self.machine.produced(o.as_str()).to_vec()))
-            .collect();
         WorkerReport {
             stats: ComponentStats {
                 name,
@@ -347,7 +374,7 @@ impl Driver {
                 tokens_received: self.tokens_received,
                 stop,
             },
-            flows,
+            machine: self.machine,
             trace: self.trace.map(|buffer| *buffer),
         }
     }
@@ -371,8 +398,8 @@ pub(crate) fn run_dedicated(mut driver: Driver) -> WorkerReport {
         match driver.drive(u64::MAX) {
             DriveOutcome::Yielded => unreachable!("an unbounded quantum never yields"),
             DriveOutcome::Done(stop) => break stop,
-            DriveOutcome::Pending(Pending::Upstream(signal)) => {
-                if let Some(stop) = driver.recv_blocking(&signal) {
+            DriveOutcome::Pending(Pending::Upstream(port)) => {
+                if let Some(stop) = driver.recv_blocking(port) {
                     break stop;
                 }
             }

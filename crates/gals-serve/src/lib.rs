@@ -35,8 +35,9 @@
 //!
 //! * **Priorities and placement.**  Admission seeds each tenant's
 //!   scheduling priority from the predictor's bottleneck edge — the two
-//!   components adjacent to the busiest channel get a boost, so the pool
-//!   drains the contended edge first — and the server can pin its workers
+//!   components adjacent to the busiest channel get a boost, which raises
+//!   the pool island holding them (a connected tenant is one island) —
+//!   and the server can pin its workers
 //!   to CPU cores ([`affinity`]) so the steady-state cache footprint of a
 //!   long-running pool stays put.
 //!

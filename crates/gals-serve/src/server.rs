@@ -23,8 +23,9 @@ use crate::affinity;
 pub struct ServerOptions {
     /// Pool size in worker OS threads (must be nonzero).
     pub workers: usize,
-    /// Reactions one dispatch may run before the component is re-queued
-    /// behind its equal-priority peers (must be nonzero).
+    /// Reactions per live island member one dispatch may run before the
+    /// island is re-queued behind its equal-priority peers (must be
+    /// nonzero).
     pub quantum: u64,
     /// Admission budget; [`Budget::unlimited`] by default.
     pub budget: Budget,
@@ -74,8 +75,8 @@ impl fmt::Debug for ServerOptions {
 #[derive(Debug, Clone, Default)]
 pub struct AdmitOptions {
     /// Base scheduling priority of every component of this tenant: a
-    /// ready component always dispatches before any lower-priority ready
-    /// component.  The bottleneck boost is added on top.
+    /// ready island always dispatches before any lower-priority ready
+    /// island.  The bottleneck boost is added on top.
     pub base_priority: u32,
 }
 
@@ -129,8 +130,8 @@ impl Server {
     /// capacities, and submits it to the pool — with component
     /// priorities seeded from the predictor: the two components adjacent
     /// to the predicted bottleneck edge get a `+1` boost over the
-    /// tenant's base priority, so the pool drains the most contended
-    /// channel first.
+    /// tenant's base priority.  An island runs at its members' highest
+    /// priority, so the boost raises the island holding that edge.
     ///
     /// The design's capacity analysis, prediction and step programs are
     /// derived once, by whichever admission (or other caller) needs them
@@ -222,7 +223,7 @@ impl Server {
         self.pool.quantum()
     }
 
-    /// Stops dispatching; queued components wait for [`resume`](Self::resume).
+    /// Stops dispatching; queued islands wait for [`resume`](Self::resume).
     pub fn pause(&self) {
         self.pool.pause();
     }

@@ -47,6 +47,10 @@ enum FeedMode {
 struct Component {
     name: String,
     simulator: Simulator,
+    /// The kernel's inputs and outputs with their simulator signal ids,
+    /// computed once so an attempted reaction allocates nothing.
+    inputs: Vec<(Name, usize)>,
+    outputs: Vec<(Name, usize)>,
 }
 
 /// An asynchronous network of separately compiled components.
@@ -91,9 +95,18 @@ impl AsyncNetwork {
         I: IntoIterator<Item = N>,
         N: Into<Name>,
     {
+        let simulator = Simulator::with_activation(kernel, activation);
+        let port = |n: &Name| {
+            let id = simulator.signal_id(n.as_str()).expect("a kernel port");
+            (n.clone(), id)
+        };
+        let inputs = kernel.inputs().map(port).collect();
+        let outputs = kernel.outputs().map(port).collect();
         let component = Component {
             name: name.into(),
-            simulator: Simulator::with_activation(kernel, activation),
+            simulator,
+            inputs,
+            outputs,
         };
         self.components.push(component);
         self.wire();
@@ -164,6 +177,11 @@ impl AsyncNetwork {
         &self.flows
     }
 
+    /// Every recorded flow, moved out of the network.
+    pub fn into_flows(self) -> BTreeMap<Name, Vec<Value>> {
+        self.flows
+    }
+
     /// (Re)computes the FIFO channels: one per signal produced by a
     /// component and consumed by another.
     fn wire(&mut self) {
@@ -186,34 +204,27 @@ impl AsyncNetwork {
 
     /// Attempts one reaction of the component `id`.
     pub fn step_component(&mut self, id: ComponentId) -> StepOutcome {
-        let inputs: Vec<Name> = self.components[id]
-            .simulator
-            .kernel()
-            .inputs()
-            .cloned()
-            .collect();
-        let mut drives: Vec<(Name, Drive)> = Vec::new();
-        for input in &inputs {
-            if let Some(queue) = self.channels.get(input) {
+        let component = &self.components[id];
+        let mut drives = Vec::with_capacity(component.inputs.len());
+        for (input, signal) in &component.inputs {
+            let drive = if let Some(queue) = self.channels.get(input) {
                 match queue.front() {
-                    Some(v) => drives.push((input.clone(), Drive::Available(*v))),
-                    None => drives.push((input.clone(), Drive::Absent)),
+                    Some(v) => Drive::Available(*v),
+                    None => Drive::Absent,
                 }
             } else if let Some((mode, queue)) = self.environment.get(input) {
                 match (mode, queue.front()) {
-                    (FeedMode::Demand, Some(v)) => {
-                        drives.push((input.clone(), Drive::Available(*v)));
-                    }
-                    (FeedMode::Paced, Some(v)) => drives.push((input.clone(), Drive::Present(*v))),
-                    (_, None) => drives.push((input.clone(), Drive::Absent)),
+                    (FeedMode::Demand, Some(v)) => Drive::Available(*v),
+                    (FeedMode::Paced, Some(v)) => Drive::Present(*v),
+                    (_, None) => Drive::Absent,
                 }
             } else {
-                drives.push((input.clone(), Drive::Absent));
-            }
+                Drive::Absent
+            };
+            drives.push((*signal, drive));
         }
-        let drive_refs: Vec<(&str, Drive)> = drives.iter().map(|(n, d)| (n.as_str(), *d)).collect();
-        let reaction = match self.components[id].simulator.step(&drive_refs) {
-            Ok(r) => r,
+        match self.components[id].simulator.react(&drives) {
+            Ok(()) => {}
             Err(SimError::UnknownSignal(n)) => {
                 panic!("network wiring refers to unknown signal {n}")
             }
@@ -221,11 +232,12 @@ impl AsyncNetwork {
                 self.blocked_attempts += 1;
                 return StepOutcome::Blocked;
             }
-        };
+        }
         self.reactions += 1;
         // Consume the inputs that were actually used and publish outputs.
-        for input in &inputs {
-            if reaction.is_present(input.as_str()) {
+        let component = &self.components[id];
+        for (input, signal) in &component.inputs {
+            if component.simulator.last_value(*signal).is_some() {
                 if let Some(queue) = self.channels.get_mut(input) {
                     queue.pop_front();
                 } else if let Some((_, queue)) = self.environment.get_mut(input) {
@@ -235,16 +247,10 @@ impl AsyncNetwork {
                 }
             }
         }
-        let outputs: Vec<Name> = self.components[id]
-            .simulator
-            .kernel()
-            .outputs()
-            .cloned()
-            .collect();
-        for output in outputs {
-            if let Some(v) = reaction.value(output.as_str()) {
+        for (output, signal) in &component.outputs {
+            if let Some(v) = component.simulator.last_value(*signal) {
                 self.flows.entry(output.clone()).or_default().push(v);
-                if let Some(queue) = self.channels.get_mut(&output) {
+                if let Some(queue) = self.channels.get_mut(output) {
                     queue.push_back(v);
                 }
             }

@@ -15,8 +15,15 @@
 //! completed instant is validated against every constraint before the delay
 //! registers are committed, so that an ill-driven instant is rejected
 //! instead of silently corrupting the state.
+//!
+//! The kernel is interned once, when the simulator is built: signals get
+//! dense ids (in name order), and the equations, constraint clocks and
+//! registers are rewritten over them, so an instant works on flat arrays.
+//! Failures inside an instant are kept as ids too and rendered into a
+//! [`SimError`] only when they escape the step, so a speculative tick
+//! that fails costs no formatting.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use moc::{Reaction, Tag};
 use signal_lang::{Atom, ClockAst, KernelEq, KernelProcess, Name, PrimOp, Value};
@@ -46,29 +53,223 @@ struct Knowledge {
     value: Option<Value>,
 }
 
+/// An operand of an interned equation.
+#[derive(Debug, Clone, Copy)]
+enum Operand {
+    Const(Value),
+    Var(usize),
+}
+
+impl Operand {
+    fn of(atom: &Atom, ids: &BTreeMap<Name, usize>) -> Operand {
+        match atom {
+            Atom::Const(v) => Operand::Const(*v),
+            Atom::Var(n) => Operand::Var(ids[n]),
+        }
+    }
+
+    fn var(self) -> Option<usize> {
+        match self {
+            Operand::Const(_) => None,
+            Operand::Var(id) => Some(id),
+        }
+    }
+
+    fn presence(self, know: &[Knowledge]) -> Option<bool> {
+        match self {
+            Operand::Const(_) => Some(true),
+            Operand::Var(id) => know[id].presence,
+        }
+    }
+
+    fn value(self, know: &[Knowledge]) -> Option<Value> {
+        match self {
+            Operand::Const(v) => Some(v),
+            Operand::Var(id) => know[id].value,
+        }
+    }
+}
+
+/// A kernel equation over signal ids.
+#[derive(Debug, Clone)]
+enum Equation {
+    Func {
+        out: usize,
+        op: PrimOp,
+        args: Vec<Operand>,
+    },
+    /// `out = arg $ init`, whose current value is `state[register]`.
+    Delay {
+        out: usize,
+        arg: usize,
+        register: usize,
+    },
+    When {
+        out: usize,
+        arg: Operand,
+        cond: usize,
+    },
+    Default {
+        out: usize,
+        left: Operand,
+        right: Operand,
+    },
+}
+
+impl Equation {
+    fn defined(&self) -> usize {
+        match self {
+            Equation::Func { out, .. }
+            | Equation::Delay { out, .. }
+            | Equation::When { out, .. }
+            | Equation::Default { out, .. } => *out,
+        }
+    }
+}
+
+/// A clock expression over signal ids; `None` is a name the process does
+/// not declare, whose clock is unknown.
+#[derive(Debug, Clone)]
+enum Clock {
+    Zero,
+    Of(Option<usize>),
+    Sample(Option<usize>, bool),
+    And(Box<Clock>, Box<Clock>),
+    Or(Box<Clock>, Box<Clock>),
+    Diff(Box<Clock>, Box<Clock>),
+}
+
+impl Clock {
+    fn of(clock: &ClockAst, ids: &BTreeMap<Name, usize>) -> Clock {
+        let of = |c: &ClockAst| Box::new(Clock::of(c, ids));
+        match clock {
+            ClockAst::Zero => Clock::Zero,
+            ClockAst::Of(n) => Clock::Of(ids.get(n).copied()),
+            ClockAst::WhenTrue(n) => Clock::Sample(ids.get(n).copied(), true),
+            ClockAst::WhenFalse(n) => Clock::Sample(ids.get(n).copied(), false),
+            ClockAst::And(a, b) => Clock::And(of(a), of(b)),
+            ClockAst::Or(a, b) => Clock::Or(of(a), of(b)),
+            ClockAst::Diff(a, b) => Clock::Diff(of(a), of(b)),
+        }
+    }
+}
+
+/// A kernel process interned once over dense signal ids (in name order),
+/// so that an instant indexes flat arrays instead of name-keyed maps.
+#[derive(Debug, Clone)]
+struct Code {
+    /// Signal names by id.
+    names: Vec<Name>,
+    ids: BTreeMap<Name, usize>,
+    equations: Vec<Equation>,
+    constraints: Vec<(Clock, Clock)>,
+    /// `(out, arg)` of every delay register, in `KernelProcess::registers`
+    /// order; the register's index is its position here.
+    registers: Vec<(usize, usize)>,
+    inputs: Vec<usize>,
+}
+
+impl Code {
+    fn new(kernel: &KernelProcess) -> Code {
+        let names: Vec<Name> = kernel.signal_set().into_iter().collect();
+        let ids: BTreeMap<Name, usize> = names
+            .iter()
+            .enumerate()
+            .map(|(id, name)| (name.clone(), id))
+            .collect();
+        let mut registers = Vec::new();
+        let equations = kernel
+            .equations()
+            .iter()
+            .map(|eq| match eq {
+                KernelEq::Func { out, op, args } => Equation::Func {
+                    out: ids[out],
+                    op: *op,
+                    args: args.iter().map(|a| Operand::of(a, &ids)).collect(),
+                },
+                KernelEq::Delay { out, arg, .. } => {
+                    registers.push((ids[out], ids[arg]));
+                    Equation::Delay {
+                        out: ids[out],
+                        arg: ids[arg],
+                        register: registers.len() - 1,
+                    }
+                }
+                KernelEq::When { out, arg, cond } => Equation::When {
+                    out: ids[out],
+                    arg: Operand::of(arg, &ids),
+                    cond: ids[cond],
+                },
+                KernelEq::Default { out, left, right } => Equation::Default {
+                    out: ids[out],
+                    left: Operand::of(left, &ids),
+                    right: Operand::of(right, &ids),
+                },
+            })
+            .collect();
+        let constraints = kernel
+            .constraints()
+            .iter()
+            .map(|(l, r)| (Clock::of(l, &ids), Clock::of(r, &ids)))
+            .collect();
+        let inputs = kernel.inputs().map(|n| ids[n]).collect();
+        Code {
+            names,
+            ids,
+            equations,
+            constraints,
+            registers,
+            inputs,
+        }
+    }
+}
+
+/// Why resolution failed, by id; rendered into a [`SimError`] only when
+/// it escapes a step, so speculative ticks that fail format nothing.
+#[derive(Debug)]
+enum Fail {
+    Contradiction(usize),
+    Constraint(usize),
+    Equation(usize),
+    ZeroForced,
+    Unresolved(usize),
+    Evaluation(SimError),
+}
+
 /// The synchronous interpreter of a kernel process.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     kernel: KernelProcess,
+    code: Code,
     registers: BTreeMap<Name, Value>,
-    activation: Vec<Name>,
+    /// The register values by register index (the mirror of `registers`
+    /// the hot path reads).
+    state: Vec<Value>,
+    /// The activation signals by id, or the first one the process does not
+    /// declare.
+    activation: Result<Vec<usize>, Name>,
     instant: u64,
+    /// The completed knowledge of the last successful instant.
+    last: Vec<Knowledge>,
 }
 
 impl Simulator {
     /// Creates a simulator with every delay register set to its declared
     /// initial value.
     pub fn new(kernel: &KernelProcess) -> Self {
-        let registers = kernel
-            .registers()
-            .into_iter()
-            .map(|(out, _, init)| (out, init))
+        let initial = kernel.registers();
+        let registers = initial
+            .iter()
+            .map(|(out, _, init)| (out.clone(), *init))
             .collect();
         Simulator {
             kernel: kernel.clone(),
+            code: Code::new(kernel),
             registers,
-            activation: Vec::new(),
+            state: initial.into_iter().map(|(_, _, init)| init).collect(),
+            activation: Ok(Vec::new()),
             instant: 0,
+            last: Vec::new(),
         }
     }
 
@@ -81,7 +282,13 @@ impl Simulator {
         N: Into<Name>,
     {
         let mut sim = Simulator::new(kernel);
-        sim.activation = activation.into_iter().map(Into::into).collect();
+        sim.activation = activation
+            .into_iter()
+            .map(|name| {
+                let name = name.into();
+                sim.code.ids.get(&name).copied().ok_or(name)
+            })
+            .collect();
         sim
     }
 
@@ -110,50 +317,105 @@ impl Simulator {
     /// different drive (this is how the asynchronous network models a
     /// blocking read).
     pub fn step(&mut self, drives: &[(&str, Drive)]) -> Result<Reaction, SimError> {
-        let signals: BTreeSet<Name> = self.kernel.signal_set();
-        let mut know: BTreeMap<Name, Knowledge> = signals
+        if let Err(name) = &self.activation {
+            return Err(SimError::UnknownSignal(name.clone()));
+        }
+        let mut interned = Vec::with_capacity(drives.len());
+        for (name, drive) in drives {
+            let Some(&id) = self.code.ids.get(*name) else {
+                return Err(SimError::UnknownSignal(Name::from(*name)));
+            };
+            interned.push((id, *drive));
+        }
+        self.react(&interned)?;
+
+        let mut reaction = Reaction::empty_on(self.code.names.iter().cloned());
+        let mut any = false;
+        for (id, k) in self.last.iter().enumerate() {
+            if k.presence == Some(true) {
+                let value = k
+                    .value
+                    .expect("complete_instant guarantees present signals carry values");
+                reaction.insert(self.code.names[id].clone(), value);
+                any = true;
+            }
+        }
+        if any {
+            reaction.set_tag(Tag::new(self.instant - 1));
+        }
+        Ok(reaction)
+    }
+
+    /// Convenience: runs one instant with every *input* of the process made
+    /// available with the provided value (demand-driven), plus the explicit
+    /// drives.
+    pub fn step_with_inputs(&mut self, inputs: &[(&str, Value)]) -> Result<Reaction, SimError> {
+        let drives: Vec<(&str, Drive)> = inputs
             .iter()
-            .map(|n| (n.clone(), Knowledge::default()))
+            .map(|(n, v)| (*n, Drive::Available(*v)))
             .collect();
-        let mut available: BTreeMap<Name, Value> = BTreeMap::new();
+        self.step(&drives)
+    }
+
+    /// The id of a declared signal.
+    pub(crate) fn signal_id(&self, name: &str) -> Option<usize> {
+        self.code.ids.get(name).copied()
+    }
+
+    /// The value of signal `id` at the last successful instant, when it
+    /// was present.
+    pub(crate) fn last_value(&self, id: usize) -> Option<Value> {
+        let k = self.last[id];
+        if k.presence == Some(true) {
+            k.value
+        } else {
+            None
+        }
+    }
+
+    /// Executes one instant driven by signal id — [`Simulator::step`]
+    /// without the name lookups and without building a [`Reaction`]: the
+    /// completed instant is kept for [`Simulator::last_value`].
+    pub(crate) fn react(&mut self, drives: &[(usize, Drive)]) -> Result<(), SimError> {
+        let activation = match &self.activation {
+            Ok(ids) => ids,
+            Err(name) => return Err(SimError::UnknownSignal(name.clone())),
+        };
+        let n = self.code.names.len();
+        let mut know = vec![Knowledge::default(); n];
+        let mut available: Vec<Option<Value>> = vec![None; n];
 
         // Inputs the environment actually offered a token for this instant;
         // a speculative tick may consume these and nothing else.
-        let mut provided: BTreeSet<Name> = BTreeSet::new();
-        for name in &self.activation {
-            if !signals.contains(name) {
-                return Err(SimError::UnknownSignal(name.clone()));
-            }
-            know.get_mut(name).expect("declared").presence = Some(true);
-            provided.insert(name.clone());
+        let mut provided = vec![false; n];
+        for &id in activation {
+            know[id].presence = Some(true);
+            provided[id] = true;
         }
-        for (name, drive) in drives {
-            let name = Name::from(*name);
-            let Some(k) = know.get_mut(&name) else {
-                return Err(SimError::UnknownSignal(name));
-            };
+        for &(id, drive) in drives {
+            let k = &mut know[id];
             match drive {
                 Drive::Present(v) => {
                     k.presence = Some(true);
-                    k.value = Some(*v);
-                    provided.insert(name);
+                    k.value = Some(v);
+                    provided[id] = true;
                 }
                 Drive::Tick => {
                     k.presence = Some(true);
-                    provided.insert(name);
+                    provided[id] = true;
                 }
                 Drive::Absent => k.presence = Some(false),
                 Drive::Available(v) => {
-                    available.insert(name.clone(), *v);
-                    provided.insert(name);
+                    available[id] = Some(v);
+                    provided[id] = true;
                 }
             }
         }
 
         // Fixed-point propagation.
-        let max_rounds = 4 * (self.kernel.equations().len() + self.kernel.constraints().len() + 4);
-        let registers = self.kernel.registers();
-        self.propagate_to_fixpoint(&mut know, &available, max_rounds)?;
+        let max_rounds = 4 * (self.code.equations.len() + self.code.constraints.len() + 4);
+        self.propagate_to_fixpoint(&mut know, &available, max_rounds)
+            .map_err(|fail| self.render(fail))?;
 
         // The caller drove an instant, but some autonomous state clocks
         // (delay registers whose presence is still undetermined) were not
@@ -168,10 +430,12 @@ impl Simulator {
         // When no tick is accepted the instant falls back to the un-ticked
         // resolution (for an otherwise-silent drive, the always-legal silent
         // reaction).  An empty drive list is silent outright.
-        let mut completed: Option<BTreeMap<Name, Knowledge>> = None;
-        let any_undetermined_register = registers
+        let mut completed: Option<Vec<Knowledge>> = None;
+        let any_undetermined_register = self
+            .code
+            .registers
             .iter()
-            .any(|(out, _, _)| know[out].presence.is_none());
+            .any(|&(out, _)| know[out].presence.is_none());
         if !drives.is_empty() && any_undetermined_register {
             // `accepted` is the growing tick set before completion (so later
             // registers can still tick); `completed` tracks the completed
@@ -179,12 +443,12 @@ impl Simulator {
             // further tick is accepted, so a register whose tick only
             // becomes consistent once a partner clock has ticked is
             // retried.  (Mutually exclusive ticks remain first-wins in
-            // `registers()` order — the greedy choice is deterministic but
-            // not order-free.)
+            // register order — the greedy choice is deterministic but not
+            // order-free.)
             let mut accepted = know.clone();
             loop {
                 let mut progressed = false;
-                for (out, _, _) in &registers {
+                for &(out, _) in &self.code.registers {
                     if accepted[out].presence.is_some() {
                         continue;
                     }
@@ -216,10 +480,10 @@ impl Simulator {
                     // already made present (backward propagation from the
                     // caller's own drives), which the no-tick fallback
                     // would contain just the same.
-                    let phantom_input = self.kernel.inputs().any(|n| {
-                        done[n].presence == Some(true)
-                            && !provided.contains(n)
-                            && know[n].presence != Some(true)
+                    let phantom_input = self.code.inputs.iter().any(|&id| {
+                        done[id].presence == Some(true)
+                            && !provided[id]
+                            && know[id].presence != Some(true)
                     });
                     if !phantom_input {
                         accepted = trial;
@@ -234,50 +498,51 @@ impl Simulator {
         }
         let know = match completed {
             Some(k) => k,
-            None => self.complete_instant(know, &available, max_rounds)?,
+            None => self
+                .complete_instant(know, &available, max_rounds)
+                .map_err(|fail| self.render(fail))?,
         };
 
-        // Build the reaction before committing anything, so that a failed
-        // instant leaves the simulator state untouched and the caller may
-        // retry with a different drive.
-        let mut reaction = Reaction::empty_on(signals.iter().cloned());
-        let mut any = false;
-        for (name, k) in &know {
-            if k.presence == Some(true) {
-                let value = k
-                    .value
-                    .expect("complete_instant guarantees present signals carry values");
-                reaction.insert(name.clone(), value);
-                any = true;
-            }
-        }
-        if any {
-            reaction.set_tag(Tag::new(self.instant));
-        }
-
-        // Commit the registers and the instant counter.
-        for (out, arg, _) in registers {
-            let arg_know = &know[&arg];
+        // Commit the registers and the instant counter: the instant is
+        // complete, so nothing below can fail.
+        for (register, &(out, arg)) in self.code.registers.iter().enumerate() {
+            let arg_know = &know[arg];
             if arg_know.presence == Some(true) {
                 let v = arg_know
                     .value
                     .expect("complete_instant guarantees present signals carry values");
-                self.registers.insert(out, v);
+                self.state[register] = v;
+                self.registers.insert(self.code.names[out].clone(), v);
             }
         }
         self.instant += 1;
-        Ok(reaction)
+        self.last = know;
+        Ok(())
     }
 
-    /// Convenience: runs one instant with every *input* of the process made
-    /// available with the provided value (demand-driven), plus the explicit
-    /// drives.
-    pub fn step_with_inputs(&mut self, inputs: &[(&str, Value)]) -> Result<Reaction, SimError> {
-        let drives: Vec<(&str, Drive)> = inputs
-            .iter()
-            .map(|(n, v)| (*n, Drive::Available(*v)))
-            .collect();
-        self.step(&drives)
+    /// The [`SimError`] a failed resolution reports.
+    fn render(&self, fail: Fail) -> SimError {
+        match fail {
+            Fail::Contradiction(id) => SimError::Contradiction {
+                signal: self.code.names[id].clone(),
+            },
+            Fail::Constraint(index) => {
+                let (l, r) = &self.kernel.constraints()[index];
+                SimError::ClockConstraintViolation {
+                    constraint: format!("{l} ^= {r}"),
+                }
+            }
+            Fail::Equation(index) => SimError::ClockConstraintViolation {
+                constraint: format!("{}", self.kernel.equations()[index]),
+            },
+            Fail::ZeroForced => SimError::ClockConstraintViolation {
+                constraint: "^0 forced present".into(),
+            },
+            Fail::Unresolved(id) => SimError::Unresolved {
+                signal: self.code.names[id].clone(),
+            },
+            Fail::Evaluation(error) => error,
+        }
     }
 
     // ---- propagation ------------------------------------------------------
@@ -286,15 +551,15 @@ impl Simulator {
     /// absence, one more equation pass computes values that become derivable
     /// once absences are settled, and the completed instant is checked —
     /// every constraint must hold and every present signal must carry a
-    /// value.  Errors leave the simulator untouched (the knowledge map is
+    /// value.  Errors leave the simulator untouched (the knowledge is
     /// consumed, not the state).
     fn complete_instant(
         &self,
-        mut know: BTreeMap<Name, Knowledge>,
-        available: &BTreeMap<Name, Value>,
+        mut know: Vec<Knowledge>,
+        available: &[Option<Value>],
         max_rounds: usize,
-    ) -> Result<BTreeMap<Name, Knowledge>, SimError> {
-        for k in know.values_mut() {
+    ) -> Result<Vec<Knowledge>, Fail> {
+        for k in &mut know {
             if k.presence.is_none() {
                 k.presence = Some(false);
             }
@@ -303,12 +568,11 @@ impl Simulator {
         // derive nothing more and are instead checked by `validate`.
         self.propagate_equations_to_fixpoint(&mut know, available, max_rounds)?;
         self.validate(&know)?;
-        for (name, k) in &know {
-            if k.presence == Some(true) && k.value.is_none() {
-                return Err(SimError::Unresolved {
-                    signal: name.clone(),
-                });
-            }
+        if let Some(id) = know
+            .iter()
+            .position(|k| k.presence == Some(true) && k.value.is_none())
+        {
+            return Err(Fail::Unresolved(id));
         }
         Ok(know)
     }
@@ -316,14 +580,14 @@ impl Simulator {
     /// Propagates equations and constraints until no new fact is derived.
     fn propagate_to_fixpoint(
         &self,
-        know: &mut BTreeMap<Name, Knowledge>,
-        available: &BTreeMap<Name, Value>,
+        know: &mut [Knowledge],
+        available: &[Option<Value>],
         max_rounds: usize,
-    ) -> Result<(), SimError> {
+    ) -> Result<(), Fail> {
         for _ in 0..max_rounds {
             let mut changed = self.propagate_equations_once(know, available)?;
-            for (l, r) in self.kernel.constraints() {
-                changed |= self.propagate_constraint(l, r, know, available)?;
+            for (index, (l, r)) in self.code.constraints.iter().enumerate() {
+                changed |= Self::propagate_constraint(index, l, r, know, available)?;
             }
             if !changed {
                 break;
@@ -335,10 +599,10 @@ impl Simulator {
     /// Propagates the equations alone until no new fact is derived.
     fn propagate_equations_to_fixpoint(
         &self,
-        know: &mut BTreeMap<Name, Knowledge>,
-        available: &BTreeMap<Name, Value>,
+        know: &mut [Knowledge],
+        available: &[Option<Value>],
         max_rounds: usize,
-    ) -> Result<(), SimError> {
+    ) -> Result<(), Fail> {
         for _ in 0..max_rounds {
             if !self.propagate_equations_once(know, available)? {
                 break;
@@ -350,33 +614,31 @@ impl Simulator {
     /// One pass over every equation; reports whether anything was derived.
     fn propagate_equations_once(
         &self,
-        know: &mut BTreeMap<Name, Knowledge>,
-        available: &BTreeMap<Name, Value>,
-    ) -> Result<bool, SimError> {
+        know: &mut [Knowledge],
+        available: &[Option<Value>],
+    ) -> Result<bool, Fail> {
         let mut changed = false;
-        for eq in self.kernel.equations() {
+        for eq in &self.code.equations {
             changed |= self.propagate_equation(eq, know, available)?;
         }
         Ok(changed)
     }
 
     fn set_presence(
-        know: &mut BTreeMap<Name, Knowledge>,
-        name: &Name,
+        know: &mut [Knowledge],
+        id: usize,
         presence: bool,
-        available: &BTreeMap<Name, Value>,
-    ) -> Result<bool, SimError> {
-        let k = know.get_mut(name).expect("declared signal");
+        available: &[Option<Value>],
+    ) -> Result<bool, Fail> {
+        let k = &mut know[id];
         match k.presence {
             Some(p) if p == presence => Ok(false),
-            Some(_) => Err(SimError::Contradiction {
-                signal: name.clone(),
-            }),
+            Some(_) => Err(Fail::Contradiction(id)),
             None => {
                 k.presence = Some(presence);
                 if presence {
-                    if let (None, Some(v)) = (k.value, available.get(name)) {
-                        k.value = Some(*v);
+                    if let (None, Some(v)) = (k.value, available[id]) {
+                        k.value = Some(v);
                     }
                 }
                 Ok(true)
@@ -384,17 +646,11 @@ impl Simulator {
         }
     }
 
-    fn set_value(
-        know: &mut BTreeMap<Name, Knowledge>,
-        name: &Name,
-        value: Value,
-    ) -> Result<bool, SimError> {
-        let k = know.get_mut(name).expect("declared signal");
+    fn set_value(know: &mut [Knowledge], id: usize, value: Value) -> Result<bool, Fail> {
+        let k = &mut know[id];
         match k.value {
             Some(v) if v == value => Ok(false),
-            Some(_) => Err(SimError::Contradiction {
-                signal: name.clone(),
-            }),
+            Some(_) => Err(Fail::Contradiction(id)),
             None => {
                 k.value = Some(value);
                 Ok(true)
@@ -402,63 +658,45 @@ impl Simulator {
         }
     }
 
-    fn atom_presence(know: &BTreeMap<Name, Knowledge>, atom: &Atom) -> Option<bool> {
-        match atom {
-            Atom::Const(_) => Some(true),
-            Atom::Var(n) => know[n].presence,
-        }
-    }
-
-    fn atom_value(know: &BTreeMap<Name, Knowledge>, atom: &Atom) -> Option<Value> {
-        match atom {
-            Atom::Const(v) => Some(*v),
-            Atom::Var(n) => know[n].value,
-        }
-    }
-
     fn propagate_equation(
         &self,
-        eq: &KernelEq,
-        know: &mut BTreeMap<Name, Knowledge>,
-        available: &BTreeMap<Name, Value>,
-    ) -> Result<bool, SimError> {
+        eq: &Equation,
+        know: &mut [Knowledge],
+        available: &[Option<Value>],
+    ) -> Result<bool, Fail> {
         let mut changed = false;
         match eq {
-            KernelEq::Func { out, op, args } => {
+            Equation::Func { out, op, args } => {
+                let out = *out;
                 // All variable operands and the output are synchronous.
-                let mut group: Vec<&Name> = vec![out];
-                for a in args {
-                    if let Atom::Var(n) = a {
-                        group.push(n);
-                    }
-                }
-                let known: Option<bool> = group.iter().find_map(|n| know[*n].presence);
+                let group = || std::iter::once(out).chain(args.iter().filter_map(|a| a.var()));
+                let known: Option<bool> = group().find_map(|id| know[id].presence);
                 if let Some(p) = known {
-                    for n in &group {
-                        changed |= Self::set_presence(know, n, p, available)?;
+                    for id in group() {
+                        changed |= Self::set_presence(know, id, p, available)?;
                     }
                 }
                 if know[out].presence == Some(true) {
-                    let vals: Option<Vec<Value>> =
-                        args.iter().map(|a| Self::atom_value(know, a)).collect();
+                    let vals: Option<Vec<Value>> = args.iter().map(|a| a.value(know)).collect();
                     if let Some(vals) = vals {
-                        let v = eval_op(*op, &vals)?;
+                        let v = eval_op(*op, &vals).map_err(Fail::Evaluation)?;
                         changed |= Self::set_value(know, out, v)?;
                     }
                 }
             }
-            KernelEq::Delay { out, arg, .. } => {
+            Equation::Delay { out, arg, register } => {
+                let (out, arg) = (*out, *arg);
                 let known = know[out].presence.or(know[arg].presence);
                 if let Some(p) = known {
                     changed |= Self::set_presence(know, out, p, available)?;
                     changed |= Self::set_presence(know, arg, p, available)?;
                 }
                 if know[out].presence == Some(true) {
-                    let reg = self.registers[out];
-                    changed |= Self::set_value(know, out, reg)?;
+                    changed |= Self::set_value(know, out, self.state[*register])?;
                 }
             }
-            KernelEq::When { out, arg, cond } => {
+            Equation::When { out, arg, cond } => {
+                let (out, cond) = (*out, *cond);
                 let cond_presence = know[cond].presence;
                 let cond_value = know[cond].value;
                 let cond_true = match (cond_presence, cond_value) {
@@ -470,12 +708,12 @@ impl Simulator {
                     Some(false) => {
                         changed |= Self::set_presence(know, out, false, available)?;
                     }
-                    Some(true) => match arg {
-                        Atom::Const(v) => {
+                    Some(true) => match *arg {
+                        Operand::Const(v) => {
                             changed |= Self::set_presence(know, out, true, available)?;
-                            changed |= Self::set_value(know, out, *v)?;
+                            changed |= Self::set_value(know, out, v)?;
                         }
-                        Atom::Var(y) => {
+                        Operand::Var(y) => {
                             if let Some(p) = know[y].presence.or(know[out].presence) {
                                 changed |= Self::set_presence(know, out, p, available)?;
                                 changed |= Self::set_presence(know, y, p, available)?;
@@ -494,24 +732,24 @@ impl Simulator {
                 if know[out].presence == Some(true) {
                     changed |= Self::set_presence(know, cond, true, available)?;
                     changed |= Self::set_value(know, cond, Value::Bool(true))?;
-                    if let Atom::Var(y) = arg {
+                    if let Operand::Var(y) = *arg {
                         changed |= Self::set_presence(know, y, true, available)?;
                     }
                 }
             }
-            KernelEq::Default { out, left, right } => {
-                let lp = Self::atom_presence(know, left);
-                let rp = Self::atom_presence(know, right);
+            Equation::Default { out, left, right } => {
+                let (out, left, right) = (*out, *left, *right);
+                let rp = right.presence(know);
                 // Forward presence.
-                match (left, lp) {
-                    (Atom::Var(_), Some(true)) => {
+                match (left, left.presence(know)) {
+                    (Operand::Var(_), Some(true)) => {
                         changed |= Self::set_presence(know, out, true, available)?;
-                        if let Some(v) = Self::atom_value(know, left) {
+                        if let Some(v) = left.value(know) {
                             changed |= Self::set_value(know, out, v)?;
                         }
                     }
-                    (Atom::Var(_), Some(false)) => {
-                        if let Atom::Var(z) = right {
+                    (Operand::Var(_), Some(false)) => {
+                        if let Operand::Var(z) = right {
                             if let Some(p) = know[z].presence {
                                 changed |= Self::set_presence(know, out, p, available)?;
                                 if p {
@@ -529,33 +767,33 @@ impl Simulator {
                                 }
                             }
                         } else if know[out].presence == Some(true) {
-                            if let Some(v) = Self::atom_value(know, right) {
+                            if let Some(v) = right.value(know) {
                                 changed |= Self::set_value(know, out, v)?;
                             }
                         }
                     }
-                    (Atom::Const(v), _) => {
+                    (Operand::Const(v), _) => {
                         // A constant priority operand: the output carries it
                         // whenever present.
                         if know[out].presence == Some(true) {
-                            changed |= Self::set_value(know, out, *v)?;
+                            changed |= Self::set_value(know, out, v)?;
                         }
                     }
-                    (Atom::Var(_), None) => {}
+                    (Operand::Var(_), None) => {}
                 }
                 // Backward presence: out absent => both variable operands
                 // absent; out present with both operands variables and
                 // right absent => left present.
                 if know[out].presence == Some(false) {
-                    if let Atom::Var(y) = left {
+                    if let Operand::Var(y) = left {
                         changed |= Self::set_presence(know, y, false, available)?;
                     }
-                    if let Atom::Var(z) = right {
+                    if let Operand::Var(z) = right {
                         changed |= Self::set_presence(know, z, false, available)?;
                     }
                 }
                 if know[out].presence == Some(true) && rp == Some(false) {
-                    if let Atom::Var(y) = left {
+                    if let Operand::Var(y) = left {
                         changed |= Self::set_presence(know, y, true, available)?;
                         if let Some(v) = know[y].value {
                             changed |= Self::set_value(know, out, v)?;
@@ -568,21 +806,17 @@ impl Simulator {
     }
 
     fn propagate_constraint(
-        &self,
-        left: &ClockAst,
-        right: &ClockAst,
-        know: &mut BTreeMap<Name, Knowledge>,
-        available: &BTreeMap<Name, Value>,
-    ) -> Result<bool, SimError> {
+        index: usize,
+        left: &Clock,
+        right: &Clock,
+        know: &mut [Knowledge],
+        available: &[Option<Value>],
+    ) -> Result<bool, Fail> {
         let lv = eval_clock(left, know);
         let rv = eval_clock(right, know);
         let mut changed = false;
         match (lv, rv) {
-            (Some(a), Some(b)) if a != b => {
-                return Err(SimError::ClockConstraintViolation {
-                    constraint: format!("{left} ^= {right}"),
-                });
-            }
+            (Some(a), Some(b)) if a != b => return Err(Fail::Constraint(index)),
             (Some(v), None) => changed |= force_clock(right, v, know, available)?,
             (None, Some(v)) => changed |= force_clock(left, v, know, available)?,
             _ => {}
@@ -592,54 +826,37 @@ impl Simulator {
 
     /// Validates the completed instant: every clock constraint must hold and
     /// every equation must be presence-consistent.
-    fn validate(&self, know: &BTreeMap<Name, Knowledge>) -> Result<(), SimError> {
-        for (l, r) in self.kernel.constraints() {
+    fn validate(&self, know: &[Knowledge]) -> Result<(), Fail> {
+        for (index, (l, r)) in self.code.constraints.iter().enumerate() {
             let lv = eval_clock(l, know);
             let rv = eval_clock(r, know);
             if lv.is_some() && rv.is_some() && lv != rv {
-                return Err(SimError::ClockConstraintViolation {
-                    constraint: format!("{l} ^= {r}"),
-                });
+                return Err(Fail::Constraint(index));
             }
         }
-        for eq in self.kernel.equations() {
-            let out = eq.defined();
-            let out_present = know[out].presence == Some(true);
+        let on = |id: usize| know[id].presence == Some(true);
+        for (index, eq) in self.code.equations.iter().enumerate() {
+            let out_present = on(eq.defined());
             let consistent = match eq {
-                KernelEq::Func { args, .. } => {
-                    let vars_present: Vec<bool> = args
-                        .iter()
-                        .filter_map(|a| a.as_var())
-                        .map(|n| know[n].presence == Some(true))
-                        .collect();
-                    vars_present.iter().all(|p| *p == out_present)
-                }
-                KernelEq::Delay { arg, .. } => (know[arg].presence == Some(true)) == out_present,
-                KernelEq::When { arg, cond, .. } => {
-                    let cond_on = know[cond].presence == Some(true)
-                        && know[cond].value.map(Value::is_true).unwrap_or(false);
-                    let arg_on = match arg {
-                        Atom::Const(_) => true,
-                        Atom::Var(y) => know[y].presence == Some(true),
-                    };
+                Equation::Func { args, .. } => args
+                    .iter()
+                    .filter_map(|a| a.var())
+                    .all(|id| on(id) == out_present),
+                Equation::Delay { arg, .. } => on(*arg) == out_present,
+                Equation::When { arg, cond, .. } => {
+                    let cond_on =
+                        on(*cond) && know[*cond].value.map(Value::is_true).unwrap_or(false);
+                    let arg_on = arg.var().is_none_or(on);
                     out_present == (cond_on && arg_on)
                 }
-                KernelEq::Default { left, right, .. } => {
-                    let left_on = match left {
-                        Atom::Const(_) => true,
-                        Atom::Var(y) => know[y].presence == Some(true),
-                    };
-                    let right_on = match right {
-                        Atom::Const(_) => out_present,
-                        Atom::Var(z) => know[z].presence == Some(true),
-                    };
+                Equation::Default { left, right, .. } => {
+                    let left_on = left.var().is_none_or(on);
+                    let right_on = right.var().map_or(out_present, on);
                     out_present == (left_on || right_on) || (out_present && (left_on || right_on))
                 }
             };
             if !consistent {
-                return Err(SimError::ClockConstraintViolation {
-                    constraint: format!("{eq}"),
-                });
+                return Err(Fail::Equation(index));
             }
         }
         Ok(())
@@ -647,24 +864,21 @@ impl Simulator {
 }
 
 /// Three-valued evaluation of a clock expression under partial knowledge.
-fn eval_clock(clock: &ClockAst, know: &BTreeMap<Name, Knowledge>) -> Option<bool> {
+fn eval_clock(clock: &Clock, know: &[Knowledge]) -> Option<bool> {
     match clock {
-        ClockAst::Zero => Some(false),
-        ClockAst::Of(n) => know.get(n).and_then(|k| k.presence),
-        ClockAst::WhenTrue(n) => sample(know, n, true),
-        ClockAst::WhenFalse(n) => sample(know, n, false),
-        ClockAst::And(a, b) => kleene_and(eval_clock(a, know), eval_clock(b, know)),
-        ClockAst::Or(a, b) => kleene_or(eval_clock(a, know), eval_clock(b, know)),
-        ClockAst::Diff(a, b) => kleene_and(eval_clock(a, know), eval_clock(b, know).map(|v| !v)),
-    }
-}
-
-fn sample(know: &BTreeMap<Name, Knowledge>, n: &Name, polarity: bool) -> Option<bool> {
-    let k = know.get(n)?;
-    match k.presence {
-        Some(false) => Some(false),
-        Some(true) => k.value.map(|v| v.is_true() == polarity),
-        None => None,
+        Clock::Zero => Some(false),
+        Clock::Of(id) => know[(*id)?].presence,
+        Clock::Sample(id, polarity) => {
+            let k = know[(*id)?];
+            match k.presence {
+                Some(false) => Some(false),
+                Some(true) => k.value.map(|v| v.is_true() == *polarity),
+                None => None,
+            }
+        }
+        Clock::And(a, b) => kleene_and(eval_clock(a, know), eval_clock(b, know)),
+        Clock::Or(a, b) => kleene_or(eval_clock(a, know), eval_clock(b, know)),
+        Clock::Diff(a, b) => kleene_and(eval_clock(a, know), eval_clock(b, know).map(|v| !v)),
     }
 }
 
@@ -686,25 +900,24 @@ fn kleene_or(a: Option<bool>, b: Option<bool>) -> Option<bool> {
 
 /// Best-effort forcing of a clock expression to a truth value.
 fn force_clock(
-    clock: &ClockAst,
+    clock: &Clock,
     target: bool,
-    know: &mut BTreeMap<Name, Knowledge>,
-    available: &BTreeMap<Name, Value>,
-) -> Result<bool, SimError> {
+    know: &mut [Knowledge],
+    available: &[Option<Value>],
+) -> Result<bool, Fail> {
+    let declared = |id: &Option<usize>| id.expect("declared signal");
     let mut changed = false;
     match clock {
-        ClockAst::Zero => {
+        Clock::Zero => {
             if target {
-                return Err(SimError::ClockConstraintViolation {
-                    constraint: "^0 forced present".into(),
-                });
+                return Err(Fail::ZeroForced);
             }
         }
-        ClockAst::Of(n) => {
-            changed |= Simulator::set_presence(know, n, target, available)?;
+        Clock::Of(id) => {
+            changed |= Simulator::set_presence(know, declared(id), target, available)?;
         }
-        ClockAst::WhenTrue(n) | ClockAst::WhenFalse(n) => {
-            let polarity = matches!(clock, ClockAst::WhenTrue(_));
+        Clock::Sample(id, polarity) => {
+            let (n, polarity) = (declared(id), *polarity);
             if target {
                 changed |= Simulator::set_presence(know, n, true, available)?;
                 changed |= Simulator::set_value(know, n, Value::Bool(polarity))?;
@@ -719,7 +932,7 @@ fn force_clock(
                 }
             }
         }
-        ClockAst::And(a, b) => {
+        Clock::And(a, b) => {
             if target {
                 changed |= force_clock(a, true, know, available)?;
                 changed |= force_clock(b, true, know, available)?;
@@ -732,7 +945,7 @@ fn force_clock(
                 }
             }
         }
-        ClockAst::Or(a, b) => {
+        Clock::Or(a, b) => {
             if !target {
                 changed |= force_clock(a, false, know, available)?;
                 changed |= force_clock(b, false, know, available)?;
@@ -742,7 +955,7 @@ fn force_clock(
                 changed |= force_clock(a, true, know, available)?;
             }
         }
-        ClockAst::Diff(a, b) => {
+        Clock::Diff(a, b) => {
             if target {
                 changed |= force_clock(a, true, know, available)?;
                 changed |= force_clock(b, false, know, available)?;

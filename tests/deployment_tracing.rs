@@ -481,6 +481,44 @@ fn pool_workers_record_their_scheduling_timeline() {
     json::assert_valid(&trace.to_chrome_json());
 }
 
+#[test]
+fn every_dispatch_instant_names_a_component_of_the_run() {
+    // A pool dispatch runs a whole island; the Chrome export names it by
+    // one of its members, never by an index the component list lacks.
+    let design = library::buffer_pipeline_design(8).expect("builds");
+    let mode = ExecutionMode::Pool {
+        workers: 2,
+        quantum: 4,
+    };
+    let stream: Vec<bool> = (0..64).map(|i| i % 3 == 0).collect();
+    let outcome = traced_run(&design, &[("p0", bools(&stream))], mode, true);
+    let names: Vec<&str> = outcome
+        .stats()
+        .components
+        .iter()
+        .map(|c| c.name.as_str())
+        .collect();
+    let json = outcome.trace().expect("tracing on").to_chrome_json();
+    json::assert_valid(&json);
+    let mut instants = 0;
+    for kind in ["dispatch", "steal"] {
+        let marker = format!("{{\"name\":\"{kind}\",");
+        for (at, _) in json.match_indices(&marker) {
+            let event = &json[at..];
+            let event = &event[..event.find("}}").expect("a closed event")];
+            let key = "\"component\":\"";
+            let start = event.find(key).expect("a dispatch names its component") + key.len();
+            let component = &event[start..start + event[start..].find('"').expect("quoted")];
+            assert!(
+                names.contains(&component),
+                "{kind} names {component:?}, not one of {names:?}"
+            );
+            instants += 1;
+        }
+    }
+    assert!(instants >= 1, "the run was dispatched");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(ProptestConfig::cases_from_env(8)))]
 

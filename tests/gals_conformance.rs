@@ -235,8 +235,9 @@ fn zero_channel_capacities_are_rejected_with_a_typed_error() {
 #[test]
 fn the_pool_records_its_scheduling_counters() {
     // 8 verified components on 2 pool workers: the run must complete on
-    // exactly 2 OS threads, report the pool mode, and account one
-    // dispatch per component at minimum — while still conforming.
+    // exactly 2 OS threads, report the pool mode, see every component
+    // react and account at least one dispatch of their one island — while
+    // still conforming.
     let design = library::buffer_pipeline_design(8).expect("builds");
     let mut deployment = design.deploy().expect("verified");
     let mode = ExecutionMode::Pool {
@@ -251,8 +252,12 @@ fn the_pool_records_its_scheduling_counters() {
     assert_eq!(stats.components.len(), 8);
     assert_eq!(stats.pool_workers.len(), 2);
     assert!(
-        stats.total_dispatches() >= 8,
-        "every component was dispatched at least once:\n{stats}"
+        stats.components.iter().all(|c| c.reactions > 0),
+        "every component reacted:\n{stats}"
+    );
+    assert!(
+        stats.total_dispatches() >= 1,
+        "the island was dispatched:\n{stats}"
     );
     let report = outcome.check_conformance().expect("reference registered");
     assert!(report.is_isochronous(), "{report}");

@@ -21,7 +21,7 @@
 //!   back with its reservation, its inputs closed.
 
 use std::sync::Barrier;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use polychrony::gals_rt::DeployError;
 use polychrony::gals_serve::{
@@ -276,6 +276,39 @@ fn a_high_priority_tenant_admitted_last_finishes_first() {
             .finish(Duration::from_secs(30))
             .expect("batch drains");
     }
+}
+
+#[test]
+fn a_served_pipeline_costs_about_two_dispatches_per_token() {
+    // A pipe3 tenant is one island on the pool: a token fed and polled
+    // back costs at most the feed's wake and the poll's wake, not a
+    // dispatch per component and hand-off.
+    const TOKENS: i64 = 64;
+    let design = library::buffer_pipeline_design(3).expect("builds");
+    let server = Server::start(ServerOptions::new(1, 32)).expect("starts");
+    let mut tenant = server.admit("echo", &design).expect("fits");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    for i in 0..TOKENS {
+        tenant.feed("p0", [Value::Int(i)]).expect("feeds");
+        loop {
+            if let Some(values) = tenant.poll_outputs().get("p3") {
+                assert_eq!(values, &[Value::Int(i)], "token {i}");
+                break;
+            }
+            assert!(Instant::now() < deadline, "token {i} never came back");
+            std::thread::yield_now();
+        }
+    }
+    let dispatches: u64 = server.worker_stats().iter().map(|w| w.dispatches).sum();
+    let per_token = dispatches as f64 / TOKENS as f64;
+    assert!(
+        per_token < 4.0,
+        "{dispatches} dispatches for {TOKENS} tokens ({per_token:.2} per token)"
+    );
+    let outcome = tenant.finish(Duration::from_secs(30)).expect("drains");
+    assert_eq!(outcome.flow("p3").len(), TOKENS as usize);
+    let report = outcome.check_conformance().expect("reference registered");
+    assert!(report.is_isochronous(), "{report}");
 }
 
 #[test]
