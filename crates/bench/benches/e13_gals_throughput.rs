@@ -67,7 +67,7 @@ impl StepMachine for Relay {
     fn output_signals(&self) -> Vec<Name> {
         vec![self.output.clone()]
     }
-    fn feed_value(&mut self, _signal: &str, value: Value) {
+    fn feed(&mut self, _port: usize, value: Value) {
         self.queue.push_back(value);
     }
     fn try_step(&mut self) -> Result<(), StepFault> {
@@ -76,10 +76,10 @@ impl StepMachine for Relay {
                 self.produced.push(value);
                 Ok(())
             }
-            None => Err(StepFault::NeedInput(self.input.clone())),
+            None => Err(StepFault::NeedInput(0)),
         }
     }
-    fn produced(&self, _signal: &str) -> &[Value] {
+    fn output(&self, _port: usize) -> &[Value] {
         &self.produced
     }
 }
@@ -102,19 +102,12 @@ impl StepMachine for Collect {
     fn output_signals(&self) -> Vec<Name> {
         vec![Name::from("out")]
     }
-    fn feed_value(&mut self, signal: &str, value: Value) {
-        let slot = self
-            .inputs
-            .iter()
-            .position(|i| i.as_str() == signal)
-            .expect("declared input");
-        self.queues[slot].push_back(value);
+    fn feed(&mut self, port: usize, value: Value) {
+        self.queues[port].push_back(value);
     }
     fn try_step(&mut self) -> Result<(), StepFault> {
-        for (i, queue) in self.queues.iter().enumerate() {
-            if queue.is_empty() {
-                return Err(StepFault::NeedInput(self.inputs[i].clone()));
-            }
+        if let Some(port) = self.queues.iter().position(|queue| queue.is_empty()) {
+            return Err(StepFault::NeedInput(port));
         }
         let mut all = true;
         for queue in self.queues.iter_mut() {
@@ -123,7 +116,7 @@ impl StepMachine for Collect {
         self.produced.push(Value::Bool(all));
         Ok(())
     }
-    fn produced(&self, _signal: &str) -> &[Value] {
+    fn output(&self, _port: usize) -> &[Value] {
         &self.produced
     }
 }

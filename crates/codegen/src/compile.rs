@@ -4,18 +4,37 @@
 //! [`StepProgram`]: every step walks `Name`-keyed maps for presence,
 //! values and registers.  This module compiles the same program once into
 //! a [`CompiledProgram`] — every `Name` resolved to a dense slot index,
-//! every [`ClockCode`] tree flattened into a linear postfix clock program,
-//! every kernel equation pre-bound into a slot-addressed opcode — and a
-//! [`CompiledRuntime`] executes it over a flat value array and presence
-//! bitsets with **zero heap allocation on the hot path** (every scratch
+//! every kernel equation pre-bound into a slot-addressed opcode, the
+//! common clocks (`true`, an alias, a sampling) as single bit operations
+//! and only the rest flattened into linear postfix clock programs — and a
+//! [`CompiledRuntime`] executes it over a flat value array and per-slot
+//! flags with **zero heap allocation on the hot path** (every scratch
 //! buffer is owned by the runtime and reused across steps).
+//!
+//! When a few boolean registers decide every clock — the buffer's `s`
+//! reads when true and writes when false — compilation also specializes
+//! the program per valuation of those registers (a *mode*, at most
+//! `2^MAX_MODE_REGISTERS` of them): the clocks are decided, so their ops
+//! and the ops of absent signals go, values known in the mode fold into
+//! constants, and the rest runs on values alone, without presence flags.
+//! A reaction picks its mode from the registers, or runs the general ops
+//! when a mode register holds a non-boolean.
+//!
+//! A read that finds its queue empty *suspends* the reaction instead of
+//! discarding it: the runtime keeps the partial reaction in its scratch,
+//! and the next attempt resumes at that read, so no op of a reaction runs
+//! twice however many times it waits.  Until the reaction commits,
+//! nothing observable has changed.
 //!
 //! The compiled machine is observationally identical to the interpreter:
 //! same flows, same step counts, same [`RuntimeError::InputExhausted`]
 //! boundaries — property-checked differentially by
-//! `tests/compiled_differential.rs` over every process of the paper.
+//! `tests/compiled_differential.rs` (every feed preloaded) and
+//! `tests/compiled_resume.rs` (one token per suspension) over every
+//! process of the paper.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use signal_lang::{Atom, KernelEq, Name, PrimOp, Value};
 
@@ -51,15 +70,27 @@ enum ClockOp {
 }
 
 /// One slot-addressed opcode of the compiled step function.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Op {
+    /// Store the presence bit of `slot` from a one-leaf clock (`true`, an
+    /// alias, a sampling), without the clock stack.
+    Leaf { slot: u32, leaf: ClockOp },
     /// Evaluate the clock program `clock_pool[start..end]` and store the
     /// presence bit of `slot`.
     Clock { slot: u32, start: u32, end: u32 },
-    /// When present, move the head of input queue `queue` into `slot`.
+    /// When present, take the head of input queue `queue` into `slot`.
     Read { slot: u32, queue: u32 },
     /// When present, load delay register `register` into `slot`.
     Delay { slot: u32, register: u32 },
+    /// When present, apply a one-operand `op` into `slot`.
+    Unary { slot: u32, op: PrimOp, arg: Operand },
+    /// When present, apply a two-operand `op` into `slot`.
+    Binary {
+        slot: u32,
+        op: PrimOp,
+        left: Operand,
+        right: Operand,
+    },
     /// When present, apply `op` to `arg_pool[start..end]` into `slot`.
     Func {
         slot: u32,
@@ -82,12 +113,15 @@ enum Op {
     /// When the source slot is present, latch its value into `register`
     /// at the end of the step.
     Update { register: u32, source: u32 },
+    /// Fault: an operand of the equation defining `slot` has no value
+    /// (only in a [`Mode`], where that is known statically).
+    Missing { slot: u32 },
 }
 
 /// A [`StepProgram`] lowered to slot-indexed form: names interned into
-/// dense indices, clock trees flattened, equations pre-bound.  Compile
-/// once, execute many — the program is immutable and cheaply cloneable
-/// relative to the per-step cost it removes.
+/// dense indices, clocks lowered, equations pre-bound.  Compile once,
+/// execute many — the program is immutable, and every runtime
+/// instantiated from an `Arc` of it shares it.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     name: String,
@@ -105,11 +139,113 @@ pub struct CompiledProgram {
     /// Deepest clock-stack excursion of any clock program (pre-sized so
     /// evaluation never grows the stack).
     max_clock_depth: usize,
+    /// The registers whose boolean values decide every clock of a
+    /// reaction, when a few do (see [`Mode`]).
+    mode_registers: Vec<u32>,
+    /// One straight-line program per valuation of `mode_registers`,
+    /// indexed by the valuation's bits (register `i` true sets bit `i`);
+    /// empty when some clock depends on an input.
+    modes: Vec<Mode>,
+}
+
+/// The most registers a mode valuation ranges over: at most
+/// `2^MAX_MODE_REGISTERS` straight-line programs per compiled program.
+const MAX_MODE_REGISTERS: usize = 3;
+
+/// The step program specialized to one valuation of the mode registers:
+/// every clock is decided, so the clock ops are gone and so is every op of
+/// an absent signal, and which slot holds a value at each op is known, so
+/// the ops run without presence flags ([`State::exec_static`]).
+#[derive(Debug, Clone)]
+struct Mode {
+    /// The ops of present signals, in the program's order, with every
+    /// `default` decided, every value known in the mode folded into a
+    /// constant copy, and every copy or load nothing reads dropped.
+    ops: Vec<Op>,
+    /// From this op on nothing can stall or fault but a read at exactly
+    /// this index, so reads, writes and latches there take effect at once
+    /// instead of being staged for the commit.
+    direct_from: usize,
+}
+
+impl Mode {
+    fn new(ops: Vec<Op>, arg_pool: &[Operand]) -> Mode {
+        // Drop the copies and loads whose value no later op reads: with
+        // every clock decided, only ops read values.
+        let mut live: Vec<u32> = Vec::new();
+        let mut kept: Vec<Op> = Vec::with_capacity(ops.len());
+        for op in ops.into_iter().rev() {
+            if let Op::Copy { slot, .. } | Op::Delay { slot, .. } = op {
+                if !live.contains(&slot) {
+                    continue;
+                }
+            }
+            match op {
+                Op::Write { slot, .. } => live.push(slot),
+                Op::Update { source, .. } => live.push(source),
+                _ => {
+                    if let Some((_, args)) = operands(&op, arg_pool) {
+                        live.extend(args.into_iter().filter_map(operand_slot));
+                    }
+                }
+            }
+            kept.push(op);
+        }
+        kept.reverse();
+        let ops = kept;
+        // Effects take place directly from the last op that can stall or
+        // fault (a read: once it succeeds) only when no op of that tail
+        // loads a register (it could see a latch early) and no input,
+        // output or register is touched twice (a direct effect would then
+        // land before a staged one of an earlier op; the interpreter reads
+        // one head twice).
+        let direct_from = match ops.iter().rposition(|op| {
+            matches!(
+                op,
+                Op::Read { .. }
+                    | Op::Unary { .. }
+                    | Op::Binary { .. }
+                    | Op::Func { .. }
+                    | Op::Missing { .. }
+            )
+        }) {
+            Some(at) if matches!(ops[at], Op::Read { .. }) => at,
+            Some(at) => at + 1,
+            None => 0,
+        };
+        let loads_in_tail = ops[direct_from..]
+            .iter()
+            .any(|op| matches!(op, Op::Delay { .. }));
+        let touched: Vec<(u8, u32)> = ops
+            .iter()
+            .filter_map(|op| match *op {
+                Op::Read { queue, .. } => Some((0, queue)),
+                Op::Write { output, .. } => Some((1, output)),
+                Op::Update { register, .. } => Some((2, register)),
+                _ => None,
+            })
+            .collect();
+        let twice = (1..touched.len()).any(|i| touched[..i].contains(&touched[i]));
+        let direct_from = if loads_in_tail || twice {
+            ops.len()
+        } else {
+            direct_from
+        };
+        Mode { ops, direct_from }
+    }
+}
+
+/// The slot an operand reads, if any.
+fn operand_slot(operand: Operand) -> Option<u32> {
+    match operand {
+        Operand::Slot(slot) => Some(slot),
+        Operand::Const(_) => None,
+    }
 }
 
 impl CompiledProgram {
-    /// Lowers a step program: resolves every name to a slot, flattens
-    /// every clock tree, pre-binds every equation.
+    /// Lowers a step program: resolves every name to a slot, lowers every
+    /// clock, pre-binds every equation.
     pub fn compile(program: &StepProgram) -> CompiledProgram {
         let mut interner = Interner::default();
         // Interface and register names first, so their slots are stable
@@ -133,12 +269,24 @@ impl CompiledProgram {
             match action {
                 Action::ComputeClock { signal, code } => {
                     let slot = interner.slot(signal);
-                    let start = clock_pool.len() as u32;
+                    let start = clock_pool.len();
                     flatten_clock(code, &mut interner, &mut clock_pool);
-                    let end = clock_pool.len() as u32;
-                    max_clock_depth =
-                        max_clock_depth.max(stack_depth(&clock_pool[start as usize..end as usize]));
-                    ops.push(Op::Clock { slot, start, end });
+                    let op = match clock_pool[start..] {
+                        [leaf] => {
+                            clock_pool.truncate(start);
+                            Op::Leaf { slot, leaf }
+                        }
+                        _ => {
+                            max_clock_depth =
+                                max_clock_depth.max(stack_depth(&clock_pool[start..]));
+                            Op::Clock {
+                                slot,
+                                start: start as u32,
+                                end: clock_pool.len() as u32,
+                            }
+                        }
+                    };
+                    ops.push(op);
                 }
                 Action::ReadInput { signal } => {
                     let slot = interner.slot(signal);
@@ -188,6 +336,9 @@ impl CompiledProgram {
             .iter()
             .map(|n| (n.clone(), interner.slot(n)))
             .collect();
+        let slots = interner.names.len();
+        let (mode_registers, modes) =
+            specialize(&ops, &clock_pool, &arg_pool, &registers, slots).unwrap_or_default();
         CompiledProgram {
             name: program.name.clone(),
             slot_names: interner.names,
@@ -198,6 +349,8 @@ impl CompiledProgram {
             clock_pool,
             arg_pool,
             max_clock_depth,
+            mode_registers,
+            modes,
         }
     }
 
@@ -256,19 +409,32 @@ fn compile_equation(
                 .get(out)
                 .expect("a delay equation defines a declared register"),
         },
-        KernelEq::Func { op, args, .. } => {
-            let start = arg_pool.len() as u32;
-            for a in args {
-                let a = operand(a, interner);
-                arg_pool.push(a);
-            }
-            Op::Func {
+        KernelEq::Func { op, args, .. } => match args.as_slice() {
+            [arg] => Op::Unary {
                 slot,
                 op: *op,
-                start,
-                end: arg_pool.len() as u32,
+                arg: operand(arg, interner),
+            },
+            [left, right] => Op::Binary {
+                slot,
+                op: *op,
+                left: operand(left, interner),
+                right: operand(right, interner),
+            },
+            _ => {
+                let start = arg_pool.len() as u32;
+                for a in args {
+                    let a = operand(a, interner);
+                    arg_pool.push(a);
+                }
+                Op::Func {
+                    slot,
+                    op: *op,
+                    start,
+                    end: arg_pool.len() as u32,
+                }
             }
-        }
+        },
         KernelEq::When { arg, .. } => Op::Copy {
             slot,
             arg: operand(arg, interner),
@@ -322,6 +488,40 @@ fn flatten_clock(code: &ClockCode, interner: &mut Interner, pool: &mut Vec<Clock
     }
 }
 
+/// The slot a clock leaf tests, if any.
+fn leaf_slot(leaf: ClockOp) -> Option<u32> {
+    match leaf {
+        ClockOp::Present(s) | ClockOp::SampleTrue(s) | ClockOp::SampleFalse(s) => Some(s),
+        _ => None,
+    }
+}
+
+/// Evaluates a postfix clock program over `stack`, taking each leaf's bit
+/// from `leaf`; `None` when a leaf has none, or the program is malformed.
+fn eval_postfix(
+    code: &[ClockOp],
+    stack: &mut Vec<bool>,
+    leaf: impl Fn(ClockOp) -> Option<bool>,
+) -> Option<bool> {
+    stack.clear();
+    for &op in code {
+        let bit = match op {
+            ClockOp::And | ClockOp::Or | ClockOp::Diff => {
+                let b = stack.pop()?;
+                let a = stack.pop()?;
+                match op {
+                    ClockOp::And => a && b,
+                    ClockOp::Or => a || b,
+                    _ => a && !b,
+                }
+            }
+            _ => leaf(op)?,
+        };
+        stack.push(bit);
+    }
+    stack.pop()
+}
+
 /// Maximum stack excursion of a postfix clock program.
 fn stack_depth(ops: &[ClockOp]) -> usize {
     let mut depth = 0usize;
@@ -341,63 +541,341 @@ fn stack_depth(ops: &[ClockOp]) -> usize {
     max
 }
 
-/// A word-packed bitset over value slots, cleared in O(slots/64) per step.
-#[derive(Debug, Clone)]
-struct SlotBits {
-    words: Vec<u64>,
+/// What compilation knows about a slot's value at one point of a
+/// reaction in one mode.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Known {
+    /// No value yet this instant.
+    Absent,
+    /// A value only the run knows (an input, a data register).
+    Dynamic,
+    /// This value.
+    Is(Value),
 }
 
-impl SlotBits {
-    fn new(slots: usize) -> SlotBits {
-        SlotBits {
-            words: vec![0; slots.div_ceil(64)],
-        }
-    }
-
-    #[inline]
-    fn get(&self, slot: u32) -> bool {
-        let slot = slot as usize;
-        (self.words[slot / 64] >> (slot % 64)) & 1 != 0
-    }
-
-    #[inline]
-    fn set(&mut self, slot: u32, value: bool) {
-        let slot = slot as usize;
-        let mask = 1u64 << (slot % 64);
-        if value {
-            self.words[slot / 64] |= mask;
-        } else {
-            self.words[slot / 64] &= !mask;
-        }
-    }
-
-    #[inline]
-    fn clear(&mut self) {
-        self.words.fill(0);
+/// The slots an op reads the presence of.
+fn presence_reads(op: &Op, clock_pool: &[ClockOp]) -> Vec<u32> {
+    match *op {
+        Op::Leaf { leaf, .. } => leaf_slot(leaf).into_iter().collect(),
+        Op::Clock { start, end, .. } => clock_pool[start as usize..end as usize]
+            .iter()
+            .filter_map(|&leaf| leaf_slot(leaf))
+            .collect(),
+        Op::Select {
+            slot, left_guard, ..
+        } => std::iter::once(slot).chain(left_guard).collect(),
+        Op::Update { source, .. } => vec![source],
+        Op::Read { slot, .. }
+        | Op::Delay { slot, .. }
+        | Op::Unary { slot, .. }
+        | Op::Binary { slot, .. }
+        | Op::Func { slot, .. }
+        | Op::Copy { slot, .. }
+        | Op::Write { slot, .. }
+        | Op::Missing { slot } => vec![slot],
     }
 }
 
-/// Executes a [`CompiledProgram`] over a flat value array, presence and
-/// has-value bitsets, and index-addressed registers, queues and flows.
+/// The slot a clock op decides, if `op` is one.
+fn clocked_slot(op: &Op) -> Option<u32> {
+    match *op {
+        Op::Leaf { slot, .. } | Op::Clock { slot, .. } => Some(slot),
+        _ => None,
+    }
+}
+
+/// The slot an equation op defines and the operands it computes it from
+/// (both sides of a `default`).
+fn operands(op: &Op, arg_pool: &[Operand]) -> Option<(u32, Vec<Operand>)> {
+    match *op {
+        Op::Unary { slot, arg, .. } | Op::Copy { slot, arg } => Some((slot, vec![arg])),
+        Op::Binary {
+            slot, left, right, ..
+        }
+        | Op::Select {
+            slot, left, right, ..
+        } => Some((slot, vec![left, right])),
+        Op::Func {
+            slot, start, end, ..
+        } => Some((slot, arg_pool[start as usize..end as usize].to_vec())),
+        _ => None,
+    }
+}
+
+/// Specializes a program to the valuations of the few boolean registers
+/// that decide all of its clocks (the buffer's `s`: read when true, write
+/// when false), or `None` when no such set within [`MAX_MODE_REGISTERS`]
+/// exists.  Each mode keeps the program's ops in order, minus the clock
+/// ops and the ops of absent signals, so a reaction runs the same ops it
+/// would otherwise, minus the ones that could only find their signal
+/// absent or recompute a value the mode fixes.
 ///
-/// Semantics are identical to
-/// [`SequentialRuntime`](crate::SequentialRuntime): a step either
-/// completes (inputs consumed, registers latched, outputs appended) or
-/// fails with [`RuntimeError`] leaving every observable unchanged — the
-/// consumed inputs, register latches and output appends are staged in
-/// reusable scratch buffers and committed only on success, so the hot
-/// path allocates nothing after the first step.
+/// Requires the shape the code generator emits: one clock op per slot,
+/// ahead of every op that reads the slot's presence.
+fn specialize(
+    ops: &[Op],
+    clock_pool: &[ClockOp],
+    arg_pool: &[Operand],
+    registers: &[(Name, Value)],
+    slots: usize,
+) -> Option<(Vec<u32>, Vec<Mode>)> {
+    let mut clocked = vec![false; slots];
+    for op in ops {
+        if presence_reads(op, clock_pool)
+            .iter()
+            .any(|&s| !clocked[s as usize])
+        {
+            return None;
+        }
+        if let Some(slot) = clocked_slot(op) {
+            if std::mem::replace(&mut clocked[slot as usize], true) {
+                return None;
+            }
+        }
+    }
+
+    // The registers every sampled value derives from; a sampled value
+    // that derives from an input is decided only at run time.
+    let leaves = |op: &Op| match *op {
+        Op::Leaf { leaf, .. } => vec![leaf],
+        Op::Clock { start, end, .. } => clock_pool[start as usize..end as usize].to_vec(),
+        _ => Vec::new(),
+    };
+    let mut pending: Vec<u32> = ops
+        .iter()
+        .flat_map(leaves)
+        .filter_map(|leaf| match leaf {
+            ClockOp::SampleTrue(s) | ClockOp::SampleFalse(s) => Some(s),
+            _ => None,
+        })
+        .collect();
+    let mut seen = vec![false; slots];
+    let mut mode_registers = Vec::new();
+    while let Some(slot) = pending.pop() {
+        if std::mem::replace(&mut seen[slot as usize], true) {
+            continue;
+        }
+        for op in ops {
+            match *op {
+                Op::Read { slot: read, .. } if read == slot => return None,
+                Op::Delay {
+                    slot: loaded,
+                    register,
+                } if loaded == slot => {
+                    if !mode_registers.contains(&register) {
+                        mode_registers.push(register);
+                    }
+                }
+                _ => {
+                    if let Some((defined, args)) = operands(op, arg_pool) {
+                        if defined == slot {
+                            pending.extend(args.into_iter().filter_map(operand_slot));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    if mode_registers.len() > MAX_MODE_REGISTERS
+        || mode_registers
+            .iter()
+            .any(|&r| registers[r as usize].1.as_bool().is_none())
+    {
+        return None;
+    }
+    mode_registers.sort_unstable();
+
+    let modes = (0..1usize << mode_registers.len())
+        .map(|valuation| {
+            let register_value = |register: u32| -> Known {
+                match mode_registers.iter().position(|&r| r == register) {
+                    Some(i) => Known::Is(Value::Bool(valuation >> i & 1 == 1)),
+                    None => Known::Dynamic,
+                }
+            };
+            specialize_mode(ops, clock_pool, arg_pool, slots, register_value)
+        })
+        .collect::<Option<Vec<Mode>>>()?;
+    Some((mode_registers, modes))
+}
+
+/// Decides every clock of `ops` for one valuation of the mode registers
+/// and lowers the ops of the present signals to their static form (see
+/// [`State::exec_static`]); `None` when some clock stays undecided.
+fn specialize_mode(
+    ops: &[Op],
+    clock_pool: &[ClockOp],
+    arg_pool: &[Operand],
+    slots: usize,
+    register_value: impl Fn(u32) -> Known,
+) -> Option<Mode> {
+    let mut present = vec![false; slots];
+    let mut known = vec![Known::Absent; slots];
+    let mut lowered = Vec::new();
+    // A leaf's bit in this mode, `None` while it depends on a run-time
+    // value.
+    let decide = |present: &[bool], known: &[Known], leaf: ClockOp| -> Option<bool> {
+        let sampled = |slot: u32, want: bool| {
+            if !present[slot as usize] {
+                return Some(false);
+            }
+            match known[slot as usize] {
+                Known::Absent => Some(false),
+                Known::Is(v) => Some(v == Value::Bool(want)),
+                Known::Dynamic => None,
+            }
+        };
+        match leaf {
+            ClockOp::True => Some(true),
+            ClockOp::Present(s) => Some(present[s as usize]),
+            ClockOp::SampleTrue(s) => sampled(s, true),
+            ClockOp::SampleFalse(s) => sampled(s, false),
+            ClockOp::And | ClockOp::Or | ClockOp::Diff => None,
+        }
+    };
+    let mut stack = Vec::new();
+    let operand = |known: &[Known], o: Operand| match o {
+        Operand::Const(v) => Known::Is(v),
+        Operand::Slot(s) => known[s as usize],
+    };
+    for op in ops {
+        let decided = match *op {
+            Op::Leaf { leaf, .. } => Some(decide(&present, &known, leaf)?),
+            Op::Clock { start, end, .. } => Some(eval_postfix(
+                &clock_pool[start as usize..end as usize],
+                &mut stack,
+                |leaf| decide(&present, &known, leaf),
+            )?),
+            _ => None,
+        };
+        if let (Some(slot), Some(p)) = (clocked_slot(op), decided) {
+            present[slot as usize] = p;
+            continue;
+        }
+        if let Op::Update { source, .. } = *op {
+            // Latches exactly when its source has a value by now.
+            if present[source as usize] && known[source as usize] != Known::Absent {
+                lowered.push(*op);
+            }
+            continue;
+        }
+        let slot = presence_reads(op, clock_pool)[0];
+        if !present[slot as usize] {
+            continue;
+        }
+        // A decided `default` is a copy of its chosen side.
+        let op = match *op {
+            Op::Select {
+                slot,
+                left,
+                left_guard,
+                right,
+            } => Op::Copy {
+                slot,
+                arg: if left_guard.is_none_or(|g| present[g as usize]) {
+                    left
+                } else {
+                    right
+                },
+            },
+            other => other,
+        };
+        // The operands this op reads, each known to hold a value or not.
+        let args: Vec<Known> = match op {
+            Op::Write { slot, .. } => vec![known[slot as usize]],
+            _ => operands(&op, arg_pool)
+                .map_or_else(Vec::new, |(_, args)| args)
+                .into_iter()
+                .map(|a| operand(&known, a))
+                .collect(),
+        };
+        if args.contains(&Known::Absent) {
+            lowered.push(Op::Missing { slot });
+            known[slot as usize] = Known::Absent;
+            continue;
+        }
+        let folded: Option<Vec<Value>> = args
+            .iter()
+            .map(|a| match a {
+                Known::Is(v) => Some(*v),
+                _ => None,
+            })
+            .collect();
+        let fixed = match (op, folded) {
+            (Op::Delay { register, .. }, _) => register_value(register),
+            (Op::Copy { .. }, Some(values)) => Known::Is(values[0]),
+            (
+                Op::Unary { op: f, .. } | Op::Binary { op: f, .. } | Op::Func { op: f, .. },
+                Some(values),
+            ) => {
+                // An error faults at run time, with the same message.
+                eval_op(f, &values).map_or(Known::Dynamic, Known::Is)
+            }
+            _ => Known::Dynamic,
+        };
+        match (op, fixed) {
+            (Op::Write { .. }, _) => {}
+            (_, Known::Is(v)) => {
+                known[slot as usize] = fixed;
+                lowered.push(Op::Copy {
+                    slot,
+                    arg: Operand::Const(v),
+                });
+                continue;
+            }
+            _ => known[slot as usize] = fixed,
+        }
+        lowered.push(op);
+    }
+    Some(Mode::new(lowered, arg_pool))
+}
+
+/// Per-slot flag: the signal is present at this instant.
+const PRESENT: u8 = 1;
+/// Per-slot flag: the slot holds this instant's value.
+const HAS_VALUE: u8 = 2;
+
+/// Why a reaction did not commit.
+enum Stall {
+    /// The read of input queue `.0` found it empty; the reaction is
+    /// suspended at that read.
+    NeedInput(u32),
+    /// The reaction faulted and was discarded.  Boxed, so the hot path
+    /// passes a word-sized result.
+    Fault(Box<RuntimeError>),
+}
+
+#[cold]
+fn fault(error: RuntimeError) -> Stall {
+    Stall::Fault(Box::new(error))
+}
+
+/// The fault of an equation defining `slot` whose operand has no value.
+#[cold]
+fn missing(program: &CompiledProgram, slot: u32) -> Stall {
+    fault(RuntimeError::MissingOperand(
+        program.slot_names[slot as usize].clone(),
+    ))
+}
+
+/// The mutable half of a [`CompiledRuntime`]: observable state (registers,
+/// queues, flows, the step count) and the scratch of the current
+/// reaction, kept apart from the shared program so a reaction borrows
+/// both at once.
 #[derive(Debug, Clone)]
-pub struct CompiledRuntime {
-    program: CompiledProgram,
+struct State {
     values: Vec<Value>,
-    present: SlotBits,
-    has_value: SlotBits,
+    /// `PRESENT | HAS_VALUE` bits per slot, for the current reaction.
+    flags: Vec<u8>,
     registers: Vec<Value>,
     queues: Vec<VecDeque<Value>>,
     flows: Vec<Vec<Value>>,
     steps: u64,
-    // Reusable per-step scratch (cleared, never shrunk).
+    /// Where the suspended reaction resumes, while one waits on an empty
+    /// queue: its mode (`None`: the program's own ops, every clock
+    /// computed) and the read's index.
+    resume: Option<(Option<usize>, usize)>,
+    // Reusable per-reaction scratch (drained at commit, never shrunk).
     clock_stack: Vec<bool>,
     consumed: Vec<u32>,
     latches: Vec<(u32, Value)>,
@@ -405,30 +883,46 @@ pub struct CompiledRuntime {
     args_buf: Vec<Value>,
 }
 
+/// Executes a [`CompiledProgram`] over a flat value array, per-slot
+/// presence flags, and index-addressed registers, queues and flows.
+///
+/// Semantics are identical to
+/// [`SequentialRuntime`](crate::SequentialRuntime): a step either
+/// completes (inputs consumed, registers latched, outputs appended) or
+/// fails with [`RuntimeError`] leaving every observable unchanged — the
+/// consumed inputs, register latches and output appends are staged in
+/// reusable scratch buffers and committed only on success, so the hot
+/// path allocates nothing after the first step.  A step that fails for an
+/// exhausted input is suspended, not discarded: after a feed, the next
+/// step resumes at the read that stopped it.
+#[derive(Debug, Clone)]
+pub struct CompiledRuntime {
+    program: Arc<CompiledProgram>,
+    state: State,
+}
+
 impl CompiledRuntime {
     /// Creates a runtime with every register at its initial value and
-    /// empty input queues.
-    pub fn new(program: CompiledProgram) -> CompiledRuntime {
+    /// empty input queues.  Pass an `Arc` to share one compiled program
+    /// among many runtimes.
+    pub fn new(program: impl Into<Arc<CompiledProgram>>) -> CompiledRuntime {
+        let program = program.into();
         let slots = program.slot_count();
-        let registers = program.registers.iter().map(|(_, v)| *v).collect();
-        let queues = program.inputs.iter().map(|_| VecDeque::new()).collect();
-        let flows = program.outputs.iter().map(|_| Vec::new()).collect();
-        let max_clock_depth = program.max_clock_depth;
-        CompiledRuntime {
-            program,
+        let state = State {
             values: vec![Value::Bool(false); slots],
-            present: SlotBits::new(slots),
-            has_value: SlotBits::new(slots),
-            registers,
-            queues,
-            flows,
+            flags: vec![0; slots],
+            registers: program.registers.iter().map(|(_, v)| *v).collect(),
+            queues: program.inputs.iter().map(|_| VecDeque::new()).collect(),
+            flows: program.outputs.iter().map(|_| Vec::new()).collect(),
             steps: 0,
-            clock_stack: Vec::with_capacity(max_clock_depth),
-            consumed: Vec::new(),
-            latches: Vec::new(),
-            pending_writes: Vec::new(),
+            resume: None,
+            clock_stack: Vec::with_capacity(program.max_clock_depth),
+            consumed: Vec::with_capacity(program.inputs.len()),
+            latches: Vec::with_capacity(program.registers.len()),
+            pending_writes: Vec::with_capacity(program.outputs.len()),
             args_buf: Vec::new(),
-        }
+        };
+        CompiledRuntime { program, state }
     }
 
     /// Compiles and instantiates in one call.
@@ -447,23 +941,15 @@ impl CompiledRuntime {
         I: IntoIterator<Item = V>,
         V: Into<Value>,
     {
-        if let Some(i) = self
-            .program
-            .inputs
-            .iter()
-            .position(|(n, _)| n.as_str() == signal)
-        {
-            self.queues[i].extend(values.into_iter().map(Into::into));
+        if let Some(i) = self.input_port(signal) {
+            self.state.queues[i].extend(values.into_iter().map(Into::into));
         }
     }
 
     /// The number of values waiting on an input queue.
     pub fn pending(&self, signal: &str) -> usize {
-        self.program
-            .inputs
-            .iter()
-            .position(|(n, _)| n.as_str() == signal)
-            .map(|i| self.queues[i].len())
+        self.input_port(signal)
+            .map(|i| self.state.queues[i].len())
             .unwrap_or(0)
     }
 
@@ -473,13 +959,20 @@ impl CompiledRuntime {
             .outputs
             .iter()
             .position(|(n, _)| n.as_str() == signal)
-            .map(|i| self.flows[i].as_slice())
+            .map(|i| self.state.flows[i].as_slice())
             .unwrap_or_default()
     }
 
     /// The number of executed steps.
     pub fn steps(&self) -> u64 {
-        self.steps
+        self.state.steps
+    }
+
+    fn input_port(&self, signal: &str) -> Option<usize> {
+        self.program
+            .inputs
+            .iter()
+            .position(|(n, _)| n.as_str() == signal)
     }
 
     /// Executes one step of the compiled program.
@@ -487,112 +980,101 @@ impl CompiledRuntime {
     /// # Errors
     ///
     /// Returns [`RuntimeError::InputExhausted`] when a present input has
-    /// no value queued; the runtime state is left untouched, exactly like
-    /// the interpreter.
+    /// no value queued; no observable state changes, exactly like the
+    /// interpreter, and the reaction stays suspended at that read until
+    /// the next step resumes it.
     pub fn step(&mut self) -> Result<(), RuntimeError> {
-        self.present.clear();
-        self.has_value.clear();
-        self.consumed.clear();
-        self.latches.clear();
-        self.pending_writes.clear();
-        // Indexed opcode loop: the iterator would borrow `self.program`
-        // while the body mutates sibling fields, and splitting the borrow
-        // per field costs nothing here.
-        for i in 0..self.program.ops.len() {
-            match self.program.ops[i] {
-                Op::Clock { slot, start, end } => {
-                    let p = self.eval_clock(start as usize, end as usize);
-                    self.present.set(slot, p);
+        self.state
+            .react(&self.program)
+            .map_err(|stall| match stall {
+                Stall::NeedInput(queue) => {
+                    RuntimeError::InputExhausted(self.program.inputs[queue as usize].0.clone())
                 }
-                Op::Read { slot, queue } => {
-                    if self.present.get(slot) {
-                        match self.queues[queue as usize].front().copied() {
-                            Some(v) => {
-                                self.values[slot as usize] = v;
-                                self.has_value.set(slot, true);
-                                self.consumed.push(queue);
-                            }
-                            None => {
-                                return Err(RuntimeError::InputExhausted(
-                                    self.program.slot_names[slot as usize].clone(),
-                                ))
-                            }
-                        }
-                    }
-                }
-                Op::Delay { slot, register } => {
-                    if self.present.get(slot) {
-                        self.values[slot as usize] = self.registers[register as usize];
-                        self.has_value.set(slot, true);
-                    }
-                }
-                Op::Func {
-                    slot,
-                    op,
-                    start,
-                    end,
-                } => {
-                    if self.present.get(slot) {
-                        self.args_buf.clear();
-                        for a in &self.program.arg_pool[start as usize..end as usize] {
-                            match self.value_of(*a) {
-                                Some(v) => self.args_buf.push(v),
-                                None => return Err(self.missing_operand(slot)),
-                            }
-                        }
-                        let v = eval_op(op, &self.args_buf)?;
-                        self.values[slot as usize] = v;
-                        self.has_value.set(slot, true);
-                    }
-                }
-                Op::Copy { slot, arg } => {
-                    if self.present.get(slot) {
-                        match self.value_of(arg) {
-                            Some(v) => {
-                                self.values[slot as usize] = v;
-                                self.has_value.set(slot, true);
-                            }
-                            None => return Err(self.missing_operand(slot)),
-                        }
-                    }
-                }
-                Op::Select {
-                    slot,
-                    left,
-                    left_guard,
-                    right,
-                } => {
-                    if self.present.get(slot) {
-                        let left_present = left_guard.map(|g| self.present.get(g)).unwrap_or(true);
-                        let chosen = if left_present { left } else { right };
-                        match self.value_of(chosen) {
-                            Some(v) => {
-                                self.values[slot as usize] = v;
-                                self.has_value.set(slot, true);
-                            }
-                            None => return Err(self.missing_operand(slot)),
-                        }
-                    }
-                }
-                Op::Write { slot, output } => {
-                    if self.present.get(slot) {
-                        match self.has_value.get(slot) {
-                            true => self
-                                .pending_writes
-                                .push((output, self.values[slot as usize])),
-                            false => return Err(self.missing_operand(slot)),
-                        }
-                    }
-                }
-                Op::Update { register, source } => {
-                    if self.present.get(source) && self.has_value.get(source) {
-                        self.latches.push((register, self.values[source as usize]));
-                    }
-                }
+                Stall::Fault(error) => *error,
+            })
+    }
+
+    /// Runs steps until an input is exhausted or `max_steps` is reached;
+    /// returns the number of completed steps.
+    pub fn run(&mut self, max_steps: usize) -> usize {
+        let mut done = 0;
+        for _ in 0..max_steps {
+            if self.state.react(&self.program).is_err() {
+                break;
+            }
+            done += 1;
+        }
+        done
+    }
+}
+
+impl State {
+    #[inline]
+    fn present(&self, slot: u32) -> bool {
+        self.flags[slot as usize] & PRESENT != 0
+    }
+
+    /// Sets the presence of `slot`, keeping any value already computed.
+    #[inline]
+    fn set_present(&mut self, slot: u32, present: bool) {
+        let flags = &mut self.flags[slot as usize];
+        *flags = (*flags & HAS_VALUE) | u8::from(present);
+    }
+
+    /// Stores `value` as this instant's value of `slot`.
+    #[inline]
+    fn define(&mut self, slot: u32, value: Value) {
+        self.values[slot as usize] = value;
+        self.flags[slot as usize] |= HAS_VALUE;
+    }
+
+    /// Present and holding exactly `value` this instant.
+    #[inline]
+    fn sampled(&self, slot: u32, value: Value) -> bool {
+        self.flags[slot as usize] == PRESENT | HAS_VALUE && self.values[slot as usize] == value
+    }
+
+    #[inline]
+    fn value_of(&self, operand: Operand) -> Option<Value> {
+        match operand {
+            Operand::Const(v) => Some(v),
+            Operand::Slot(slot) => {
+                (self.flags[slot as usize] & HAS_VALUE != 0).then(|| self.values[slot as usize])
             }
         }
+    }
+
+    /// Runs (or resumes) one reaction and commits it.  A read that finds
+    /// its queue empty suspends the reaction there with every staged
+    /// effect kept; a fault discards it.
+    fn react(&mut self, program: &CompiledProgram) -> Result<(), Stall> {
+        let (mode, from) = match self.resume.take() {
+            Some(point) => point,
+            None => {
+                let mode = self.mode(program);
+                if mode.is_none() {
+                    self.flags.fill(0);
+                }
+                (mode, 0)
+            }
+        };
+        let run = match mode.map(|m| &program.modes[m]) {
+            Some(mode) => self.run_ops(program, &mode.ops, from, |state, program, at, op| {
+                state.exec_static(program, op, at >= mode.direct_from)
+            }),
+            None => self.run_ops(program, &program.ops, from, |state, program, _, op| {
+                state.exec(program, op)
+            }),
+        };
+        if let Err((at, stall)) = run {
+            match stall {
+                Stall::NeedInput(_) => self.resume = Some((mode, at)),
+                Stall::Fault(_) => self.discard(),
+            }
+            return Err(stall);
+        }
         // Commit: consume inputs, append outputs and latch registers only
-        // on success.
+        // once the whole reaction ran.
         for &queue in &self.consumed {
             self.queues[queue as usize].pop_front();
         }
@@ -602,75 +1084,271 @@ impl CompiledRuntime {
         for &(register, v) in &self.latches {
             self.registers[register as usize] = v;
         }
+        self.discard();
         self.steps += 1;
         Ok(())
     }
 
-    /// Runs steps until an input is exhausted or `max_steps` is reached;
-    /// returns the number of completed steps.
-    pub fn run(&mut self, max_steps: usize) -> usize {
-        let mut done = 0;
-        for _ in 0..max_steps {
-            if self.step().is_err() {
-                break;
-            }
-            done += 1;
+    /// Executes `ops[from..]`, stopping at the first op that stalls.
+    #[inline(always)]
+    fn run_ops(
+        &mut self,
+        program: &CompiledProgram,
+        ops: &[Op],
+        from: usize,
+        exec: impl Fn(&mut Self, &CompiledProgram, usize, &Op) -> Result<(), Stall>,
+    ) -> Result<(), (usize, Stall)> {
+        for (at, op) in ops.iter().enumerate().skip(from) {
+            exec(self, program, at, op).map_err(|stall| (at, stall))?;
         }
-        done
+        Ok(())
     }
 
+    /// The mode the registers select for the next reaction; `None` when
+    /// the program has none or a mode register holds a non-boolean.
+    fn mode(&self, program: &CompiledProgram) -> Option<usize> {
+        if program.modes.is_empty() {
+            return None;
+        }
+        let mut mode = 0;
+        for (i, &register) in program.mode_registers.iter().enumerate() {
+            match self.registers[register as usize] {
+                Value::Bool(b) => mode |= usize::from(b) << i,
+                Value::Int(_) => return None,
+            }
+        }
+        Some(mode)
+    }
+
+    /// Drops the staged effects of a committed or discarded reaction.
+    fn discard(&mut self) {
+        self.consumed.clear();
+        self.pending_writes.clear();
+        self.latches.clear();
+    }
+
+    #[inline(always)]
+    fn exec(&mut self, program: &CompiledProgram, op: &Op) -> Result<(), Stall> {
+        match *op {
+            Op::Leaf { slot, leaf } => self.set_present(slot, self.leaf(leaf)),
+            Op::Clock { slot, start, end } => {
+                let mut stack = std::mem::take(&mut self.clock_stack);
+                let p = eval_postfix(
+                    &program.clock_pool[start as usize..end as usize],
+                    &mut stack,
+                    |leaf| Some(self.leaf(leaf)),
+                );
+                self.clock_stack = stack;
+                self.set_present(slot, p.expect("well-formed clock program"));
+            }
+            Op::Read { slot, queue } => {
+                if self.present(slot) {
+                    match self.queues[queue as usize].front() {
+                        Some(&v) => {
+                            self.define(slot, v);
+                            self.consumed.push(queue);
+                        }
+                        None => return Err(Stall::NeedInput(queue)),
+                    }
+                }
+            }
+            Op::Delay { slot, register } => {
+                if self.present(slot) {
+                    self.define(slot, self.registers[register as usize]);
+                }
+            }
+            Op::Unary { slot, op, arg } => {
+                if self.present(slot) {
+                    let a = self.operand(program, slot, arg)?;
+                    let v = eval_op(op, &[a]).map_err(fault)?;
+                    self.define(slot, v);
+                }
+            }
+            Op::Binary {
+                slot,
+                op,
+                left,
+                right,
+            } => {
+                if self.present(slot) {
+                    let a = self.operand(program, slot, left)?;
+                    let b = self.operand(program, slot, right)?;
+                    let v = eval_op(op, &[a, b]).map_err(fault)?;
+                    self.define(slot, v);
+                }
+            }
+            Op::Func {
+                slot,
+                op,
+                start,
+                end,
+            } => {
+                if self.present(slot) {
+                    self.args_buf.clear();
+                    for a in &program.arg_pool[start as usize..end as usize] {
+                        let v = self.operand(program, slot, *a)?;
+                        self.args_buf.push(v);
+                    }
+                    let v = eval_op(op, &self.args_buf).map_err(fault)?;
+                    self.define(slot, v);
+                }
+            }
+            Op::Copy { slot, arg } => {
+                if self.present(slot) {
+                    let v = self.operand(program, slot, arg)?;
+                    self.define(slot, v);
+                }
+            }
+            Op::Select {
+                slot,
+                left,
+                left_guard,
+                right,
+            } => {
+                if self.present(slot) {
+                    let left_present = left_guard.is_none_or(|g| self.present(g));
+                    let chosen = if left_present { left } else { right };
+                    let v = self.operand(program, slot, chosen)?;
+                    self.define(slot, v);
+                }
+            }
+            Op::Write { slot, output } => {
+                if self.present(slot) {
+                    let v = self.operand(program, slot, Operand::Slot(slot))?;
+                    self.pending_writes.push((output, v));
+                }
+            }
+            Op::Update { register, source } => {
+                if self.flags[source as usize] == PRESENT | HAS_VALUE {
+                    self.latches.push((register, self.values[source as usize]));
+                }
+            }
+            Op::Missing { slot } => return Err(missing(program, slot)),
+        }
+        Ok(())
+    }
+
+    /// Executes one op of a [`Mode`]: every op there is of a present
+    /// signal whose operands hold values, so it reads and writes `values`
+    /// alone, without presence flags.  A `direct` op is past the last
+    /// point the reaction could stop: it consumes, writes or latches at
+    /// once instead of staging.
+    #[inline(always)]
+    fn exec_static(
+        &mut self,
+        program: &CompiledProgram,
+        op: &Op,
+        direct: bool,
+    ) -> Result<(), Stall> {
+        match *op {
+            Op::Read { slot, queue } => {
+                let input = &mut self.queues[queue as usize];
+                let head = if direct {
+                    input.pop_front()
+                } else {
+                    input.front().copied()
+                };
+                match head {
+                    Some(v) => {
+                        self.values[slot as usize] = v;
+                        if !direct {
+                            self.consumed.push(queue);
+                        }
+                    }
+                    None => return Err(Stall::NeedInput(queue)),
+                }
+            }
+            Op::Delay { slot, register } => {
+                self.values[slot as usize] = self.registers[register as usize];
+            }
+            Op::Unary { slot, op, arg } => {
+                let v = eval_op(op, &[self.fixed(arg)]).map_err(fault)?;
+                self.values[slot as usize] = v;
+            }
+            Op::Binary {
+                slot,
+                op,
+                left,
+                right,
+            } => {
+                let v = eval_op(op, &[self.fixed(left), self.fixed(right)]).map_err(fault)?;
+                self.values[slot as usize] = v;
+            }
+            Op::Func {
+                slot,
+                op,
+                start,
+                end,
+            } => {
+                self.args_buf.clear();
+                for &a in &program.arg_pool[start as usize..end as usize] {
+                    let v = self.fixed(a);
+                    self.args_buf.push(v);
+                }
+                let v = eval_op(op, &self.args_buf).map_err(fault)?;
+                self.values[slot as usize] = v;
+            }
+            Op::Copy { slot, arg } => self.values[slot as usize] = self.fixed(arg),
+            Op::Write { slot, output } => {
+                let v = self.values[slot as usize];
+                if direct {
+                    self.flows[output as usize].push(v);
+                } else {
+                    self.pending_writes.push((output, v));
+                }
+            }
+            Op::Update { register, source } => {
+                let v = self.values[source as usize];
+                if direct {
+                    self.registers[register as usize] = v;
+                } else {
+                    self.latches.push((register, v));
+                }
+            }
+            Op::Missing { slot } => return Err(missing(program, slot)),
+            Op::Leaf { .. } | Op::Clock { .. } | Op::Select { .. } => {
+                unreachable!("a mode decides every clock and every default statically")
+            }
+        }
+        Ok(())
+    }
+
+    /// An operand known to hold a value.
     #[inline]
-    fn value_of(&self, operand: Operand) -> Option<Value> {
+    fn fixed(&self, operand: Operand) -> Value {
         match operand {
-            Operand::Const(v) => Some(v),
-            Operand::Slot(slot) => self.has_value.get(slot).then(|| self.values[slot as usize]),
+            Operand::Const(v) => v,
+            Operand::Slot(slot) => self.values[slot as usize],
         }
     }
 
-    fn missing_operand(&self, slot: u32) -> RuntimeError {
-        RuntimeError::MissingOperand(self.program.slot_names[slot as usize].clone())
+    /// The value of an operand of the equation defining `slot`.
+    #[inline]
+    fn operand(
+        &self,
+        program: &CompiledProgram,
+        slot: u32,
+        operand: Operand,
+    ) -> Result<Value, Stall> {
+        self.value_of(operand).ok_or_else(|| missing(program, slot))
     }
 
-    /// Evaluates one flattened clock program over the reusable stack.
-    fn eval_clock(&mut self, start: usize, end: usize) -> bool {
-        self.clock_stack.clear();
-        for op in &self.program.clock_pool[start..end] {
-            match *op {
-                ClockOp::True => self.clock_stack.push(true),
-                ClockOp::Present(slot) => self.clock_stack.push(self.present.get(slot)),
-                ClockOp::SampleTrue(slot) => self.clock_stack.push(
-                    self.present.get(slot)
-                        && self.has_value.get(slot)
-                        && self.values[slot as usize].is_true(),
-                ),
-                ClockOp::SampleFalse(slot) => self.clock_stack.push(
-                    self.present.get(slot)
-                        && self.has_value.get(slot)
-                        && self.values[slot as usize].is_false(),
-                ),
-                ClockOp::And => {
-                    let b = self.clock_stack.pop().expect("well-formed clock program");
-                    let a = self.clock_stack.pop().expect("well-formed clock program");
-                    self.clock_stack.push(a && b);
-                }
-                ClockOp::Or => {
-                    let b = self.clock_stack.pop().expect("well-formed clock program");
-                    let a = self.clock_stack.pop().expect("well-formed clock program");
-                    self.clock_stack.push(a || b);
-                }
-                ClockOp::Diff => {
-                    let b = self.clock_stack.pop().expect("well-formed clock program");
-                    let a = self.clock_stack.pop().expect("well-formed clock program");
-                    self.clock_stack.push(a && !b);
-                }
-            }
+    /// The bit of one clock leaf at this point of the reaction (`true`
+    /// for the root clock; an operator is never a leaf).
+    #[inline]
+    fn leaf(&self, leaf: ClockOp) -> bool {
+        match leaf {
+            ClockOp::Present(slot) => self.present(slot),
+            ClockOp::SampleTrue(slot) => self.sampled(slot, Value::Bool(true)),
+            ClockOp::SampleFalse(slot) => self.sampled(slot, Value::Bool(false)),
+            ClockOp::True | ClockOp::And | ClockOp::Or | ClockOp::Diff => true,
         }
-        self.clock_stack.pop().expect("well-formed clock program")
     }
 }
 
 /// Compiled step machines deploy on the GALS runtime exactly like the
-/// interpreter does — the engine never sees the difference.
+/// interpreter does — the engine never sees the difference, except that
+/// a refused step here keeps its partial reaction and resumes it.
 impl gals_rt::StepMachine for CompiledRuntime {
     fn machine_name(&self) -> &str {
         &self.program.name
@@ -688,20 +1366,23 @@ impl gals_rt::StepMachine for CompiledRuntime {
             .collect()
     }
 
-    fn feed_value(&mut self, signal: &str, value: Value) {
-        self.feed(signal, [value]);
-    }
-
-    fn try_step(&mut self) -> Result<(), gals_rt::StepFault> {
-        match self.step() {
-            Ok(()) => Ok(()),
-            Err(RuntimeError::InputExhausted(signal)) => Err(gals_rt::StepFault::NeedInput(signal)),
-            Err(other) => Err(gals_rt::StepFault::Fault(other.to_string())),
+    fn feed(&mut self, port: usize, value: Value) {
+        if let Some(queue) = self.state.queues.get_mut(port) {
+            queue.push_back(value);
         }
     }
 
-    fn produced(&self, signal: &str) -> &[Value] {
-        self.output(signal)
+    fn try_step(&mut self) -> Result<(), gals_rt::StepFault> {
+        self.state
+            .react(&self.program)
+            .map_err(|stall| match stall {
+                Stall::NeedInput(queue) => gals_rt::StepFault::NeedInput(queue as usize),
+                Stall::Fault(error) => gals_rt::StepFault::Fault(error.to_string()),
+            })
+    }
+
+    fn output(&self, port: usize) -> &[Value] {
+        self.state.flows.get(port).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -793,6 +1474,31 @@ mod tests {
     }
 
     #[test]
+    fn the_buffer_runs_one_straight_line_program_per_phase() {
+        let compiled = CompiledProgram::compile(&generate_from_kernel(
+            &stdlib::buffer().normalize().unwrap(),
+        ));
+        // `s` alone decides every clock: the read phase and the write
+        // phase, each without clock ops or the other phase's ops.
+        assert_eq!(compiled.mode_registers.len(), 1);
+        assert_eq!(compiled.modes.len(), 2);
+        for mode in &compiled.modes {
+            assert!(
+                mode.ops.len() < compiled.ops.len() / 2 + 2,
+                "{:?}",
+                mode.ops
+            );
+            assert!(mode.ops.iter().all(|op| clocked_slot(op).is_none()));
+        }
+        // The filter samples its input: no valuation of registers decides
+        // its clocks.
+        let filter = CompiledProgram::compile(&generate_from_kernel(
+            &stdlib::filter().normalize().unwrap(),
+        ));
+        assert!(filter.modes.is_empty());
+    }
+
+    #[test]
     fn compilation_interns_every_interface_signal() {
         let program = generate_from_kernel(&stdlib::producer().normalize().unwrap());
         let compiled = CompiledProgram::compile(&program);
@@ -806,23 +1512,20 @@ mod tests {
         let mut rt = compiled_of(&stdlib::buffer());
         rt.feed("y", [true, false, true, false, true, false, true, false]);
         assert_eq!(rt.run(2), 2);
-        let caps = (
-            rt.clock_stack.capacity(),
-            rt.consumed.capacity(),
-            rt.latches.capacity(),
-            rt.pending_writes.capacity(),
-            rt.args_buf.capacity(),
-        );
+        let caps = |rt: &CompiledRuntime| {
+            (
+                rt.state.clock_stack.capacity(),
+                rt.state.consumed.capacity(),
+                rt.state.latches.capacity(),
+                rt.state.pending_writes.capacity(),
+                rt.state.args_buf.capacity(),
+            )
+        };
+        let before = caps(&rt);
         assert!(rt.run(100) >= 10);
         assert_eq!(
-            caps,
-            (
-                rt.clock_stack.capacity(),
-                rt.consumed.capacity(),
-                rt.latches.capacity(),
-                rt.pending_writes.capacity(),
-                rt.args_buf.capacity(),
-            ),
+            before,
+            caps(&rt),
             "per-step scratch reallocated on the hot path"
         );
     }

@@ -115,9 +115,9 @@ impl gals_rt::StepMachine for EmittedMachine {
         self.outputs.clone()
     }
 
-    fn feed_value(&mut self, signal: &str, value: Value) {
-        if let Some(index) = self.inputs.iter().position(|n| n.as_str() == signal) {
-            let _ = writeln!(self.stdin, "feed {index} {}", render_value(value));
+    fn feed(&mut self, port: usize, value: Value) {
+        if port < self.inputs.len() {
+            let _ = writeln!(self.stdin, "feed {port} {}", render_value(value));
         }
     }
 
@@ -150,15 +150,12 @@ impl gals_rt::StepMachine for EmittedMachine {
                 }
                 Ok(())
             }
-            ["need", index] => {
-                let index: usize = index
-                    .parse()
-                    .map_err(|_| gals_rt::StepFault::Fault(format!("bad input index: {line}")))?;
-                let signal = self.inputs.get(index).cloned().ok_or_else(|| {
-                    gals_rt::StepFault::Fault(format!("input index out of range: {line}"))
-                })?;
-                Err(gals_rt::StepFault::NeedInput(signal))
-            }
+            ["need", index] => match index.parse::<usize>() {
+                Ok(port) if port < self.inputs.len() => Err(gals_rt::StepFault::NeedInput(port)),
+                _ => Err(gals_rt::StepFault::Fault(format!(
+                    "bad input index: {line}"
+                ))),
+            },
             ["fault"] => Err(gals_rt::StepFault::Fault("emitted machine faulted".into())),
             _ => Err(gals_rt::StepFault::Fault(format!(
                 "unexpected response: {line}"
@@ -166,12 +163,8 @@ impl gals_rt::StepMachine for EmittedMachine {
         }
     }
 
-    fn produced(&self, signal: &str) -> &[Value] {
-        self.outputs
-            .iter()
-            .position(|n| n.as_str() == signal)
-            .map(|i| self.produced[i].as_slice())
-            .unwrap_or_default()
+    fn output(&self, port: usize) -> &[Value] {
+        self.produced.get(port).map_or(&[], Vec::as_slice)
     }
 }
 

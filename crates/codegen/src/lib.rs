@@ -14,9 +14,11 @@
 //!   against FIFO input sources, kept as the readable reference
 //!   semantics;
 //! * [`compile`] — the slot-indexed compiled form: names interned into
-//!   dense indices, clock trees flattened to postfix programs, equations
-//!   pre-bound into opcodes, executed with zero per-step allocation —
-//!   what every deployment of a verified design runs;
+//!   dense indices, clocks lowered to flag operations (or specialized away
+//!   per valuation of the registers that decide them), equations
+//!   pre-bound into opcodes, executed with zero per-step allocation and
+//!   reactions that suspend at an empty read and resume there — what
+//!   every deployment of a verified design runs;
 //! * [`types`] — static value-type inference over a step program, shared
 //!   by the source emitters;
 //! * [`emit_rust`](mod@emit_rust) — emission of the step function as a self-contained

@@ -252,20 +252,36 @@ impl gals_rt::StepMachine for SequentialRuntime {
         self.program.outputs.clone()
     }
 
-    fn feed_value(&mut self, signal: &str, value: Value) {
-        self.feed(signal, [value]);
+    fn feed(&mut self, port: usize, value: Value) {
+        if let Some(queue) = self
+            .program
+            .inputs
+            .get(port)
+            .and_then(|signal| self.inputs.get_mut(signal))
+        {
+            queue.push_back(value);
+        }
     }
 
     fn try_step(&mut self) -> Result<(), gals_rt::StepFault> {
         match self.step() {
             Ok(_) => Ok(()),
-            Err(RuntimeError::InputExhausted(signal)) => Err(gals_rt::StepFault::NeedInput(signal)),
+            Err(RuntimeError::InputExhausted(signal)) => Err(gals_rt::StepFault::NeedInput(
+                self.program
+                    .inputs
+                    .iter()
+                    .position(|input| *input == signal)
+                    .expect("an exhausted input is a declared input"),
+            )),
             Err(other) => Err(gals_rt::StepFault::Fault(other.to_string())),
         }
     }
 
-    fn produced(&self, signal: &str) -> &[Value] {
-        self.output(signal)
+    fn output(&self, port: usize) -> &[Value] {
+        self.program
+            .outputs
+            .get(port)
+            .map_or(&[], |signal| self.output(signal.as_str()))
     }
 }
 
@@ -293,6 +309,7 @@ fn eval_clock(
     }
 }
 
+#[inline]
 pub(crate) fn eval_op(op: PrimOp, args: &[Value]) -> Result<Value, RuntimeError> {
     let int = |v: &Value| {
         v.as_int()

@@ -2,10 +2,10 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use clocks::{Clock, ClockAlgebra, ClockAnalysis, ClockExpr};
-use codegen::{ClockCode, SequentialRuntime, StepProgram};
+use codegen::{ClockCode, CompiledProgram, SequentialRuntime, StepProgram};
 use gals_rt::{
     CapacityAnalysis, DeployError, Deployment, EdgeClocks, PerformancePrediction,
     ReferenceComponent,
@@ -69,6 +69,7 @@ pub struct Component {
     kernel: KernelProcess,
     analysis: ClockAnalysis,
     program: OnceLock<StepProgram>,
+    compiled: OnceLock<Arc<CompiledProgram>>,
 }
 
 impl Component {
@@ -81,6 +82,7 @@ impl Component {
             kernel,
             analysis,
             program: OnceLock::new(),
+            compiled: OnceLock::new(),
         })
     }
 
@@ -140,10 +142,19 @@ impl Component {
         SequentialRuntime::new(self.step_program())
     }
 
+    /// The slot-indexed compiled form of the step program, compiled on
+    /// first use and shared by every runtime instantiated from it.
+    pub fn compiled_program(&self) -> &Arc<CompiledProgram> {
+        self.compiled
+            .get_or_init(|| Arc::new(CompiledProgram::compile(self.program())))
+    }
+
     /// A ready-to-run compiled runtime (slot-indexed, zero per-step
-    /// allocation) executing the generated code.
+    /// allocation) executing the generated code.  Every call instantiates
+    /// the one stored compiled program: a component compiles once, however
+    /// often it deploys.
     pub fn compiled_runtime(&self) -> codegen::CompiledRuntime {
-        codegen::CompiledRuntime::from_program(self.program())
+        codegen::CompiledRuntime::new(Arc::clone(self.compiled_program()))
     }
 
     /// Activation signals for the synchronous reference interpreter: one

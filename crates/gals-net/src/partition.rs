@@ -345,14 +345,13 @@ impl PartitionPlan {
             if self.assignment[i] != process {
                 continue;
             }
-            let program = component.step_program();
-            for input in &program.inputs {
+            for input in component.kernel().inputs() {
                 if self.paced.contains(input) {
                     deployment.mark_paced(input.clone());
                 }
             }
             deployment.add_reference(component.reference());
-            deployment.add_machine(Box::new(codegen::CompiledRuntime::from_program(&program)));
+            deployment.add_machine(Box::new(component.compiled_runtime()));
         }
         for cut in self.cuts.iter().filter(|c| c.producer == process) {
             let tx = links.sender(cut)?;
@@ -473,13 +472,13 @@ impl StepMachine for BoundaryTx {
         Vec::new()
     }
 
-    fn feed_value(&mut self, _signal: &str, value: Value) {
+    fn feed(&mut self, _port: usize, value: Value) {
         self.queue.push_back(value);
     }
 
     fn try_step(&mut self) -> Result<(), StepFault> {
         let Some(value) = self.queue.pop_front() else {
-            return Err(StepFault::NeedInput(self.signal.clone()));
+            return Err(StepFault::NeedInput(0));
         };
         self.tx.send(value).map_err(|_| {
             StepFault::Fault(format!(
@@ -489,7 +488,7 @@ impl StepMachine for BoundaryTx {
         })
     }
 
-    fn produced(&self, _signal: &str) -> &[Value] {
+    fn output(&self, _port: usize) -> &[Value] {
         &[]
     }
 }
@@ -497,9 +496,8 @@ impl StepMachine for BoundaryTx {
 /// The incoming boundary of a partition: replays a cut signal from the
 /// cross-process link as a local producer.  When the link closes (the
 /// remote producer finished and the buffer drained — close-then-drain),
-/// the machine reports `NeedInput` on a signal it has no local source
-/// for, which the worker loop resolves as the clean
-/// environment-exhausted stop.
+/// the machine reports its stream [`StepFault::Exhausted`], which the
+/// worker loop resolves as the clean environment-exhausted stop.
 struct BoundarySrc {
     name: String,
     signal: Name,
@@ -533,11 +531,11 @@ impl StepMachine for BoundarySrc {
         vec![self.signal.clone()]
     }
 
-    fn feed_value(&mut self, _signal: &str, _value: Value) {}
+    fn feed(&mut self, _port: usize, _value: Value) {}
 
     fn try_step(&mut self) -> Result<(), StepFault> {
         if self.closed {
-            return Err(StepFault::NeedInput(self.signal.clone()));
+            return Err(StepFault::Exhausted(self.signal.clone()));
         }
         match self.rx.recv() {
             Ok(value) => {
@@ -546,12 +544,12 @@ impl StepMachine for BoundarySrc {
             }
             Err(_) => {
                 self.closed = true;
-                Err(StepFault::NeedInput(self.signal.clone()))
+                Err(StepFault::Exhausted(self.signal.clone()))
             }
         }
     }
 
-    fn produced(&self, _signal: &str) -> &[Value] {
+    fn output(&self, _port: usize) -> &[Value] {
         &self.flow
     }
 }

@@ -802,13 +802,13 @@ impl Deployment {
 
         // Preload the environment streams into their consumers.
         for (j, machine) in self.machines.iter_mut().enumerate() {
-            for input in machine.input_signals() {
-                if sources[j].contains_key(&input) {
+            for (port, input) in machine.input_signals().iter().enumerate() {
+                if sources[j].contains_key(input) {
                     continue;
                 }
-                if let Some(values) = self.feeds.get(&input) {
+                if let Some(values) = self.feeds.get(input) {
                     for value in values {
-                        machine.feed_value(input.as_str(), *value);
+                        machine.feed(port, *value);
                     }
                 }
             }
@@ -924,13 +924,13 @@ impl Deployment {
         // machine's internal input queue is consumed before its channel is
         // read, so preloaded tokens come strictly before streamed ones.
         for machine in self.machines.iter_mut() {
-            for input in machine.input_signals() {
-                if !environment.contains(&input) {
+            for (port, input) in machine.input_signals().iter().enumerate() {
+                if !environment.contains(input) {
                     continue;
                 }
-                if let Some(values) = self.feeds.get(&input) {
+                if let Some(values) = self.feeds.get(input) {
                     for value in values {
-                        machine.feed_value(input.as_str(), *value);
+                        machine.feed(port, *value);
                     }
                 }
             }
@@ -1270,8 +1270,8 @@ impl OutcomeParts {
         let mut component_traces = Vec::new();
         for report in self.reports {
             // Each machine is dropped right after its flows are copied.
-            for output in report.machine.output_signals() {
-                let flow = report.machine.produced(output.as_str()).to_vec();
+            for (port, output) in report.machine.output_signals().into_iter().enumerate() {
+                let flow = report.machine.output(port).to_vec();
                 flows.insert(output, flow);
             }
             if let Some(buffer) = report.trace {

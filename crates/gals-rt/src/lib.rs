@@ -48,16 +48,16 @@
 //!     fn machine_name(&self) -> &str { "count" }
 //!     fn input_signals(&self) -> Vec<Name> { vec![Name::from("tick")] }
 //!     fn output_signals(&self) -> Vec<Name> { vec![Name::from("n")] }
-//!     fn feed_value(&mut self, _signal: &str, value: Value) { self.ticks.push(value); }
+//!     fn feed(&mut self, _port: usize, value: Value) { self.ticks.push(value); }
 //!     fn try_step(&mut self) -> Result<(), StepFault> {
 //!         if self.ticks.is_empty() {
-//!             return Err(StepFault::NeedInput(Name::from("tick")));
+//!             return Err(StepFault::NeedInput(0)); // port 0: `tick`
 //!         }
 //!         self.ticks.remove(0);
 //!         self.out.push(Value::Int(self.out.len() as i64 + 1));
 //!         Ok(())
 //!     }
-//!     fn produced(&self, _signal: &str) -> &[Value] { &self.out }
+//!     fn output(&self, _port: usize) -> &[Value] { &self.out }
 //! }
 //!
 //! struct Double { queue: Vec<Value>, out: Vec<Value> }
@@ -65,16 +65,16 @@
 //!     fn machine_name(&self) -> &str { "double" }
 //!     fn input_signals(&self) -> Vec<Name> { vec![Name::from("n")] }
 //!     fn output_signals(&self) -> Vec<Name> { vec![Name::from("d")] }
-//!     fn feed_value(&mut self, _signal: &str, value: Value) { self.queue.push(value); }
+//!     fn feed(&mut self, _port: usize, value: Value) { self.queue.push(value); }
 //!     fn try_step(&mut self) -> Result<(), StepFault> {
 //!         if self.queue.is_empty() {
-//!             return Err(StepFault::NeedInput(Name::from("n")));
+//!             return Err(StepFault::NeedInput(0)); // port 0: `n`
 //!         }
 //!         let n = self.queue.remove(0).as_int().unwrap();
 //!         self.out.push(Value::Int(2 * n));
 //!         Ok(())
 //!     }
-//!     fn produced(&self, _signal: &str) -> &[Value] { &self.out }
+//!     fn output(&self, _port: usize) -> &[Value] { &self.out }
 //! }
 //!
 //! let mut deployment = Deployment::new();
@@ -164,19 +164,19 @@ mod tests {
         fn output_signals(&self) -> Vec<Name> {
             vec![self.output.clone()]
         }
-        fn feed_value(&mut self, _signal: &str, value: Value) {
+        fn feed(&mut self, _port: usize, value: Value) {
             self.queue.push(value);
         }
         fn try_step(&mut self) -> Result<(), StepFault> {
             if self.queue.is_empty() {
-                return Err(StepFault::NeedInput(self.input.clone()));
+                return Err(StepFault::NeedInput(0));
             }
             let v = self.queue.remove(0).as_int().unwrap_or(0);
             self.sum += v;
             self.produced.push(Value::Int(self.sum));
             Ok(())
         }
-        fn produced(&self, _signal: &str) -> &[Value] {
+        fn output(&self, _port: usize) -> &[Value] {
             &self.produced
         }
     }
@@ -212,6 +212,77 @@ mod tests {
             let got: Vec<i64> = last.iter().map(|v| v.as_int().unwrap()).collect();
             assert_eq!(got, pipeline_reference(8, 32), "capacity {capacity}");
         }
+    }
+
+    /// A [`Summer`] that counts the steps refused on it in a shared
+    /// counter.
+    struct CountingRefusals {
+        inner: Summer,
+        refusals: std::sync::Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl StepMachine for CountingRefusals {
+        fn machine_name(&self) -> &str {
+            self.inner.machine_name()
+        }
+        fn input_signals(&self) -> Vec<Name> {
+            self.inner.input_signals()
+        }
+        fn output_signals(&self) -> Vec<Name> {
+            self.inner.output_signals()
+        }
+        fn feed(&mut self, port: usize, value: Value) {
+            self.inner.feed(port, value);
+        }
+        fn try_step(&mut self) -> Result<(), StepFault> {
+            let step = self.inner.try_step();
+            if step.is_err() {
+                self.refusals
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+            step
+        }
+        fn output(&self, port: usize) -> &[Value] {
+            self.inner.output(port)
+        }
+    }
+
+    #[test]
+    fn a_pooled_pipeline_refuses_each_read_at_most_once() {
+        // A refused step suspends its reaction; the driver steps the
+        // machine again only with the awaited token in hand.  So every
+        // refusal but each component's last is followed by a received
+        // token, however often the island's sweeps re-drive a member
+        // whose edge is still empty.
+        let refusals = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let mut deployment = Deployment::new();
+        for i in 0..8 {
+            deployment.add_machine(Box::new(CountingRefusals {
+                inner: Summer::new(
+                    &format!("stage{i}"),
+                    &format!("s{i}"),
+                    &format!("s{}", i + 1),
+                ),
+                refusals: std::sync::Arc::clone(&refusals),
+            }));
+        }
+        deployment
+            .set_execution_mode(ExecutionMode::Pool {
+                workers: 2,
+                quantum: 32,
+            })
+            .expect("valid mode");
+        deployment.set_capacity(1).expect("nonzero");
+        deployment.feed("s0", (1..=256).map(Value::Int));
+        let outcome = deployment.run().expect("runs");
+        assert_eq!(outcome.flow("s8").len(), 256);
+        let stats = outcome.stats();
+        let received: u64 = stats.components.iter().map(|c| c.tokens_received).sum();
+        let refused = refusals.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(
+            refused <= received + stats.components.len() as u64,
+            "{refused} refused steps for {received} received tokens"
+        );
     }
 
     #[test]
@@ -399,12 +470,12 @@ mod tests {
             fn output_signals(&self) -> Vec<Name> {
                 vec![Name::from("z")]
             }
-            fn feed_value(&mut self, _signal: &str, _value: Value) {}
+            fn feed(&mut self, _port: usize, _value: Value) {}
             fn try_step(&mut self) -> Result<(), StepFault> {
                 self.produced.push(Value::Bool(true));
                 Ok(())
             }
-            fn produced(&self, _signal: &str) -> &[Value] {
+            fn output(&self, _port: usize) -> &[Value] {
                 &self.produced
             }
         }
@@ -603,22 +674,19 @@ mod tests {
         fn output_signals(&self) -> Vec<Name> {
             vec![self.output.clone()]
         }
-        fn feed_value(&mut self, signal: &str, value: Value) {
-            let slot = self.inputs.iter().position(|i| i.as_str() == signal);
-            self.queues[slot.expect("declared input")].push(value);
+        fn feed(&mut self, port: usize, value: Value) {
+            self.queues[port].push(value);
         }
         fn try_step(&mut self) -> Result<(), StepFault> {
-            for (i, queue) in self.queues.iter().enumerate() {
-                if queue.is_empty() {
-                    return Err(StepFault::NeedInput(self.inputs[i].clone()));
-                }
+            if let Some(port) = self.queues.iter().position(Vec::is_empty) {
+                return Err(StepFault::NeedInput(port));
             }
             let a = self.queues[0].remove(0).as_int().unwrap_or(0);
             let b = self.queues[1].remove(0).as_int().unwrap_or(0);
             self.produced.push(Value::Int(a + b));
             Ok(())
         }
-        fn produced(&self, _signal: &str) -> &[Value] {
+        fn output(&self, _port: usize) -> &[Value] {
             &self.produced
         }
     }
@@ -689,12 +757,12 @@ mod tests {
         fn output_signals(&self) -> Vec<Name> {
             vec![Name::from(format!("{}_out", self.name).as_str())]
         }
-        fn feed_value(&mut self, _signal: &str, value: Value) {
+        fn feed(&mut self, _port: usize, value: Value) {
             self.queue.push(value);
         }
         fn try_step(&mut self) -> Result<(), StepFault> {
             if self.queue.is_empty() {
-                return Err(StepFault::NeedInput(self.input.clone()));
+                return Err(StepFault::NeedInput(0));
             }
             self.queue.remove(0);
             let stamp = self
@@ -703,7 +771,7 @@ mod tests {
             self.produced.push(Value::Int(stamp));
             Ok(())
         }
-        fn produced(&self, _signal: &str) -> &[Value] {
+        fn output(&self, _port: usize) -> &[Value] {
             &self.produced
         }
     }
@@ -856,16 +924,16 @@ mod tests {
         fn output_signals(&self) -> Vec<Name> {
             self.inner.output_signals()
         }
-        fn feed_value(&mut self, signal: &str, value: Value) {
-            self.inner.feed_value(signal, value);
+        fn feed(&mut self, port: usize, value: Value) {
+            self.inner.feed(port, value);
         }
         fn try_step(&mut self) -> Result<(), StepFault> {
             self.steps += 1;
             assert!(self.steps < 3, "machine bug");
             self.inner.try_step()
         }
-        fn produced(&self, signal: &str) -> &[Value] {
-            self.inner.produced(signal)
+        fn output(&self, port: usize) -> &[Value] {
+            self.inner.output(port)
         }
     }
 

@@ -7,8 +7,16 @@
 //! empty upstream edge, or room in a full downstream buffer.  The pool
 //! scheduler ([`crate::sched`]) drives the members of an island in
 //! topological order, sweep after sweep, so one dispatch calls `drive`
-//! many times; the driver therefore indexes its ports densely once, at
-//! construction, and its hot path keys nothing by signal name.
+//! many times; the driver therefore maps the machine's ports to their
+//! channels once, at construction, and its hot path keys nothing by
+//! signal name.
+//!
+//! A refused step is a *suspension*, not a failure: the machine names the
+//! input port its reaction waits on ([`StepFault::NeedInput`]) and may
+//! keep the partial reaction, and the driver steps it again only once it
+//! has fed that port a token.  A member re-driven while its edge is still
+//! empty (another sweep of its island, a spurious wake) therefore costs
+//! one `try_recv`, never a refused step.
 //!
 //! The classic one-OS-thread-per-component execution is the degenerate
 //! client of the same driver: [`run_dedicated`] drives with an unbounded
@@ -24,7 +32,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 
-use signal_lang::Name;
+use signal_lang::{Name, Value};
 
 use crate::machine::{StepFault, StepMachine};
 use crate::stats::{ComponentStats, StopReason};
@@ -34,11 +42,12 @@ use crate::transport::{TokenRx, TokenTx, TryRecvError, TrySendError};
 /// The edge a cooperative driver is blocked on, by port index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Pending {
-    /// The machine needs a token on this source and the buffer is empty:
-    /// runnable again once the upstream producer delivers.
+    /// The machine's reaction waits on this input port and its buffer is
+    /// empty: runnable again once the upstream producer delivers.
     Upstream(usize),
-    /// A produced token on this sink could not be published because a
-    /// consumer's buffer is full: runnable again once that consumer drains.
+    /// A produced token on this sink (an index into the driver's sinks)
+    /// could not be published because a consumer's buffer is full:
+    /// runnable again once that consumer drains.
     Downstream(usize),
 }
 
@@ -53,7 +62,7 @@ pub(crate) enum DriveOutcome {
     Done(StopReason),
 }
 
-/// One channel-fed input of a driver.
+/// One channel-fed input port of a driver.
 struct Source {
     signal: Name,
     rx: Box<dyn TokenRx>,
@@ -65,13 +74,15 @@ struct Source {
     environment: bool,
 }
 
-/// One channel-fed output of a driver and its publication state.
+/// One channel-fed output port of a driver and its publication state.
 struct Sink {
+    /// The machine's output port.
+    port: usize,
     signal: Name,
     /// One sending endpoint per consumer (`None` once that consumer
     /// terminated and its channel closed).
     txs: Vec<Option<Box<dyn TokenTx>>>,
-    /// Publication cursor into `machine.produced(signal)`.
+    /// Publication cursor into `machine.output(port)`.
     cursor: usize,
     /// Mid-value publication state: the consumer to resume a partially
     /// broadcast token at (the value is `produced[cursor]`).
@@ -80,20 +91,24 @@ struct Sink {
 
 /// A resumable step driver: one machine, its endpoints, its counters.
 ///
-/// Ports are indexed densely once, at construction: a step names the
-/// source it needs only to find its index (a binary search), and a flush
-/// walks the sinks in order, so no map keyed by signal name is touched on
-/// the hot path.
+/// Ports are mapped to channels once, at construction: a refusal names
+/// its input port, which indexes `sources` directly, and a flush walks
+/// the sinks in order, so no map keyed by signal name is touched on the
+/// hot path.
 pub(crate) struct Driver {
     machine: Box<dyn StepMachine>,
-    /// Channel-fed inputs, sorted by signal name.
-    sources: Vec<Source>,
+    /// The channel feeding each input port (`None`: a preloaded
+    /// environment stream).
+    sources: Vec<Option<Source>>,
     sinks: Vec<Sink>,
-    /// The source of the wait episode currently charged to
+    /// The input port the machine's reaction is suspended on, until the
+    /// driver feeds it a token.  The machine is not stepped again before.
+    suspended_on: Option<usize>,
+    /// Whether the suspension's wait episode is already charged to
     /// `blocked_reads`, so a re-drive that finds the same edge still empty
     /// (a spurious wake, or another sweep of its island) does not count
     /// the one wait twice.
-    waiting_on: Option<usize>,
+    waiting: bool,
     max_steps: u64,
     reactions: u64,
     blocked_reads: u64,
@@ -117,21 +132,30 @@ pub(crate) struct WorkerReport {
 impl Driver {
     pub(crate) fn new(
         machine: Box<dyn StepMachine>,
-        sources: BTreeMap<Name, Box<dyn TokenRx>>,
+        mut sources: BTreeMap<Name, Box<dyn TokenRx>>,
         sinks: BTreeMap<Name, Vec<Box<dyn TokenTx>>>,
         max_steps: u64,
     ) -> Self {
-        let sources = sources
+        let sources = machine
+            .input_signals()
             .into_iter()
-            .map(|(signal, rx)| Source {
-                signal,
-                rx,
-                environment: false,
+            .map(|signal| {
+                let rx = sources.remove(&signal)?;
+                Some(Source {
+                    signal,
+                    rx,
+                    environment: false,
+                })
             })
             .collect();
+        let outputs = machine.output_signals();
         let sinks = sinks
             .into_iter()
             .map(|(signal, txs)| Sink {
+                port: outputs
+                    .iter()
+                    .position(|output| *output == signal)
+                    .expect("a channel leaves one of its producer's outputs"),
                 signal,
                 txs: txs.into_iter().map(Some).collect(),
                 cursor: 0,
@@ -142,7 +166,8 @@ impl Driver {
             machine,
             sources,
             sinks,
-            waiting_on: None,
+            suspended_on: None,
+            waiting: false,
             max_steps,
             reactions: 0,
             blocked_reads: 0,
@@ -159,7 +184,7 @@ impl Driver {
 
     /// Marks a channel-fed input as an environment ingress edge.
     pub(crate) fn mark_environment(&mut self, signal: &Name) {
-        for source in &mut self.sources {
+        for source in self.sources.iter_mut().flatten() {
             if source.signal == *signal {
                 source.environment = true;
             }
@@ -170,12 +195,20 @@ impl Driver {
     /// normal end of the environment stream for an ingress edge, a
     /// mid-pipeline producer termination otherwise.
     fn closed_stop(&self, port: usize) -> StopReason {
-        let source = &self.sources[port];
+        let source = self.source(port);
         if source.environment {
             StopReason::EnvironmentExhausted(source.signal.clone())
         } else {
             StopReason::UpstreamClosed(source.signal.clone())
         }
+    }
+
+    /// The channel feeding input port `port`, which the caller knows has
+    /// one.
+    fn source(&self, port: usize) -> &Source {
+        self.sources[port]
+            .as_ref()
+            .expect("the port is fed by a channel")
     }
 
     /// How many tokens this driver has moved over its channels so far.
@@ -197,8 +230,8 @@ impl Driver {
     /// backpressure mechanism), a full buffer is waited out instead and
     /// the flush always completes.
     fn flush(&mut self, blocking: bool) -> Option<usize> {
-        for (port, sink) in self.sinks.iter_mut().enumerate() {
-            let produced = self.machine.produced(sink.signal.as_str());
+        for (index, sink) in self.sinks.iter_mut().enumerate() {
+            let produced = self.machine.output(sink.port);
             while sink.cursor < produced.len() {
                 let value = produced[sink.cursor];
                 for (idx, slot) in sink.txs.iter_mut().enumerate().skip(sink.resume) {
@@ -234,7 +267,7 @@ impl Driver {
                         Err(TrySendError::Closed) => *slot = None,
                         Err(TrySendError::Full) => {
                             sink.resume = idx;
-                            return Some(port);
+                            return Some(index);
                         }
                     }
                 }
@@ -252,7 +285,7 @@ impl Driver {
         let stalled = self.flush(false);
         if let Some(trace) = self.trace.as_deref_mut() {
             match stalled {
-                Some(port) => trace.blocked(&self.sinks[port].signal, BlockDirection::Downstream),
+                Some(sink) => trace.blocked(&self.sinks[sink].signal, BlockDirection::Downstream),
                 None => trace.unblocked_downstream(),
             }
         }
@@ -265,8 +298,8 @@ impl Driver {
     /// unpublished tokens are flushed before new reactions are attempted,
     /// so a resumed driver first completes the broadcast it stalled in.
     pub(crate) fn drive(&mut self, quantum: u64) -> DriveOutcome {
-        if let Some(port) = self.flush_cooperative() {
-            return DriveOutcome::Pending(Pending::Downstream(port));
+        if let Some(sink) = self.flush_cooperative() {
+            return DriveOutcome::Pending(Pending::Downstream(sink));
         }
         let mut steps = 0u64;
         loop {
@@ -275,6 +308,12 @@ impl Driver {
             }
             if steps >= quantum {
                 return DriveOutcome::Yielded;
+            }
+            // A suspended reaction resumes only with its token in hand.
+            if let Some(port) = self.suspended_on {
+                if let Some(outcome) = self.receive(port) {
+                    return outcome;
+                }
             }
             let begin = self.trace.as_ref().map(|trace| trace.now());
             // A panicking machine is a fault of its component alone: it
@@ -289,46 +328,23 @@ impl Driver {
                     if let (Some(trace), Some(begin)) = (self.trace.as_deref_mut(), begin) {
                         trace.reaction(begin);
                     }
-                    if let Some(port) = self.flush_cooperative() {
-                        return DriveOutcome::Pending(Pending::Downstream(port));
+                    if let Some(sink) = self.flush_cooperative() {
+                        return DriveOutcome::Pending(Pending::Downstream(sink));
                     }
                 }
-                Err(StepFault::NeedInput(signal)) => {
-                    let Ok(port) = self.sources.binary_search_by(|s| s.signal.cmp(&signal)) else {
-                        return DriveOutcome::Done(StopReason::EnvironmentExhausted(signal));
-                    };
-                    // The machine state is unchanged on `NeedInput`, so the
-                    // retried step re-solves the same instant with the
-                    // token available.  Only a read that finds the buffer
-                    // empty counts as blocked.
-                    let source = &self.sources[port];
-                    match source.rx.try_recv() {
-                        Ok(value) => {
-                            self.machine.feed_value(signal.as_str(), value);
-                            self.tokens_received += 1;
-                            self.waiting_on = None;
-                            if let Some(trace) = self.trace.as_deref_mut() {
-                                trace.received(&source.signal, source.rx.occupancy());
-                                trace.unblocked(&source.signal);
-                            }
-                        }
-                        Err(TryRecvError::Closed) => {
-                            return DriveOutcome::Done(self.closed_stop(port));
-                        }
-                        Err(TryRecvError::Empty) => {
-                            // One wait episode counts once, however many
-                            // re-drives find the edge still empty before a
-                            // token actually arrives.
-                            if self.waiting_on != Some(port) {
-                                self.blocked_reads += 1;
-                                self.waiting_on = Some(port);
-                            }
-                            if let Some(trace) = self.trace.as_deref_mut() {
-                                trace.blocked(&source.signal, BlockDirection::Upstream);
-                            }
-                            return DriveOutcome::Pending(Pending::Upstream(port));
-                        }
+                Err(StepFault::NeedInput(port)) => {
+                    if !matches!(self.sources.get(port), Some(Some(_))) {
+                        // No channel feeds the port: its preloaded
+                        // environment stream ran dry.
+                        return DriveOutcome::Done(match self.machine.input_signals().get(port) {
+                            Some(signal) => StopReason::EnvironmentExhausted(signal.clone()),
+                            None => StopReason::Fault(format!("no input port {port}")),
+                        });
                     }
+                    self.suspended_on = Some(port);
+                }
+                Err(StepFault::Exhausted(signal)) => {
+                    return DriveOutcome::Done(StopReason::EnvironmentExhausted(signal));
                 }
                 Err(StepFault::Fault(message)) => {
                     return DriveOutcome::Done(StopReason::Fault(message));
@@ -337,20 +353,54 @@ impl Driver {
         }
     }
 
+    /// Takes one token from input port `port`'s channel into the machine,
+    /// ending the suspension on it.  Returns the outcome that ends the
+    /// drive instead when the edge is empty (one wait episode counts once,
+    /// however many re-drives find it still empty) or closed.
+    fn receive(&mut self, port: usize) -> Option<DriveOutcome> {
+        match self.source(port).rx.try_recv() {
+            Ok(value) => {
+                self.fed(port, value);
+                None
+            }
+            Err(TryRecvError::Closed) => Some(DriveOutcome::Done(self.closed_stop(port))),
+            Err(TryRecvError::Empty) => {
+                if !self.waiting {
+                    self.blocked_reads += 1;
+                    self.waiting = true;
+                }
+                if let (Some(trace), Some(source)) =
+                    (self.trace.as_deref_mut(), self.sources[port].as_ref())
+                {
+                    trace.blocked(&source.signal, BlockDirection::Upstream);
+                }
+                Some(DriveOutcome::Pending(Pending::Upstream(port)))
+            }
+        }
+    }
+
+    /// Feeds a token received on input port `port` to the suspended
+    /// machine.
+    fn fed(&mut self, port: usize, value: Value) {
+        self.machine.feed(port, value);
+        self.tokens_received += 1;
+        self.suspended_on = None;
+        self.waiting = false;
+        if let (Some(trace), Some(source)) =
+            (self.trace.as_deref_mut(), self.sources[port].as_ref())
+        {
+            trace.received(&source.signal, source.rx.occupancy());
+            trace.unblocked(&source.signal);
+        }
+    }
+
     /// Serves a [`Pending::Upstream`] blockage with the endpoint's
     /// *blocking* receive (dedicated-thread mode).  Returns the stop reason
     /// when the wait observed the channel close instead of a token.
     fn recv_blocking(&mut self, port: usize) -> Option<StopReason> {
-        let source = &self.sources[port];
-        match source.rx.recv() {
+        match self.source(port).rx.recv() {
             Ok(value) => {
-                self.machine.feed_value(source.signal.as_str(), value);
-                self.tokens_received += 1;
-                self.waiting_on = None;
-                if let Some(trace) = self.trace.as_deref_mut() {
-                    trace.received(&source.signal, source.rx.occupancy());
-                    trace.unblocked(&source.signal);
-                }
+                self.fed(port, value);
                 None
             }
             Err(_closed) => Some(self.closed_stop(port)),

@@ -52,8 +52,8 @@ impl StepMachine for Ping {
     fn output_signals(&self) -> Vec<Name> {
         vec![Name::from("p")]
     }
-    fn feed_value(&mut self, signal: &str, value: Value) {
-        if signal == "seed" {
+    fn feed(&mut self, port: usize, value: Value) {
+        if port == 0 {
             self.seeds.push(value);
         } else {
             self.qs.push(value);
@@ -61,17 +61,17 @@ impl StepMachine for Ping {
     }
     fn try_step(&mut self) -> Result<(), StepFault> {
         if self.qs.is_empty() {
-            return Err(StepFault::NeedInput(Name::from("q")));
+            return Err(StepFault::NeedInput(1));
         }
         if self.seeds.is_empty() {
-            return Err(StepFault::NeedInput(Name::from("seed")));
+            return Err(StepFault::NeedInput(0));
         }
         self.qs.remove(0);
         let seed = self.seeds.remove(0);
         self.produced.push(seed);
         Ok(())
     }
-    fn produced(&self, _signal: &str) -> &[Value] {
+    fn output(&self, _port: usize) -> &[Value] {
         &self.produced
     }
 }
@@ -95,7 +95,7 @@ impl StepMachine for Pong {
     fn output_signals(&self) -> Vec<Name> {
         vec![Name::from("q")]
     }
-    fn feed_value(&mut self, _signal: &str, value: Value) {
+    fn feed(&mut self, _port: usize, value: Value) {
         self.queue.push(value);
     }
     fn try_step(&mut self) -> Result<(), StepFault> {
@@ -105,13 +105,13 @@ impl StepMachine for Pong {
             return Ok(());
         }
         if self.queue.is_empty() {
-            return Err(StepFault::NeedInput(Name::from("p")));
+            return Err(StepFault::NeedInput(0));
         }
         let value = self.queue.remove(0);
         self.produced.push(value);
         Ok(())
     }
-    fn produced(&self, _signal: &str) -> &[Value] {
+    fn output(&self, _port: usize) -> &[Value] {
         &self.produced
     }
 }
@@ -354,18 +354,18 @@ impl StepMachine for Relay {
     fn output_signals(&self) -> Vec<Name> {
         vec![self.output.clone()]
     }
-    fn feed_value(&mut self, _signal: &str, value: Value) {
+    fn feed(&mut self, _port: usize, value: Value) {
         self.queue.push(value);
     }
     fn try_step(&mut self) -> Result<(), StepFault> {
         if self.queue.is_empty() {
-            return Err(StepFault::NeedInput(self.input.clone()));
+            return Err(StepFault::NeedInput(0));
         }
         let value = self.queue.remove(0);
         self.produced.push(value);
         Ok(())
     }
-    fn produced(&self, _signal: &str) -> &[Value] {
+    fn output(&self, _port: usize) -> &[Value] {
         &self.produced
     }
 }
