@@ -875,7 +875,7 @@ struct State {
     /// queue: its mode (`None`: the program's own ops, every clock
     /// computed) and the read's index.
     resume: Option<(Option<usize>, usize)>,
-    // Reusable per-reaction scratch (drained at commit, never shrunk).
+    // Reusable per-reaction scratch (cleared at commit, never shrunk).
     clock_stack: Vec<bool>,
     consumed: Vec<u32>,
     latches: Vec<(u32, Value)>,

@@ -309,7 +309,6 @@ fn eval_clock(
     }
 }
 
-#[inline]
 pub(crate) fn eval_op(op: PrimOp, args: &[Value]) -> Result<Value, RuntimeError> {
     let int = |v: &Value| {
         v.as_int()

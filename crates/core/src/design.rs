@@ -142,19 +142,15 @@ impl Component {
         SequentialRuntime::new(self.step_program())
     }
 
-    /// The slot-indexed compiled form of the step program, compiled on
-    /// first use and shared by every runtime instantiated from it.
-    pub fn compiled_program(&self) -> &Arc<CompiledProgram> {
-        self.compiled
-            .get_or_init(|| Arc::new(CompiledProgram::compile(self.program())))
-    }
-
     /// A ready-to-run compiled runtime (slot-indexed, zero per-step
     /// allocation) executing the generated code.  Every call instantiates
-    /// the one stored compiled program: a component compiles once, however
-    /// often it deploys.
+    /// the one compiled program stored on first use: a component compiles
+    /// once, however often it deploys.
     pub fn compiled_runtime(&self) -> codegen::CompiledRuntime {
-        codegen::CompiledRuntime::new(Arc::clone(self.compiled_program()))
+        let compiled = self
+            .compiled
+            .get_or_init(|| Arc::new(CompiledProgram::compile(self.program())));
+        codegen::CompiledRuntime::new(Arc::clone(compiled))
     }
 
     /// Activation signals for the synchronous reference interpreter: one
