@@ -183,11 +183,7 @@ impl Mode {
             match op {
                 Op::Write { slot, .. } => live.push(slot),
                 Op::Update { source, .. } => live.push(source),
-                _ => {
-                    if let Some((_, args)) = operands(&op, arg_pool) {
-                        live.extend(args.into_iter().filter_map(operand_slot));
-                    }
-                }
+                _ => each_operand(&op, arg_pool, |a| live.extend(operand_slot(a))),
             }
             kept.push(op);
         }
@@ -553,26 +549,38 @@ enum Known {
     Is(Value),
 }
 
-/// The slots an op reads the presence of.
-fn presence_reads(op: &Op, clock_pool: &[ClockOp]) -> Vec<u32> {
+/// Visits the slots an op reads the presence of.
+fn presence_reads(op: &Op, clock_pool: &[ClockOp], mut visit: impl FnMut(u32)) {
     match *op {
-        Op::Leaf { leaf, .. } => leaf_slot(leaf).into_iter().collect(),
+        Op::Leaf { leaf, .. } => leaf_slot(leaf).into_iter().for_each(visit),
         Op::Clock { start, end, .. } => clock_pool[start as usize..end as usize]
             .iter()
             .filter_map(|&leaf| leaf_slot(leaf))
-            .collect(),
+            .for_each(visit),
+        Op::Update { source, .. } => visit(source),
         Op::Select {
             slot, left_guard, ..
-        } => std::iter::once(slot).chain(left_guard).collect(),
-        Op::Update { source, .. } => vec![source],
+        } => {
+            visit(slot);
+            left_guard.into_iter().for_each(visit);
+        }
+        _ => own_slot(op).into_iter().for_each(visit),
+    }
+}
+
+/// The slot an equation, read or write op is about.
+fn own_slot(op: &Op) -> Option<u32> {
+    match *op {
         Op::Read { slot, .. }
         | Op::Delay { slot, .. }
         | Op::Unary { slot, .. }
         | Op::Binary { slot, .. }
         | Op::Func { slot, .. }
         | Op::Copy { slot, .. }
+        | Op::Select { slot, .. }
         | Op::Write { slot, .. }
-        | Op::Missing { slot } => vec![slot],
+        | Op::Missing { slot } => Some(slot),
+        Op::Leaf { .. } | Op::Clock { .. } | Op::Update { .. } => None,
     }
 }
 
@@ -584,21 +592,20 @@ fn clocked_slot(op: &Op) -> Option<u32> {
     }
 }
 
-/// The slot an equation op defines and the operands it computes it from
-/// (both sides of a `default`).
-fn operands(op: &Op, arg_pool: &[Operand]) -> Option<(u32, Vec<Operand>)> {
+/// Visits the operands an equation op computes its slot from (both sides
+/// of a `default`).
+fn each_operand(op: &Op, arg_pool: &[Operand], mut visit: impl FnMut(Operand)) {
     match *op {
-        Op::Unary { slot, arg, .. } | Op::Copy { slot, arg } => Some((slot, vec![arg])),
-        Op::Binary {
-            slot, left, right, ..
+        Op::Unary { arg, .. } | Op::Copy { arg, .. } => visit(arg),
+        Op::Binary { left, right, .. } | Op::Select { left, right, .. } => {
+            visit(left);
+            visit(right);
         }
-        | Op::Select {
-            slot, left, right, ..
-        } => Some((slot, vec![left, right])),
-        Op::Func {
-            slot, start, end, ..
-        } => Some((slot, arg_pool[start as usize..end as usize].to_vec())),
-        _ => None,
+        Op::Func { start, end, .. } => arg_pool[start as usize..end as usize]
+            .iter()
+            .copied()
+            .for_each(visit),
+        _ => {}
     }
 }
 
@@ -621,10 +628,9 @@ fn specialize(
 ) -> Option<(Vec<u32>, Vec<Mode>)> {
     let mut clocked = vec![false; slots];
     for op in ops {
-        if presence_reads(op, clock_pool)
-            .iter()
-            .any(|&s| !clocked[s as usize])
-        {
+        let mut ahead = true;
+        presence_reads(op, clock_pool, |s| ahead &= clocked[s as usize]);
+        if !ahead {
             return None;
         }
         if let Some(slot) = clocked_slot(op) {
@@ -636,43 +642,32 @@ fn specialize(
 
     // The registers every sampled value derives from; a sampled value
     // that derives from an input is decided only at run time.
-    let leaves = |op: &Op| match *op {
-        Op::Leaf { leaf, .. } => vec![leaf],
-        Op::Clock { start, end, .. } => clock_pool[start as usize..end as usize].to_vec(),
-        _ => Vec::new(),
-    };
-    let mut pending: Vec<u32> = ops
-        .iter()
-        .flat_map(leaves)
-        .filter_map(|leaf| match leaf {
-            ClockOp::SampleTrue(s) | ClockOp::SampleFalse(s) => Some(s),
-            _ => None,
-        })
-        .collect();
+    let mut pending: Vec<u32> = Vec::new();
+    for op in ops {
+        let leaves = match *op {
+            Op::Leaf { ref leaf, .. } => std::slice::from_ref(leaf),
+            Op::Clock { start, end, .. } => &clock_pool[start as usize..end as usize],
+            _ => &[],
+        };
+        for leaf in leaves {
+            if let ClockOp::SampleTrue(s) | ClockOp::SampleFalse(s) = *leaf {
+                pending.push(s);
+            }
+        }
+    }
     let mut seen = vec![false; slots];
     let mut mode_registers = Vec::new();
     while let Some(slot) = pending.pop() {
         if std::mem::replace(&mut seen[slot as usize], true) {
             continue;
         }
-        for op in ops {
+        for op in ops.iter().filter(|op| own_slot(op) == Some(slot)) {
             match *op {
-                Op::Read { slot: read, .. } if read == slot => return None,
-                Op::Delay {
-                    slot: loaded,
-                    register,
-                } if loaded == slot => {
-                    if !mode_registers.contains(&register) {
-                        mode_registers.push(register);
-                    }
+                Op::Read { .. } => return None,
+                Op::Delay { register, .. } if !mode_registers.contains(&register) => {
+                    mode_registers.push(register);
                 }
-                _ => {
-                    if let Some((defined, args)) = operands(op, arg_pool) {
-                        if defined == slot {
-                            pending.extend(args.into_iter().filter_map(operand_slot));
-                        }
-                    }
-                }
+                _ => each_operand(op, arg_pool, |a| pending.extend(operand_slot(a))),
             }
         }
     }
@@ -734,6 +729,7 @@ fn specialize_mode(
         }
     };
     let mut stack = Vec::new();
+    let (mut args, mut folded): (Vec<Known>, Vec<Value>) = (Vec::new(), Vec::new());
     let operand = |known: &[Known], o: Operand| match o {
         Operand::Const(v) => Known::Is(v),
         Operand::Slot(s) => known[s as usize],
@@ -759,7 +755,7 @@ fn specialize_mode(
             }
             continue;
         }
-        let slot = presence_reads(op, clock_pool)[0];
+        let Some(slot) = own_slot(op) else { continue };
         if !present[slot as usize] {
             continue;
         }
@@ -781,35 +777,30 @@ fn specialize_mode(
             other => other,
         };
         // The operands this op reads, each known to hold a value or not.
-        let args: Vec<Known> = match op {
-            Op::Write { slot, .. } => vec![known[slot as usize]],
-            _ => operands(&op, arg_pool)
-                .map_or_else(Vec::new, |(_, args)| args)
-                .into_iter()
-                .map(|a| operand(&known, a))
-                .collect(),
-        };
+        args.clear();
+        match op {
+            Op::Write { slot, .. } => args.push(known[slot as usize]),
+            _ => each_operand(&op, arg_pool, |a| args.push(operand(&known, a))),
+        }
         if args.contains(&Known::Absent) {
             lowered.push(Op::Missing { slot });
             known[slot as usize] = Known::Absent;
             continue;
         }
-        let folded: Option<Vec<Value>> = args
-            .iter()
-            .map(|a| match a {
-                Known::Is(v) => Some(*v),
-                _ => None,
-            })
-            .collect();
-        let fixed = match (op, folded) {
-            (Op::Delay { register, .. }, _) => register_value(register),
-            (Op::Copy { .. }, Some(values)) => Known::Is(values[0]),
-            (
-                Op::Unary { op: f, .. } | Op::Binary { op: f, .. } | Op::Func { op: f, .. },
-                Some(values),
-            ) => {
+        folded.clear();
+        folded.extend(args.iter().map_while(|a| match *a {
+            Known::Is(v) => Some(v),
+            _ => None,
+        }));
+        let all_known = folded.len() == args.len();
+        let fixed = match op {
+            Op::Delay { register, .. } => register_value(register),
+            Op::Copy { .. } if all_known => Known::Is(folded[0]),
+            Op::Unary { op: f, .. } | Op::Binary { op: f, .. } | Op::Func { op: f, .. }
+                if all_known =>
+            {
                 // An error faults at run time, with the same message.
-                eval_op(f, &values).map_or(Known::Dynamic, Known::Is)
+                eval_op(f, &folded).map_or(Known::Dynamic, Known::Is)
             }
             _ => Known::Dynamic,
         };
