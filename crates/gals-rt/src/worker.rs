@@ -85,7 +85,7 @@ struct Sink {
     /// Publication cursor into `machine.output(port)`.
     cursor: usize,
     /// Mid-value publication state: the consumer to resume a partially
-    /// broadcast token at (the value is `produced[cursor]`).
+    /// broadcast token at (the value is `machine.output(port)[cursor]`).
     resume: usize,
 }
 
