@@ -2,17 +2,18 @@
 //!
 //! 1. **Capacity** (verified designs): reactions/sec of a deployed buffer
 //!    pipeline at 1, 2, 4 and 8 components and channel capacities 1, 16
-//!    and 256.  Deeper pipelines add threads, and wider channels trade
-//!    memory for fewer blocking hand-offs — most visible at capacity 1,
-//!    where every token crosses a full rendez-vous.
+//!    and 256.  Deeper pipelines add stages to the island, and wider
+//!    channels trade memory for fewer stalled hand-offs — most visible at
+//!    capacity 1, where every token crosses a full rendez-vous.
 //!
-//! 2. **Scheduler** (hand-rolled relay machines): thread-per-component vs
-//!    the work-stealing batched pool at 8, 64 and 256 components, on a
-//!    pipeline shape and a fan-out/fan-in shape.  Thread mode spawns one
-//!    OS thread per component — 256 threads on a handful of cores is pure
-//!    oversubscription; the pool completes the same run on
-//!    `available_parallelism` workers, stepping each ready component a
-//!    quantum of reactions per dispatch.
+//! 2. **Scheduler** (hand-rolled relay machines): the work-stealing
+//!    batched pool at 8, 64 and 256 components, on a pipeline shape and a
+//!    fan-out/fan-in shape, on `available_parallelism` workers whatever
+//!    the component count.  Each shape is one island, swept a quantum of
+//!    reactions per member per dispatch.  A row is named
+//!    `e13_scheduler/n<components>/<shape>/pool`; the command line takes a
+//!    filter, so `cargo bench --bench e13_gals_throughput -- n256/fan`
+//!    times that row alone.
 //!
 //! 3. **Derived vs hand-tuned capacities** (verified designs): the same
 //!    buffer pipeline with its channel capacities derived from the clock
@@ -194,38 +195,32 @@ fn bench_schedulers(c: &mut Criterion) {
         .map(Value::Bool)
         .collect();
     let pool = ExecutionMode::pool_per_core();
-    let mut group = c.benchmark_group("e13_pool_vs_thread");
+    let mut group = c.benchmark_group("e13_scheduler");
     group.sample_size(10);
     for components in [8usize, 64, 256] {
         for (shape, build, env) in [
             ("pipeline", pipeline_shape as fn(usize) -> Deployment, "s0"),
             ("fan", fan_shape as fn(usize) -> Deployment, "in"),
         ] {
-            for (label, mode) in [
-                ("thread", ExecutionMode::ThreadPerComponent),
-                ("pool", pool),
-            ] {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("n{components}/{shape}"), label),
-                    &mode,
-                    |bencher, &mode| {
-                        bencher.iter(|| {
-                            let mut deployment = build(components);
-                            deployment.set_execution_mode(mode).expect("valid mode");
-                            deployment.set_capacity(16).expect("nonzero");
-                            deployment.feed(env, stream.iter().copied());
-                            let outcome = deployment.run().expect("the deployment runs");
-                            // Every relay forwarded the full stream: the
-                            // two modes do identical work.
-                            assert_eq!(
-                                outcome.stats().total_reactions(),
-                                (components * STREAM_LEN) as u64
-                            );
-                            outcome.stats().total_reactions()
-                        })
-                    },
-                );
-            }
+            group.bench_with_input(
+                BenchmarkId::new(format!("n{components}/{shape}"), "pool"),
+                &pool,
+                |bencher, &mode| {
+                    bencher.iter(|| {
+                        let mut deployment = build(components);
+                        deployment.set_execution_mode(mode).expect("valid mode");
+                        deployment.set_capacity(16).expect("nonzero");
+                        deployment.feed(env, stream.iter().copied());
+                        let outcome = deployment.run().expect("the deployment runs");
+                        // Every relay forwarded the full stream.
+                        assert_eq!(
+                            outcome.stats().total_reactions(),
+                            (components * STREAM_LEN) as u64
+                        );
+                        outcome.stats().total_reactions()
+                    })
+                },
+            );
         }
     }
     group.finish();

@@ -2,24 +2,26 @@
 //!
 //! The paper's Theorem 1 says a verified (weakly hierarchic) design keeps
 //! its synchronous semantics over *any* reliable order-preserving FIFO
-//! medium.  `gals-rt` proves that in-process (threads over lock-free
-//! rings); this crate leaves the process:
+//! medium.  `gals-rt` proves that in-process (a worker pool over
+//! lock-free rings); this crate leaves the process:
 //!
 //! * **Transports** — a shared-file SPSC ring ([`shm`]: the `ring.rs`
 //!   head/tail layout lifted onto a file two processes open) and a Unix
 //!   domain socket backend ([`net`]), both minting endpoints behind the
 //!   existing [`gals_rt::Transport`] trait so `Deployment`, the pool
-//!   scheduler and tracing work unchanged.
+//!   scheduler and tracing work unchanged.  The socket endpoints wake the
+//!   pool island that uses them from their own threads, so a partition
+//!   never blocks a worker waiting on the wire.
 //! * **A wire protocol** ([`wire`]) — length-prefixed token frames with a
 //!   version handshake, explicit close-then-drain semantics (matching the
 //!   ring), credit-based flow control whose per-edge window is exactly the
 //!   derived [`gals_rt::CapacityAnalysis`] bound, and bounded-retry
 //!   reconnect with idempotent resume via per-edge sequence numbers.
 //! * **A partitioner** ([`partition`]) — splits a verified
-//!   [`isochron::Design`] into per-process sub-deployments, replacing each
-//!   cut edge with boundary components bridging to the transport, and a
-//!   small [`runner`] that launches partitions and merges their flows and
-//!   stats so the end-to-end isochrony conformance check still runs.
+//!   [`isochron::Design`] into per-process sub-deployments, linking each
+//!   cut edge's endpoints straight to the components on either side, and
+//!   a small [`runner`] that launches partitions and merges their flows
+//!   and stats so the end-to-end isochrony conformance check still runs.
 //!
 //! The clock calculus pays for the networking: an edge the analysis cannot
 //! bound (and no override covers) is refused at partition time, the same

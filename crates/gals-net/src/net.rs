@@ -22,6 +22,12 @@
 //! receiver keeps serving its buffered tokens, reporting the channel
 //! closed only once drained — the same contract as the in-process ring.
 //!
+//! **Waking the island.**  The receiver's acceptor and the sender's ack
+//! reader run on threads of their own, so each endpoint calls the waker
+//! of the pool island that uses it after every event that can unblock
+//! it: a queued `Data` or `Close` or a fault, an `Ack` or a broken
+//! connection.  That is what lets a partition run on the pool.
+//!
 //! **Reconnect and idempotent resume.**  Sequence numbers are assigned
 //! once, when the application pushes a token.  If the connection drops,
 //! the sender redials (bounded by its [`RetryPolicy`]); the fresh
@@ -38,7 +44,8 @@ use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::task::Waker;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -90,6 +97,8 @@ struct RxState {
     closed: bool,
     fault: Option<NetError>,
     shutdown: bool,
+    /// The waker of the island reading this edge, once installed.
+    waker: Option<Waker>,
 }
 
 struct RxShared {
@@ -135,6 +144,7 @@ impl NetReceiver {
                 closed: false,
                 fault: None,
                 shutdown: false,
+                waker: None,
             }),
             ready: Condvar::new(),
         });
@@ -159,6 +169,17 @@ impl NetReceiver {
             .expect("receiver state")
             .fault
             .clone()
+    }
+}
+
+/// Releases the receiver state and wakes whoever waits on it: a blocking
+/// `recv`, and the island reading the edge.
+fn notify_reader(shared: &RxShared, st: MutexGuard<'_, RxState>) {
+    let waker = st.waker.clone();
+    drop(st);
+    shared.ready.notify_all();
+    if let Some(waker) = waker {
+        waker.wake();
     }
 }
 
@@ -226,7 +247,7 @@ fn serve_connection(
         let mut st = shared.state.lock().expect("receiver state");
         st.fault.get_or_insert(fault);
         st.closed = true;
-        shared.ready.notify_all();
+        notify_reader(shared, st);
         return ConnExit::Refused;
     }
     {
@@ -264,7 +285,7 @@ fn serve_connection(
                 }
                 st.queue.push_back(value);
                 st.delivered += 1;
-                shared.ready.notify_all();
+                notify_reader(shared, st);
             }
             Frame::Close { final_seq } => {
                 let mut st = shared.state.lock().expect("receiver state");
@@ -276,7 +297,7 @@ fn serve_connection(
                 }
                 st.closed = true;
                 st.ack_stream = None;
-                shared.ready.notify_all();
+                notify_reader(shared, st);
                 return ConnExit::Finished;
             }
             // `Ack` and further handshake frames have no business
@@ -345,6 +366,11 @@ impl TokenRx for NetReceiver {
                 .len(),
         )
     }
+
+    fn set_waker(&self, waker: &Waker) -> bool {
+        self.shared.state.lock().expect("receiver state").waker = Some(waker.clone());
+        true
+    }
 }
 
 impl Drop for NetReceiver {
@@ -356,7 +382,7 @@ impl Drop for NetReceiver {
             if let Some(stream) = st.ack_stream.take() {
                 let _ = stream.shutdown(Shutdown::Both);
             }
-            shared_notify(&self.shared);
+            self.shared.ready.notify_all();
         }
         // Wake the acceptor if it is parked in `accept`.
         let _ = UnixStream::connect(&self.path);
@@ -365,10 +391,6 @@ impl Drop for NetReceiver {
         }
         let _ = std::fs::remove_file(&self.path);
     }
-}
-
-fn shared_notify(shared: &RxShared) {
-    shared.ready.notify_all();
 }
 
 // ---------------------------------------------------------------------------
@@ -380,6 +402,8 @@ struct TxState {
     consumed: u64,
     /// The live connection died; the next send redials.
     broken: bool,
+    /// The waker of the island sending on this edge, once installed.
+    waker: Option<Waker>,
 }
 
 struct TxShared {
@@ -437,6 +461,7 @@ impl NetSender {
                 state: Mutex::new(TxState {
                     consumed: 0,
                     broken: true,
+                    waker: None,
                 }),
                 credit: Condvar::new(),
                 generation: AtomicU64::new(0),
@@ -561,6 +586,17 @@ impl NetSender {
     }
 }
 
+/// Releases the sender state and wakes whoever waits for credit: a
+/// blocking `send`, and the island sending on the edge.
+fn notify_writer(shared: &TxShared, st: MutexGuard<'_, TxState>) {
+    let waker = st.waker.clone();
+    drop(st);
+    shared.credit.notify_all();
+    if let Some(waker) = waker {
+        waker.wake();
+    }
+}
+
 fn ack_reader(mut stream: UnixStream, shared: &Arc<TxShared>, generation: u64) {
     let mut reader = FrameReader::new();
     loop {
@@ -568,7 +604,7 @@ fn ack_reader(mut stream: UnixStream, shared: &Arc<TxShared>, generation: u64) {
             Ok(Some(Frame::Ack { consumed })) => {
                 let mut st = shared.state.lock().expect("sender state");
                 st.consumed = st.consumed.max(consumed);
-                shared.credit.notify_all();
+                notify_writer(shared, st);
             }
             Ok(Some(_)) | Ok(None) | Err(_) => {
                 // Only the *current* connection's reader may declare it
@@ -577,8 +613,7 @@ fn ack_reader(mut stream: UnixStream, shared: &Arc<TxShared>, generation: u64) {
                 if shared.generation.load(Ordering::SeqCst) == generation {
                     let mut st = shared.state.lock().expect("sender state");
                     st.broken = true;
-                    shared.credit.notify_all();
-                    drop(st);
+                    notify_writer(shared, st);
                 }
                 return;
             }
@@ -678,6 +713,11 @@ impl TokenTx for NetSender {
                 .unwrap_or(usize::MAX)
                 .min(self.window as usize),
         )
+    }
+
+    fn set_waker(&self, waker: &Waker) -> bool {
+        self.shared.state.lock().expect("sender state").waker = Some(waker.clone());
+        true
     }
 }
 

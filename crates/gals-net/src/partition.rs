@@ -2,12 +2,16 @@
 //!
 //! A [`PartitionPlan`] assigns every component of an [`isochron::Design`]
 //! to a process.  Each edge whose producer and consumer land in different
-//! processes is *cut*: the producer's partition gains a boundary machine
-//! that forwards the signal's tokens into a cross-process link, and the
-//! consumer's partition gains one that replays them from the link as a
-//! local producer.  Everything else — channel wiring, the scheduler, the
-//! per-component stats, tracing — is the ordinary [`gals_rt::Deployment`]
-//! machinery, run once per process.
+//! processes is *cut*: its two halves become one cross-process link, whose
+//! sending endpoint the producer's partition publishes to and whose
+//! receiving endpoint the consumer's partition reads
+//! ([`gals_rt::Deployment::link_output`],
+//! [`gals_rt::Deployment::link_input`]).  No machine, thread or ring sits
+//! between a link and its component: the pool reads and writes the link
+//! without blocking, as it does a ring, and the medium wakes the island
+//! when a token, a close or credit arrives.  Everything else — channel
+//! wiring, the scheduler, the per-component stats, tracing — is the
+//! ordinary [`gals_rt::Deployment`] machinery, run once per process.
 //!
 //! Theorem 1 is what makes this sound: a verified (weakly hierarchic)
 //! design keeps its synchronous semantics over any reliable
@@ -22,14 +26,16 @@
 //! flow-control window is exactly the derived capacity bound of the
 //! edge, and an edge the analysis cannot bound (with no explicit
 //! override) is refused at planning time — the cross-process twin of
-//! `DeployError::UnboundedEdge`.
+//! `DeployError::UnboundedEdge`.  Consumption is counted where the
+//! consuming component takes a token from the link, so the window bounds
+//! exactly what the bound bounds in process.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use gals_rt::{
-    replay_reference, CapacityAnalysis, ConformanceReport, Deployment, StepFault, StepMachine,
-    TokenRx, TokenTx, TransportError,
+    replay_reference, CapacityAnalysis, ConformanceReport, Deployment, TokenRx, TokenTx,
+    TransportError,
 };
 use isochron::Design;
 use signal_lang::{Name, Value};
@@ -104,15 +110,19 @@ impl From<gals_rt::DeployError> for PartitionError {
 }
 
 /// One design edge whose producer and consumer live in different
-/// processes.
+/// processes.  Like an in-process channel, an edge has one consumer: a
+/// signal read by several components of a remote process is cut once
+/// per reader.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CutEdge {
     /// The signal carried across the process boundary.
     pub signal: Name,
     /// The process owning the producing component.
     pub producer: usize,
-    /// The process owning the consuming component(s).
+    /// The process owning the consuming component.
     pub consumer: usize,
+    /// The consuming component, by index in the design.
+    pub reader: usize,
     /// The flow-control window of the link — the edge's derived capacity
     /// bound (or its explicit override).
     pub window: usize,
@@ -123,6 +133,13 @@ pub struct CutEdge {
 /// Mints the two halves of a cross-process link for a cut edge.  The
 /// [`crate::runner::UdsLinks`] implementation binds/dials Unix domain
 /// sockets; tests can substitute in-process media.
+///
+/// A partition runs on the pool, which never blocks on a link: it polls
+/// with `try_recv`/`try_send` and parks the island when the link is empty
+/// or its window spent.  So a link medium must call the waker each
+/// endpoint is handed ([`TokenRx::set_waker`], [`TokenTx::set_waker`])
+/// whenever it queues a token, closes, faults or returns credit, or the
+/// island waits forever.
 pub trait LinkFactory {
     /// The producing half of the edge's link (dials, in socket terms).
     ///
@@ -214,13 +231,6 @@ pub fn plan_with_overrides(
             if assignment[i] == assignment[j] {
                 continue; // stays an in-process channel
             }
-            let (producer, consumer) = (assignment[i], assignment[j]);
-            if cuts
-                .iter()
-                .any(|c| c.signal == *input && c.producer == producer && c.consumer == consumer)
-            {
-                continue; // several consumers in one process share a link
-            }
             let (window, provenance) = match overrides.get(input) {
                 Some(&window) => (window, "explicit override".to_string()),
                 None => match analysis.bound_for(input) {
@@ -230,8 +240,9 @@ pub fn plan_with_overrides(
             };
             cuts.push(CutEdge {
                 signal: input.clone(),
-                producer,
-                consumer,
+                producer: assignment[i],
+                consumer: assignment[j],
+                reader: j,
                 window,
                 provenance,
             });
@@ -308,15 +319,16 @@ impl PartitionPlan {
     }
 
     /// Assembles the deployment of one partition: the process's
-    /// components, a boundary source per incoming cut edge, a boundary
-    /// forwarder per outgoing one, local channels sized by the derived
-    /// analysis, references registered and paced marks applied.
+    /// components, each incoming cut edge linked to the input of its
+    /// reader and each outgoing one to the output of its producer, local
+    /// channels sized by the derived analysis, references registered and
+    /// paced marks applied.  Its [`run`](Deployment::run) runs on the
+    /// pool like any deployment, and its outcome's flows carry every
+    /// incoming cut signal as its reader took it from the link.
     ///
     /// All incoming links are opened (bound) *before* any outgoing link
     /// dials, so two partitions dialing each other cannot deadlock in
-    /// the handshake.  Partitions run components on dedicated threads
-    /// (the default mode): boundary machines block inside their step on
-    /// the medium, which a pooled scheduler must not do.
+    /// the handshake.
     ///
     /// # Errors
     ///
@@ -337,9 +349,9 @@ impl PartitionPlan {
         let mut deployment = Deployment::new();
         deployment.set_capacity_analysis(&self.analysis);
         // Incoming edges first: bind every listener before dialing out.
+        let mut incoming = Vec::new();
         for cut in self.cuts.iter().filter(|c| c.consumer == process) {
-            let rx = links.receiver(cut)?;
-            deployment.add_machine(Box::new(BoundarySrc::new(cut.signal.clone(), rx)));
+            incoming.push((cut, links.receiver(cut)?));
         }
         for (i, component) in design.components().iter().enumerate() {
             if self.assignment[i] != process {
@@ -353,9 +365,17 @@ impl PartitionPlan {
             deployment.add_reference(component.reference());
             deployment.add_machine(Box::new(component.compiled_runtime()));
         }
+        for (cut, rx) in incoming {
+            // The reader's machine index: the partition adds its
+            // components in design order.
+            let machine = self.assignment[..cut.reader]
+                .iter()
+                .filter(|&&p| p == process)
+                .count();
+            deployment.link_input(machine, cut.signal.clone(), rx);
+        }
         for cut in self.cuts.iter().filter(|c| c.producer == process) {
-            let tx = links.sender(cut)?;
-            deployment.add_machine(Box::new(BoundaryTx::new(cut.signal.clone(), tx)));
+            deployment.link_output(cut.signal.clone(), links.sender(cut)?);
         }
         Ok(deployment)
     }
@@ -364,7 +384,8 @@ impl PartitionPlan {
 /// Merges per-partition observed flows into one global flow map.
 ///
 /// A cut signal is observed twice — as the producing component's output
-/// in one partition and as the boundary source's replay in the other —
+/// in one partition and as the tokens its reader took from the link in
+/// the other —
 /// and the two copies must agree token for token (the shorter may be a
 /// prefix of the longer when a partition stopped first): any
 /// disagreement means the medium lost, duplicated or reordered tokens.
@@ -434,122 +455,4 @@ pub fn merged_conformance(
     let budget = (tokens + 16) * 16 * components.len().max(1);
     let reference = replay_reference(&components, feeds, &paced, budget);
     ConformanceReport::compare(reference, merged)
-}
-
-/// The outgoing boundary of a partition: consumes a cut signal from its
-/// local channel (fed by the worker loop like any input) and forwards
-/// every token into the cross-process link.  Blocks inside the step when
-/// the link's credit window is spent — the derived bound applying its
-/// back-pressure across the process boundary.
-struct BoundaryTx {
-    name: String,
-    signal: Name,
-    queue: VecDeque<Value>,
-    tx: Box<dyn TokenTx>,
-}
-
-impl BoundaryTx {
-    fn new(signal: Name, tx: Box<dyn TokenTx>) -> Self {
-        BoundaryTx {
-            name: format!("net-tx:{signal}"),
-            signal,
-            queue: VecDeque::new(),
-            tx,
-        }
-    }
-}
-
-impl StepMachine for BoundaryTx {
-    fn machine_name(&self) -> &str {
-        &self.name
-    }
-
-    fn input_signals(&self) -> Vec<Name> {
-        vec![self.signal.clone()]
-    }
-
-    fn output_signals(&self) -> Vec<Name> {
-        Vec::new()
-    }
-
-    fn feed(&mut self, _port: usize, value: Value) {
-        self.queue.push_back(value);
-    }
-
-    fn try_step(&mut self) -> Result<(), StepFault> {
-        let Some(value) = self.queue.pop_front() else {
-            return Err(StepFault::NeedInput(0));
-        };
-        self.tx.send(value).map_err(|_| {
-            StepFault::Fault(format!(
-                "remote consumer of {} is gone (link closed)",
-                self.signal
-            ))
-        })
-    }
-
-    fn output(&self, _port: usize) -> &[Value] {
-        &[]
-    }
-}
-
-/// The incoming boundary of a partition: replays a cut signal from the
-/// cross-process link as a local producer.  When the link closes (the
-/// remote producer finished and the buffer drained — close-then-drain),
-/// the machine reports its stream [`StepFault::Exhausted`], which the
-/// worker loop resolves as the clean environment-exhausted stop.
-struct BoundarySrc {
-    name: String,
-    signal: Name,
-    rx: Box<dyn TokenRx>,
-    flow: Vec<Value>,
-    closed: bool,
-}
-
-impl BoundarySrc {
-    fn new(signal: Name, rx: Box<dyn TokenRx>) -> Self {
-        BoundarySrc {
-            name: format!("net-src:{signal}"),
-            signal,
-            rx,
-            flow: Vec::new(),
-            closed: false,
-        }
-    }
-}
-
-impl StepMachine for BoundarySrc {
-    fn machine_name(&self) -> &str {
-        &self.name
-    }
-
-    fn input_signals(&self) -> Vec<Name> {
-        Vec::new()
-    }
-
-    fn output_signals(&self) -> Vec<Name> {
-        vec![self.signal.clone()]
-    }
-
-    fn feed(&mut self, _port: usize, _value: Value) {}
-
-    fn try_step(&mut self) -> Result<(), StepFault> {
-        if self.closed {
-            return Err(StepFault::Exhausted(self.signal.clone()));
-        }
-        match self.rx.recv() {
-            Ok(value) => {
-                self.flow.push(value);
-                Ok(())
-            }
-            Err(_) => {
-                self.closed = true;
-                Err(StepFault::Exhausted(self.signal.clone()))
-            }
-        }
-    }
-
-    fn output(&self, _port: usize) -> &[Value] {
-        &self.flow
-    }
 }

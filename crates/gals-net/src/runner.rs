@@ -3,8 +3,9 @@
 //! One process calls [`run_partition`] per partition (typically each call
 //! lives in its own OS process — see `examples/distributed.rs` for the
 //! fork-style layout): the partition's deployment is assembled from the
-//! shared [`PartitionPlan`], fed its slice of the environment, run, and
-//! its observations written out as a [`PartitionReport`] — a small
+//! shared [`PartitionPlan`], fed its slice of the environment, run on the
+//! pool like any deployment, and its observations written out as a
+//! [`PartitionReport`] — a small
 //! line-based file a parent process reads back without any serialization
 //! dependency.  [`MergedStats::merge`] then folds the reports into one
 //! cross-process view: merged flows (cross-checked on every cut signal),
@@ -31,8 +32,10 @@ use crate::partition::{CutEdge, LinkFactory, PartitionError, PartitionPlan};
 
 /// A [`LinkFactory`] wiring every cut edge through a Unix domain socket
 /// in a shared directory: the consumer binds
-/// `<dir>/<signal>-<p>to<c>.sock`, the producer dials it, and the link's
-/// flow-control window is the edge's derived bound.
+/// `<dir>/<signal>-<p>to<c>-<reader>.sock`, the producer dials it, and
+/// the link's flow-control window is the edge's derived bound.  Its
+/// endpoints wake the partition's island from their socket threads, as a
+/// link must.
 pub struct UdsLinks {
     dir: PathBuf,
     retry: RetryPolicy,
@@ -58,8 +61,8 @@ impl UdsLinks {
     /// sides of the link find each other by plan alone.
     pub fn socket_path(&self, edge: &CutEdge) -> PathBuf {
         self.dir.join(format!(
-            "{}-{}to{}.sock",
-            edge.signal, edge.producer, edge.consumer
+            "{}-{}to{}-{}.sock",
+            edge.signal, edge.producer, edge.consumer, edge.reader
         ))
     }
 }
@@ -92,11 +95,11 @@ pub struct PartitionReport {
     pub started_micros: u64,
     /// Wall-clock duration of the run, in microseconds.
     pub elapsed_micros: u64,
-    /// Per-component `(name, completed reactions)`, in deployment order
-    /// (boundary machines included).
+    /// Per-component `(name, completed reactions)`, in deployment order:
+    /// the design components the partition runs, nothing else.
     pub components: Vec<(String, u64)>,
     /// The flows observed by this partition — its components' outputs
-    /// plus the boundary sources' replays of incoming cut signals.
+    /// plus each incoming cut signal as its reader took it from the link.
     pub flows: Flows,
 }
 

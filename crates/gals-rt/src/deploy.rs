@@ -6,11 +6,10 @@
 //! preloads the environment streams, and runs the machines until the
 //! streams are drained — the concurrent execution scheme of Section 5 of
 //! the paper generalized from one producer/consumer pair to arbitrary
-//! component counts.  Its [`ExecutionMode`] decides the threads: one
-//! dedicated OS thread per machine, or the pool scheduler of
-//! [`crate::sched`], which runs the machines as one group on a fixed set
-//! of workers.  [`Deployment::stage`] instead hands the wired machines to
-//! a long-lived [`SharedPool`](crate::SharedPool).
+//! component counts.  The machines run as one group on the pool
+//! scheduler of [`crate::sched`], whose shape ([`ExecutionMode`]) fixes
+//! the OS threads; [`Deployment::stage`] instead hands the wired machines
+//! to a long-lived [`SharedPool`](crate::SharedPool).
 //!
 //! The channels themselves are minted by a [`Transport`] — the lock-free
 //! SPSC ring unless [`Deployment::set_transport`] plugs in another
@@ -18,6 +17,11 @@
 //! consumer — at the capacities of a [`ChannelPolicy`] (a default plus
 //! per-signal overrides, or derived bounds).  [`Deployment::topology`]
 //! reports the resolved capacity and backend of every edge.
+//!
+//! A signal can also be **linked** to an endpoint the deployment did not
+//! mint ([`Deployment::link_input`], [`Deployment::link_output`]), such
+//! as a partition's cut edge on a socket: read and written without
+//! blocking like a ring, its medium waking the island.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -39,7 +43,7 @@ use crate::trace::{Trace, TraceBuffer, TraceConfig};
 use crate::transport::{
     CapacitySource, ChannelPolicy, ChannelSizing, TokenRx, TokenTx, Transport, ZeroCapacity,
 };
-use crate::worker::{self, Driver, WorkerReport};
+use crate::worker::{Driver, WorkerReport};
 
 /// Default per-component step budget: a safety net against components that
 /// can react forever without consuming any finite stream.
@@ -65,6 +69,12 @@ pub enum DeployError {
     FedInternalSignal(Name),
     /// A fed signal is not an input of any machine.
     UnknownFeed(Name),
+    /// A fed signal is linked ([`Deployment::link_input`]): its tokens
+    /// come from the link.
+    FedLinkedSignal(Name),
+    /// A linked input is not an environment input of its machine, or a
+    /// linked output is not an output of any machine.
+    UnknownLink(Name),
     /// A served deployment was fed on the named environment input after
     /// its inputs were closed: its consumers already saw the end of the
     /// stream, so the tokens could never be read.
@@ -145,6 +155,14 @@ impl fmt::Display for DeployError {
             DeployError::UnknownFeed(n) => {
                 write!(f, "fed signal {n} is not an input of any machine")
             }
+            DeployError::FedLinkedSignal(n) => {
+                write!(f, "signal {n} is linked to an endpoint and cannot be fed")
+            }
+            DeployError::UnknownLink(n) => write!(
+                f,
+                "linked signal {n} is not an environment input of its machine \
+                 or an output of any machine"
+            ),
             DeployError::InputsClosed(n) => write!(
                 f,
                 "cannot feed {n}: the deployment's inputs are closed, so its \
@@ -384,7 +402,14 @@ pub struct Deployment {
     feeds: BTreeMap<Name, Vec<Value>>,
     policy: ChannelPolicy,
     transport: Option<Arc<dyn Transport>>,
-    mode: ExecutionMode,
+    /// Incoming links, by (consuming machine, input signal).
+    linked_inputs: BTreeMap<(usize, Name), Box<dyn TokenRx>>,
+    /// Outgoing links, by output signal: one per remote consumer.
+    linked_outputs: Vec<(Name, Box<dyn TokenTx>)>,
+    /// The pool shape; `None` runs on [`ExecutionMode::pool_per_core`],
+    /// asked of the OS only when a run starts, so a deployment built for
+    /// its topology alone (every capacity analysis) costs no system call.
+    mode: Option<ExecutionMode>,
     max_steps: u64,
     stream_capacity: usize,
     allow_cycles: bool,
@@ -395,7 +420,8 @@ pub struct Deployment {
 impl Deployment {
     /// Creates an empty deployment with channel capacity 1 (the one-place
     /// rendez-vous of the paper's concurrent scheme), the SPSC ring as
-    /// the medium, and the default step budget.
+    /// the medium, a pool of one worker per core
+    /// ([`ExecutionMode::pool_per_core`]) and the default step budget.
     pub fn new() -> Self {
         Deployment {
             machines: Vec::new(),
@@ -404,7 +430,9 @@ impl Deployment {
             feeds: BTreeMap::new(),
             policy: ChannelPolicy::new(),
             transport: None,
-            mode: ExecutionMode::ThreadPerComponent,
+            linked_inputs: BTreeMap::new(),
+            linked_outputs: Vec::new(),
+            mode: None,
             max_steps: DEFAULT_MAX_STEPS,
             stream_capacity: DEFAULT_STREAM_CAPACITY,
             allow_cycles: false,
@@ -447,12 +475,10 @@ impl Deployment {
         self
     }
 
-    /// Selects how components are mapped onto OS threads:
-    /// [`ExecutionMode::ThreadPerComponent`] (the default — one dedicated
-    /// thread per component, channel waits park the thread) or
-    /// [`ExecutionMode::Pool`] (a fixed work-stealing pool cooperatively
-    /// steps every component, `quantum` reactions per dispatch — the mode
-    /// that scales past core count).
+    /// Selects the shape of the pool the run starts: `workers` OS threads
+    /// cooperatively step every component, `quantum` reactions per live
+    /// island member per dispatch (default
+    /// [`ExecutionMode::pool_per_core`]).
     ///
     /// # Errors
     ///
@@ -460,21 +486,20 @@ impl Deployment {
     /// [`DeployError::ZeroQuantum`] for a pool with no workers or a
     /// quantum of 0 reactions.
     pub fn set_execution_mode(&mut self, mode: ExecutionMode) -> Result<&mut Self, DeployError> {
-        if let ExecutionMode::Pool { workers, quantum } = mode {
-            if workers == 0 {
-                return Err(DeployError::ZeroPoolWorkers);
-            }
-            if quantum == 0 {
-                return Err(DeployError::ZeroQuantum);
-            }
+        let ExecutionMode::Pool { workers, quantum } = mode;
+        if workers == 0 {
+            return Err(DeployError::ZeroPoolWorkers);
         }
-        self.mode = mode;
+        if quantum == 0 {
+            return Err(DeployError::ZeroQuantum);
+        }
+        self.mode = Some(mode);
         Ok(self)
     }
 
     /// The execution mode in effect.
     pub fn execution_mode(&self) -> ExecutionMode {
-        self.mode
+        self.mode.unwrap_or_else(ExecutionMode::pool_per_core)
     }
 
     /// Allows running a deployment whose channel topology contains a
@@ -549,6 +574,36 @@ impl Deployment {
     /// or network medium, say) instead of the built-in SPSC ring.
     pub fn set_transport(&mut self, transport: Arc<dyn Transport>) -> &mut Self {
         self.transport = Some(transport);
+        self
+    }
+
+    /// Links environment input `signal` of machine `machine` (an index
+    /// from [`add_machine`](Self::add_machine)) to `rx`, the receiving
+    /// half of a channel whose producer lives elsewhere — a partition's
+    /// incoming cut edge.  The driver polls it with `try_recv`, and its
+    /// medium must call the waker it is handed ([`TokenRx::set_waker`]).
+    /// Its close ends the machine as
+    /// [`StopReason::EnvironmentExhausted`](crate::StopReason), and the
+    /// outcome's flows carry the tokens taken from it.  A signal linked
+    /// but not an environment input of that machine, or also fed, fails
+    /// the run with a typed [`DeployError`].
+    pub fn link_input(
+        &mut self,
+        machine: usize,
+        signal: impl Into<Name>,
+        rx: Box<dyn TokenRx>,
+    ) -> &mut Self {
+        self.linked_inputs.insert((machine, signal.into()), rx);
+        self
+    }
+
+    /// Links output `signal` to `tx`, the sending half of a channel whose
+    /// consumer lives elsewhere — a partition's outgoing cut edge; one
+    /// per remote consumer.  The driver publishes to it with `try_send`,
+    /// and its medium must call the waker it is handed
+    /// ([`TokenTx::set_waker`]) when room frees up.
+    pub fn link_output(&mut self, signal: impl Into<Name>, tx: Box<dyn TokenTx>) -> &mut Self {
+        self.linked_outputs.push((signal.into(), tx));
         self
     }
 
@@ -776,58 +831,23 @@ impl Deployment {
         }
     }
 
-    /// Runs the deployment to completion under the selected
-    /// [`ExecutionMode`]: one dedicated OS thread per machine (the
-    /// default), or a fixed work-stealing pool cooperatively stepping every
-    /// machine — either way connected by bounded channels minted by the
-    /// selected transport.  Blocks until every component finished.
+    /// Runs the deployment to completion on a pool of the selected
+    /// [`ExecutionMode`] started for the run, its machines connected by
+    /// bounded channels minted by the selected transport and by their
+    /// links.  Blocks until every component finished.
     ///
     /// # Errors
     ///
     /// Returns [`DeployError`] when the deployment is empty, the topology
-    /// is ill-formed or cyclic, a feed or paced mark does not name an
-    /// environment input, or the transport fails to mint an endpoint pair
-    /// for an edge ([`DeployError::Transport`]).
+    /// is ill-formed or cyclic, a feed, paced mark or link does not name
+    /// an environment input (or a linked output no output), a linked
+    /// signal is fed, or the transport fails to mint an endpoint pair for
+    /// an edge ([`DeployError::Transport`]).
     pub fn run(mut self) -> Result<DeploymentOutcome, DeployError> {
-        if self.machines.is_empty() {
-            return Err(DeployError::Empty);
-        }
-        let topology = self.topology()?;
-        self.check_cycles(&topology)?;
-        self.validate_feeds(&topology)?;
-
-        let transport = self.transport_instance();
-        let backend = transport.name();
-        let (sources, sinks) = self.wire_channels(&topology, transport.as_ref())?;
-
-        // Preload the environment streams into their consumers.
-        for (j, machine) in self.machines.iter_mut().enumerate() {
-            for (port, input) in machine.input_signals().iter().enumerate() {
-                if sources[j].contains_key(input) {
-                    continue;
-                }
-                if let Some(values) = self.feeds.get(input) {
-                    for value in values {
-                        machine.feed(port, *value);
-                    }
-                }
-            }
-        }
-
-        // One resumable driver per machine; the execution mode decides how
-        // drivers map onto OS threads.
-        let max_steps = self.max_steps;
-        let mut drivers: Vec<Driver> = Vec::with_capacity(self.machines.len());
-        let mut sources = sources.into_iter();
-        let mut sinks = sinks.into_iter();
-        for machine in self.machines {
-            drivers.push(Driver::new(
-                machine,
-                sources.next().expect("one source map per machine"),
-                sinks.next().expect("one sink map per machine"),
-                max_steps,
-            ));
-        }
+        let (topology, wired) = self.wire()?;
+        let mode = self.execution_mode();
+        let backend = wired.transport.name();
+        let mut drivers = wired.into_drivers(self.machines, self.max_steps);
         // The trace epoch doubles as the wall-clock start: every buffer
         // timestamps against this one `Instant`, which is what makes the
         // merged per-thread timelines comparable.
@@ -841,28 +861,9 @@ impl Deployment {
             .trace
             .as_ref()
             .map(|config| (started, config.buffer_capacity));
-        let (reports, pool_workers, worker_traces): (
-            Vec<WorkerReport>,
-            Vec<PoolWorkerStats>,
-            Vec<TraceBuffer>,
-        ) = match self.mode {
-            ExecutionMode::ThreadPerComponent => {
-                let reports = std::thread::scope(|scope| {
-                    let handles: Vec<_> = drivers
-                        .into_iter()
-                        .map(|driver| scope.spawn(move || worker::run_dedicated(driver)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("worker thread panicked"))
-                        .collect()
-                });
-                (reports, Vec::new(), Vec::new())
-            }
-            ExecutionMode::Pool { workers, quantum } => {
-                sched::run_batch(drivers, &topology, workers, quantum, sched_trace)
-            }
-        };
+        let ExecutionMode::Pool { workers, quantum } = mode;
+        let (reports, pool_workers, worker_traces) =
+            sched::run_batch(drivers, &topology, workers, quantum, sched_trace);
         let elapsed = started.elapsed();
 
         let parts = OutcomeParts {
@@ -870,7 +871,7 @@ impl Deployment {
             channels: topology.channels,
             sizing: self.policy.sizing(),
             backend,
-            mode: self.mode,
+            mode,
             pool_workers,
             worker_traces,
             elapsed,
@@ -909,44 +910,19 @@ impl Deployment {
     /// ill-formed or unproven-cyclic topology, unknown feeds or paced
     /// marks, transport failures.
     pub fn stage(mut self) -> Result<StagedDeployment, DeployError> {
-        if self.machines.is_empty() {
-            return Err(DeployError::Empty);
-        }
-        let topology = self.topology()?;
-        self.check_cycles(&topology)?;
-        let environment = self.validate_feeds(&topology)?;
+        let (topology, mut wired) = self.wire()?;
 
-        let transport = self.transport_instance();
-        let backend = transport.name();
-        let (mut sources, mut sinks) = self.wire_channels(&topology, transport.as_ref())?;
-
-        // Preload pre-staged feeds directly into their consumers: the
-        // machine's internal input queue is consumed before its channel is
-        // read, so preloaded tokens come strictly before streamed ones.
-        for machine in self.machines.iter_mut() {
-            for (port, input) in machine.input_signals().iter().enumerate() {
-                if !environment.contains(input) {
-                    continue;
-                }
-                if let Some(values) = self.feeds.get(input) {
-                    for value in values {
-                        machine.feed(port, *value);
-                    }
-                }
-            }
-        }
-
-        // Ingress: one bounded channel per (environment input, consumer).
-        // The rx side feeds the driver like any upstream edge; the tx side
-        // is the client's streaming handle.
+        // Ingress: one bounded channel per (environment input, consumer),
+        // unless a link feeds it.  The rx side feeds the driver like any
+        // upstream edge; the tx side is the client's streaming handle.
         let mut ingress: BTreeMap<Name, IngressPort> = BTreeMap::new();
         for (j, machine) in self.machines.iter().enumerate() {
             for input in machine.input_signals() {
-                if !environment.contains(&input) {
+                if !wired.environment.contains(&input) || wired.sources[j].contains_key(&input) {
                     continue;
                 }
-                let (tx, rx) = transport.open(self.stream_capacity)?;
-                sources[j].insert(input.clone(), rx);
+                let (tx, rx) = wired.transport.open(self.stream_capacity)?;
+                wired.sources[j].insert(input.clone(), rx);
                 ingress
                     .entry(input)
                     .or_insert_with(|| IngressPort {
@@ -958,43 +934,29 @@ impl Deployment {
         }
 
         // Egress: one bounded channel per external output (an output no
-        // other machine consumes).  The tx rides along the producer's
-        // ordinary sinks; the rx side is the client's polling handle.
-        let channel_signals: BTreeSet<Name> =
-            topology.channels.iter().map(|c| c.signal.clone()).collect();
+        // other machine consumes and no link carries).  The tx rides along
+        // the producer's ordinary sinks; the rx side is the client's
+        // polling handle.
         let mut egress: BTreeMap<Name, EgressPort> = BTreeMap::new();
         for (i, machine) in self.machines.iter().enumerate() {
             for output in machine.output_signals() {
-                if channel_signals.contains(&output) {
+                if wired.sinks[i].contains_key(&output) {
                     continue;
                 }
-                let (tx, rx) = transport.open(self.stream_capacity)?;
-                sinks[i].entry(output.clone()).or_default().push(tx);
+                let (tx, rx) = wired.transport.open(self.stream_capacity)?;
+                wired.sinks[i].entry(output.clone()).or_default().push(tx);
                 egress.insert(output, EgressPort { producer: i, rx });
             }
         }
 
-        let max_steps = self.max_steps;
-        let mut names = Vec::with_capacity(self.machines.len());
-        let mut drivers: Vec<Driver> = Vec::with_capacity(self.machines.len());
-        let mut sources = sources.into_iter();
-        let mut sinks = sinks.into_iter();
-        for machine in self.machines {
-            names.push(machine.machine_name().to_string());
-            let mut driver = Driver::new(
-                machine,
-                sources.next().expect("one source map per machine"),
-                sinks.next().expect("one sink map per machine"),
-                max_steps,
-            );
-            for signal in &topology.environment {
-                driver.mark_environment(signal);
-            }
-            drivers.push(driver);
-        }
-
+        let names = self
+            .machines
+            .iter()
+            .map(|machine| machine.machine_name().to_string())
+            .collect();
+        let backend = wired.transport.name();
         Ok(StagedDeployment {
-            drivers,
+            drivers: wired.into_drivers(self.machines, self.max_steps),
             topology,
             ingress,
             egress,
@@ -1009,46 +971,20 @@ impl Deployment {
         })
     }
 
-    /// Validates the feeds and paced marks against the derived environment
-    /// and returns the environment inputs as a set.
-    fn validate_feeds(&self, topology: &Topology) -> Result<BTreeSet<Name>, DeployError> {
-        let inputs: BTreeSet<Name> = self
-            .machines
-            .iter()
-            .flat_map(|m| m.input_signals())
-            .collect();
-        let environment: BTreeSet<Name> = topology.environment.iter().cloned().collect();
-        for signal in self.feeds.keys() {
-            if !inputs.contains(signal) {
-                return Err(DeployError::UnknownFeed(signal.clone()));
-            }
-            if !environment.contains(signal) {
-                return Err(DeployError::FedInternalSignal(signal.clone()));
-            }
+    /// What [`run`](Self::run) and [`stage`](Self::stage) share: the
+    /// static checks, the bounded internal channels — one endpoint pair
+    /// per edge, minted by the transport at the edge's resolved capacity —
+    /// the links, and the preloaded environment streams.  A machine reads
+    /// its own input queue before its channel, so in a staged deployment
+    /// the preloaded tokens come strictly before streamed ones.
+    fn wire(&mut self) -> Result<(Topology, Wired), DeployError> {
+        if self.machines.is_empty() {
+            return Err(DeployError::Empty);
         }
-        for signal in &self.paced {
-            if !environment.contains(signal) {
-                return Err(DeployError::UnknownPaced(signal.clone()));
-            }
-        }
-        Ok(environment)
-    }
-
-    /// Wires the bounded internal channels: one endpoint pair per edge,
-    /// minted by the transport at the edge's resolved capacity; returns
-    /// the per-machine source and sink endpoint maps.
-    #[allow(clippy::type_complexity)]
-    fn wire_channels(
-        &self,
-        topology: &Topology,
-        transport: &dyn Transport,
-    ) -> Result<
-        (
-            Vec<BTreeMap<Name, Box<dyn TokenRx>>>,
-            Vec<BTreeMap<Name, Vec<Box<dyn TokenTx>>>>,
-        ),
-        DeployError,
-    > {
+        let topology = self.topology()?;
+        self.check_cycles(&topology)?;
+        let environment = self.validate_feeds(&topology)?;
+        let transport = self.transport_instance();
         let n = self.machines.len();
         let mut sources: Vec<BTreeMap<Name, Box<dyn TokenRx>>> =
             (0..n).map(|_| BTreeMap::new()).collect();
@@ -1062,7 +998,121 @@ impl Deployment {
                 .push(tx);
             sources[spec.consumer].insert(spec.signal.clone(), rx);
         }
-        Ok((sources, sinks))
+        let mut linked = Vec::with_capacity(self.linked_inputs.len());
+        for ((machine, signal), rx) in std::mem::take(&mut self.linked_inputs) {
+            sources[machine].insert(signal.clone(), rx);
+            linked.push((machine, signal));
+        }
+        for (signal, tx) in std::mem::take(&mut self.linked_outputs) {
+            if let Some(producer) = self
+                .machines
+                .iter()
+                .position(|m| m.output_signals().contains(&signal))
+            {
+                sinks[producer].entry(signal).or_default().push(tx);
+            }
+        }
+        // Every feed names an unlinked environment input (validated).
+        for machine in &mut self.machines {
+            for (port, input) in machine.input_signals().iter().enumerate() {
+                for value in self.feeds.get(input).into_iter().flatten() {
+                    machine.feed(port, *value);
+                }
+            }
+        }
+        let wired = Wired {
+            environment,
+            transport,
+            sources,
+            sinks,
+            linked,
+        };
+        Ok((topology, wired))
+    }
+
+    /// Validates the feeds, paced marks and links against the derived
+    /// environment and returns the environment inputs as a set.
+    fn validate_feeds(&self, topology: &Topology) -> Result<BTreeSet<Name>, DeployError> {
+        let inputs: BTreeSet<Name> = self
+            .machines
+            .iter()
+            .flat_map(|m| m.input_signals())
+            .collect();
+        let environment: BTreeSet<Name> = topology.environment.iter().cloned().collect();
+        for (machine, signal) in self.linked_inputs.keys() {
+            let consumes = self
+                .machines
+                .get(*machine)
+                .is_some_and(|m| m.input_signals().contains(signal));
+            if !consumes || !environment.contains(signal) {
+                return Err(DeployError::UnknownLink(signal.clone()));
+            }
+        }
+        for (signal, _) in &self.linked_outputs {
+            if !self
+                .machines
+                .iter()
+                .any(|m| m.output_signals().contains(signal))
+            {
+                return Err(DeployError::UnknownLink(signal.clone()));
+            }
+        }
+        for signal in self.feeds.keys() {
+            if !inputs.contains(signal) {
+                return Err(DeployError::UnknownFeed(signal.clone()));
+            }
+            if !environment.contains(signal) {
+                return Err(DeployError::FedInternalSignal(signal.clone()));
+            }
+            if self
+                .linked_inputs
+                .keys()
+                .any(|(_, linked)| linked == signal)
+            {
+                return Err(DeployError::FedLinkedSignal(signal.clone()));
+            }
+        }
+        for signal in &self.paced {
+            if !environment.contains(signal) {
+                return Err(DeployError::UnknownPaced(signal.clone()));
+            }
+        }
+        Ok(environment)
+    }
+}
+
+/// A deployment checked and wired by [`Deployment::wire`].
+struct Wired {
+    environment: BTreeSet<Name>,
+    transport: Arc<dyn Transport>,
+    /// Per machine: the receiving endpoint of each channel-fed input.
+    sources: Vec<BTreeMap<Name, Box<dyn TokenRx>>>,
+    /// Per machine: the sending endpoints of each published output.
+    sinks: Vec<BTreeMap<Name, Vec<Box<dyn TokenTx>>>>,
+    /// The linked (machine, input) pairs.
+    linked: Vec<(usize, Name)>,
+}
+
+impl Wired {
+    /// One resumable driver per machine over its endpoints, environment
+    /// and linked inputs marked.
+    fn into_drivers(self, machines: Vec<Box<dyn StepMachine>>, max_steps: u64) -> Vec<Driver> {
+        let mut drivers: Vec<Driver> = machines
+            .into_iter()
+            .zip(self.sources)
+            .zip(self.sinks)
+            .map(|((machine, sources), sinks)| {
+                let mut driver = Driver::new(machine, sources, sinks, max_steps);
+                for signal in &self.environment {
+                    driver.mark_environment(signal);
+                }
+                driver
+            })
+            .collect();
+        for (machine, signal) in &self.linked {
+            drivers[*machine].keep_received(signal);
+        }
+        drivers
     }
 }
 
@@ -1274,6 +1324,7 @@ impl OutcomeParts {
                 let flow = report.machine.output(port).to_vec();
                 flows.insert(output, flow);
             }
+            flows.extend(report.received);
             if let Some(buffer) = report.trace {
                 component_traces.push((report.stats.name.clone(), buffer));
             }

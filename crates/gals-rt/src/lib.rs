@@ -8,13 +8,12 @@
 //!
 //! * a [`Deployment`] builder that assembles separately compiled
 //!   components ([`StepMachine`]s), derives the channel topology from
-//!   their interfaces, and runs the components either **each on its own
-//!   OS thread** or on a **fixed pool of worker threads** ([`sched`]) —
-//!   the same scheduler a [`SharedPool`] uses to host many deployments at
-//!   once;
-//! * **bounded** FIFO channels with backpressure (a dedicated thread
-//!   blocks on a full or empty channel; a pooled component yields and is
-//!   woken when the edge moves) — the finite-buffer refinement of the
+//!   their interfaces, and runs the components on a **fixed pool of
+//!   worker threads** ([`sched`]) — the one executor, the same scheduler a
+//!   [`SharedPool`] uses to host many deployments at once;
+//! * **bounded** FIFO channels with backpressure (a component facing a
+//!   full or empty channel yields its worker and is woken when the edge
+//!   moves; no step ever blocks) — the finite-buffer refinement of the
 //!   paper's unbounded-FIFO asynchronous model (`^` [`sim::AsyncNetwork`]);
 //! * a **pluggable transport layer** ([`Transport`] minting
 //!   [`TokenTx`]/[`TokenRx`] endpoint pairs) whose built-in medium is a
@@ -36,8 +35,8 @@
 //!
 //! # Example
 //!
-//! Deploying two hand-rolled machines (a counter and a doubler) on two
-//! threads, connected by a bounded channel:
+//! Deploying two hand-rolled machines (a counter and a doubler) on the
+//! pool, connected by a bounded channel:
 //!
 //! ```
 //! use gals_rt::{Deployment, StepFault, StepMachine};
@@ -571,16 +570,13 @@ mod tests {
             DeployError::ZeroQuantum
         );
         // The rejected modes left the deployment in the default mode.
-        assert_eq!(
-            deployment.execution_mode(),
-            ExecutionMode::ThreadPerComponent
-        );
+        assert_eq!(deployment.execution_mode(), ExecutionMode::pool_per_core());
     }
 
     #[test]
     fn a_two_worker_pool_runs_eight_components_with_identical_flows() {
         // The scheduler's point: fewer OS threads than components, same
-        // flows as the dedicated-thread mode, whatever the quantum or the
+        // flows as the default pool, whatever the quantum or the
         // capacity.
         let reference = {
             let mut deployment = pipeline(8);
@@ -606,8 +602,7 @@ mod tests {
                     "quantum {quantum} capacity {capacity}"
                 );
                 assert_eq!(stats.total_reactions(), 8 * 32);
-                // The run was scheduled by the pool, not by dedicated
-                // threads.
+                // The run was scheduled by the configured pool.
                 assert_eq!(
                     stats.mode,
                     ExecutionMode::Pool {
@@ -827,10 +822,9 @@ mod tests {
     #[test]
     fn the_pool_detects_a_communication_deadlock_instead_of_hanging() {
         // a reads q and writes p; b reads p and writes q.  Nothing is ever
-        // fed, so both block immediately.  The dedicated-thread mode would
-        // hang on this (which is why cycles must be explicitly allowed);
-        // the pool scheduler proves the all-blocked state terminal and
-        // stops.
+        // fed, so both block immediately and for good (which is why cycles
+        // must be explicitly allowed); the pool scheduler proves the
+        // all-blocked state terminal and stops instead of hanging.
         let mut deployment = Deployment::new();
         deployment.add_machine(Box::new(Summer::new("a", "q", "p")));
         deployment.add_machine(Box::new(Summer::new("b", "p", "q")));
@@ -990,11 +984,6 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_machine_ends_a_thread_run_with_a_fault() {
-        assert_a_machine_panic_is_a_fault(ExecutionMode::ThreadPerComponent);
-    }
-
-    #[test]
     fn conformance_without_a_reference_is_an_error() {
         let mut deployment = pipeline(1);
         deployment.feed("s0", [Value::Int(1)]);
@@ -1115,10 +1104,7 @@ mod tests {
         }
         // Submitted last, finishes first: priority beats submission order.
         let staged = pipeline(2).stage().expect("stages");
-        let critical_options = SubmitOptions {
-            base_priority: 10,
-            boosts: std::collections::BTreeMap::new(),
-        };
+        let critical_options = SubmitOptions { base_priority: 10 };
         let mut critical = pool.submit(staged, &critical_options);
         critical
             .feed("s0", (1..=16).map(Value::Int))
@@ -1242,5 +1228,183 @@ mod tests {
         assert!(stats[0].pinned, "hook returned true for worker 0");
         assert!(!stats[1].pinned, "hook returned false for worker 1");
         pool.shutdown();
+    }
+
+    /// A test link: a queue another thread serves as the medium, the
+    /// waker the pool handed its endpoint, and the times the pool found it
+    /// empty (reading) or without credit (sending).
+    #[derive(Clone, Default)]
+    struct Link(std::sync::Arc<std::sync::Mutex<LinkState>>);
+
+    #[derive(Default)]
+    struct LinkState {
+        queue: std::collections::VecDeque<Value>,
+        closed: bool,
+        credit: usize,
+        refusals: usize,
+        waker: Option<std::task::Waker>,
+    }
+
+    impl Link {
+        fn state(&self) -> std::sync::MutexGuard<'_, LinkState> {
+            self.0.lock().unwrap()
+        }
+
+        /// Waits (bounded) until the pool refused on the link again since
+        /// `seen`, and a little longer, so its island is blocked rather
+        /// than running; then moves the link with `f` and wakes the island.
+        fn serve(&self, seen: &mut usize, f: impl FnOnce(&mut LinkState)) {
+            let deadline = std::time::Instant::now() + Duration::from_secs(20);
+            while self.state().refusals <= *seen {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "the pool never polled"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            std::thread::sleep(Duration::from_millis(5));
+            let mut state = self.state();
+            f(&mut state);
+            *seen = state.refusals;
+            let waker = state.waker.clone().expect("the pool installed a waker");
+            drop(state);
+            waker.wake();
+        }
+    }
+
+    impl TokenRx for Link {
+        fn recv(&self) -> Result<Value, ChannelClosed> {
+            unreachable!("the pool never blocks on a link")
+        }
+        fn try_recv(&self) -> Result<Value, TryRecvError> {
+            let mut state = self.state();
+            match state.queue.pop_front() {
+                Some(value) => Ok(value),
+                None if state.closed => Err(TryRecvError::Closed),
+                None => {
+                    state.refusals += 1;
+                    Err(TryRecvError::Empty)
+                }
+            }
+        }
+        fn set_waker(&self, waker: &std::task::Waker) -> bool {
+            self.state().waker = Some(waker.clone());
+            true
+        }
+    }
+
+    impl TokenTx for Link {
+        fn send(&self, _token: Value) -> Result<(), ChannelClosed> {
+            unreachable!("the pool never blocks on a link")
+        }
+        fn try_send(&self, token: Value) -> Result<(), TrySendError> {
+            let mut state = self.state();
+            if state.credit == 0 {
+                state.refusals += 1;
+                return Err(TrySendError::Full);
+            }
+            state.credit -= 1;
+            state.queue.push_back(token);
+            Ok(())
+        }
+        fn set_waker(&self, waker: &std::task::Waker) -> bool {
+            self.state().waker = Some(waker.clone());
+            true
+        }
+    }
+
+    /// Runs `deployment`, failing instead of hanging when it does not
+    /// return within 20 s: a lost wake parks an open group's island
+    /// forever.
+    fn run_with_watchdog(deployment: Deployment) -> DeploymentOutcome {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(deployment.run());
+        });
+        rx.recv_timeout(Duration::from_secs(20))
+            .unwrap_or_else(|e| panic!("the run never returned: a wake was lost ({e})"))
+            .expect("runs")
+    }
+
+    #[test]
+    fn a_linked_input_fed_after_its_island_blocked_wakes_it() {
+        let link = Link::default();
+        let mut deployment = pipeline(2);
+        deployment.link_input(0, "s0", Box::new(link.clone()));
+        let feeder = std::thread::spawn(move || {
+            // Each token lands only once the island took the last one and
+            // blocked on the empty link again; then the link closes.
+            let mut seen = 0;
+            for value in 1..=6 {
+                link.serve(&mut seen, |state| state.queue.push_back(Value::Int(value)));
+            }
+            link.serve(&mut seen, |state| state.closed = true);
+        });
+        let outcome = run_with_watchdog(deployment);
+        feeder.join().expect("feeder");
+        let got: Vec<i64> = outcome
+            .flow("s2")
+            .iter()
+            .filter_map(|v| v.as_int())
+            .collect();
+        assert_eq!(got, pipeline_reference(2, 6));
+        // The outcome carries the linked signal as received, and the close
+        // ended its reader as the end of its environment stream.
+        assert_eq!(
+            outcome.flow("s0"),
+            (1..=6).map(Value::Int).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            outcome.stats().components[0].stop,
+            StopReason::EnvironmentExhausted(Name::from("s0"))
+        );
+    }
+
+    #[test]
+    fn a_linked_output_without_credit_resumes_when_its_medium_wakes_it() {
+        let link = Link::default();
+        let mut deployment = pipeline(2);
+        deployment.feed("s0", (1..=8).map(Value::Int));
+        deployment.link_output("s2", Box::new(link.clone()));
+        let creditor = {
+            let link = link.clone();
+            // One slot of credit at a time, each only once the producer
+            // was refused for the lack of it.
+            std::thread::spawn(move || {
+                let mut seen = 0;
+                for _ in 0..8 {
+                    link.serve(&mut seen, |state| state.credit += 1);
+                }
+            })
+        };
+        let outcome = run_with_watchdog(deployment);
+        creditor.join().expect("creditor");
+        let expected: Vec<Value> = pipeline_reference(2, 8)
+            .into_iter()
+            .map(Value::Int)
+            .collect();
+        assert_eq!(outcome.flow("s2"), expected.as_slice());
+        let delivered: Vec<Value> = link.state().queue.iter().copied().collect();
+        assert_eq!(delivered, expected, "every token crossed the link in order");
+    }
+
+    #[test]
+    fn links_must_name_environment_inputs_and_outputs_and_cannot_be_fed() {
+        // An internal signal, and an input of another machine.
+        for (machine, signal) in [(1, "s1"), (1, "s0")] {
+            let mut deployment = pipeline(2);
+            deployment.link_input(machine, signal, Box::new(Link::default()));
+            let err = deployment.run().unwrap_err();
+            assert_eq!(err, DeployError::UnknownLink(Name::from(signal)));
+        }
+        let mut deployment = pipeline(2);
+        deployment.link_input(0, "s0", Box::new(Link::default()));
+        deployment.feed("s0", [Value::Int(1)]);
+        let err = deployment.run().unwrap_err();
+        assert_eq!(err, DeployError::FedLinkedSignal(Name::from("s0")));
+        let mut deployment = pipeline(2);
+        deployment.link_output("nope", Box::new(Link::default()));
+        let err = deployment.run().unwrap_err();
+        assert_eq!(err, DeployError::UnknownLink(Name::from("nope")));
     }
 }

@@ -3,7 +3,7 @@
 //! The engine is deliberately agnostic of *how* a component executes one
 //! synchronous step: anything that can attempt a step, report a blocking
 //! read, accept a fed input token and expose its produced output flows can
-//! be deployed on a thread.  `codegen::CompiledRuntime` — the slot-indexed
+//! be deployed on the pool.  `codegen::CompiledRuntime` — the slot-indexed
 //! execution of a generated step program — is what verified designs
 //! deploy; the reference interpreter and the emitted-Rust loader implement
 //! this trait too, and a future FFI runner for the emitted C would as well.
@@ -25,11 +25,6 @@ pub enum StepFault {
     /// blocking read of the generated embedded code.  No observable state
     /// changed; the step can be retried after feeding the port.
     NeedInput(usize),
-    /// The machine's own stream ended: a source with no input port to
-    /// name (a partition's incoming link, closed and drained) will never
-    /// react again.  The engine reports it as the normal end of that
-    /// stream, [`StopReason::EnvironmentExhausted`](crate::StopReason).
-    Exhausted(Name),
     /// The machine faulted (evaluation error, corrupted state); the worker
     /// stops and reports the message.
     Fault(String),
@@ -39,7 +34,6 @@ impl fmt::Display for StepFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StepFault::NeedInput(port) => write!(f, "step needs a value on input port {port}"),
-            StepFault::Exhausted(n) => write!(f, "stream {n} ended"),
             StepFault::Fault(m) => write!(f, "machine fault: {m}"),
         }
     }
@@ -52,6 +46,10 @@ impl fmt::Display for StepFault {
 /// * Ports follow the signal lists: input port `i` is
 ///   `input_signals()[i]`, output port `o` is `output_signals()[o]`, and
 ///   both lists are fixed for the machine's lifetime.
+/// * [`try_step`](StepMachine::try_step) never blocks: the pool is the
+///   only executor, and a step that waited inside would stall its whole
+///   island on a worker thread.  Channels belong to the engine, which
+///   reads and writes them without blocking; a machine only computes.
 /// * [`try_step`](StepMachine::try_step) either completes one synchronous
 ///   reaction, or returns [`StepFault::NeedInput`] *without changing any
 ///   observable state* — no input consumed, no output appended, no step
@@ -120,10 +118,6 @@ mod tests {
         assert_eq!(
             StepFault::NeedInput(1).to_string(),
             "step needs a value on input port 1"
-        );
-        assert_eq!(
-            StepFault::Exhausted(Name::from("x")).to_string(),
-            "stream x ended"
         );
         assert!(StepFault::Fault("division by zero".into())
             .to_string()

@@ -1,14 +1,15 @@
 //! The pool scheduler: a fixed set of worker threads cooperatively runs
 //! the components of any number of deployments.
 //!
-//! Thread-per-component execution oversubscribes every real machine once a
-//! deployment grows past core count — the paper's claim is about
-//! *arbitrary* component counts, so the runtime needs an execution mode
-//! whose OS-thread footprint is fixed.  This module provides it, and it is
-//! the only pool: a [`Deployment::run`](crate::Deployment::run) under
-//! [`ExecutionMode::Pool`] starts one for the run and places its
-//! components as one **group**, while a long-lived [`SharedPool`] hosts
-//! one group per submitted deployment (the substrate of `gals-serve`).
+//! It is the runtime's only executor.  The paper's claim is about
+//! *arbitrary* component counts, so the OS-thread footprint is fixed
+//! whatever the count, and a verified design's flows do not depend on
+//! the schedule (Theorem 1; every deployment is a Kahn network), so a
+//! second executor would add code but no semantics.  A
+//! [`Deployment::run`](crate::Deployment::run) starts a pool of the
+//! configured [`ExecutionMode`] for the run and places its components as
+//! one **group**, while a long-lived [`SharedPool`] hosts one group per
+//! submitted deployment (the substrate of `gals-serve`).
 //!
 //! * **Islands.**  The unit of scheduling is an *island*: one weakly
 //!   connected component of the deployment's channel graph (a whole
@@ -42,13 +43,19 @@
 //!   round-robins the ready set (tenants stay fair) instead of
 //!   re-dispatching the yielder.
 //! * **Wakes.**  A dispatch never wakes another cell: no channel leaves
-//!   its island.  Only clients wake, from outside the pool, on the
-//!   island's home worker: feeding an ingress edge wakes its consumer's
+//!   its island.  Wakes come from outside the pool, on the island's home
+//!   worker.  Clients wake: feeding an ingress edge wakes its consumer's
 //!   island ([`SubmittedDeployment::feed`]), draining an egress edge
 //!   wakes its producer's ([`SubmittedDeployment::poll_outputs`]), and
-//!   closing the inputs wakes the consumers'.  A wake that races a
-//!   dispatch of the same island is latched in a `NOTIFIED` state and
-//!   re-queued by the dispatching worker, never lost.
+//!   closing the inputs wakes the consumers'.  Media wake too: before an
+//!   island is first queued, every endpoint of its members is handed the
+//!   island's [`Waker`], and a medium that moves tokens from its own
+//!   thread (a partition's socket link: a token, a close or credit
+//!   arrived) calls it.  The waker holds the pool and the group weakly,
+//!   so an endpoint never keeps its own group alive, and a wake after the
+//!   run ended does nothing.  A wake that races a dispatch of the same
+//!   island is latched in a `NOTIFIED` state and re-queued by the
+//!   dispatching worker, never lost.
 //! * **Parking.**  A worker with nothing to pop parks on a condvar, and
 //!   an enqueue notifies the parked workers — except when a worker pushes
 //!   onto its own empty heap during a dispatch, since it takes that island
@@ -62,19 +69,20 @@
 //! * **Quiescence.**  A group counts its islands that are queued or being
 //!   dispatched (`work`): an enqueue increments it before the push, and a
 //!   dispatch decrements it only after publishing its outcome.  A group
-//!   with no ingress or egress port is *sealed* — no client can ever wake
-//!   it, which is every batch run, whose environment streams are
-//!   preloaded.  When a sealed group's `work` drops to 0 with components
-//!   remaining, every surviving island is stuck and no wake can
-//!   originate: a communication deadlock (only reachable on a cyclic
+//!   that nothing outside its workers can wake is *sealed*: it has no
+//!   ingress or egress port and no endpoint whose medium calls its waker
+//!   — every batch run on the built-in ring, whose environment streams
+//!   are preloaded.  When a sealed group's `work` drops to 0 with
+//!   components remaining, every surviving island is stuck and no wake
+//!   can originate: a communication deadlock (only reachable on a cyclic
 //!   topology that got past the static cycle analysis).  The thread that
 //!   made the last decrement finalizes each live member with
-//!   [`StopReason::Deadlocked`] instead of hanging, which the
-//!   dedicated-thread mode would.  Placing a group holds its `work` at 1
-//!   until every island is queued, so an island that blocks before its
-//!   peers are placed cannot make the group look quiescent.  An *open*
-//!   group (a served tenant) is never finalized: all of its islands
-//!   blocked is its normal idle state between feeds.
+//!   [`StopReason::Deadlocked`] instead of hanging.  Placing a group holds
+//!   its `work` at 1 until every island is queued, so an island that
+//!   blocks before its peers are placed cannot make the group look
+//!   quiescent.  An *open* group (a served tenant, a partition waiting on
+//!   its links) is never finalized: all of its islands blocked is its
+//!   normal idle state between feeds or arrivals.
 //! * **Affinity.**  Each worker of a [`SharedPool`] runs an optional
 //!   startup hook ([`PoolOptions::worker_setup`]) whose success is
 //!   reported as the `pinned` flag of its [`PoolWorkerStats`]: the seam
@@ -84,7 +92,8 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt;
 use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
+use std::task::{Wake, Waker};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -100,14 +109,10 @@ use crate::trace::TraceBuffer;
 use crate::transport::TrySendError;
 use crate::worker::{DriveOutcome, Driver, WorkerReport};
 
-/// How a deployment maps components onto OS threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The shape of the pool a deployment runs on.  The default is
+/// [`ExecutionMode::pool_per_core`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
-    /// One dedicated OS thread per component; channel waits park the
-    /// thread (blocking-read/blocking-write backpressure).  The mode of
-    /// earlier releases, and still the default.
-    #[default]
-    ThreadPerComponent,
     /// A fixed pool of `workers` OS threads cooperatively runs every
     /// component.  Each weakly connected component of the channel graph is
     /// one *island*, scheduled as a unit: ready islands are pulled from
@@ -142,14 +147,16 @@ impl ExecutionMode {
     }
 }
 
+impl Default for ExecutionMode {
+    fn default() -> Self {
+        ExecutionMode::pool_per_core()
+    }
+}
+
 impl fmt::Display for ExecutionMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExecutionMode::ThreadPerComponent => write!(f, "thread-per-component"),
-            ExecutionMode::Pool { workers, quantum } => {
-                write!(f, "pool of {workers} worker(s), quantum {quantum}")
-            }
-        }
+        let ExecutionMode::Pool { workers, quantum } = self;
+        write!(f, "pool of {workers} worker(s), quantum {quantum}")
     }
 }
 
@@ -210,10 +217,8 @@ impl PoolOptions {
     /// One worker per available core, with the same moderate quantum as
     /// [`ExecutionMode::pool_per_core`].
     pub fn per_core() -> Self {
-        match ExecutionMode::pool_per_core() {
-            ExecutionMode::Pool { workers, quantum } => PoolOptions::new(workers, quantum),
-            ExecutionMode::ThreadPerComponent => unreachable!("pool_per_core returns a pool"),
-        }
+        let ExecutionMode::Pool { workers, quantum } = ExecutionMode::pool_per_core();
+        PoolOptions::new(workers, quantum)
     }
 }
 
@@ -237,15 +242,10 @@ impl fmt::Debug for PoolOptions {
 /// Scheduling options of one [`SharedPool::submit`].
 #[derive(Debug, Clone, Default)]
 pub struct SubmitOptions {
-    /// Scheduling priority of every component of the deployment: a ready
+    /// Scheduling priority of every island of the deployment: a ready
     /// island always dispatches before any lower-priority ready island, on
     /// every pop and steal.
     pub base_priority: u32,
-    /// Per-component boosts keyed by component (machine) name, added on
-    /// top of the base.  An island runs at the maximum of its members'
-    /// priorities, so a boost raises its whole island.  Names that match
-    /// no component are ignored.
-    pub boosts: BTreeMap<String, u32>,
 }
 
 /// One entry of a worker's priority heap: island `cell` of `group`.
@@ -289,7 +289,7 @@ type Members = Vec<(usize, Driver)>;
 /// One island living on a pool, addressed by its index in its group.
 struct Cell {
     state: AtomicU8,
-    /// The maximum of the members' priorities.
+    /// The priority of the island's deployment.
     priority: u32,
     /// The worker whose heap this island is enqueued on by client wakes
     /// (feed, poll, close); a yielding dispatch re-queues on its own
@@ -308,6 +308,28 @@ impl Cell {
     }
 }
 
+/// The [`Waker`] a medium calls to wake one island from its own thread.
+/// It holds the pool and the group weakly: an endpoint never keeps its own
+/// group alive, and a wake after either is gone does nothing.
+struct IslandWaker {
+    sched: Weak<Scheduler>,
+    group: Weak<Group>,
+    island: usize,
+    home: usize,
+}
+
+impl Wake for IslandWaker {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        if let (Some(sched), Some(group)) = (self.sched.upgrade(), self.group.upgrade()) {
+            sched.wake(self.home, &group, self.island);
+        }
+    }
+}
+
 /// How one dispatch of an island ended.
 enum Sweep {
     /// The island used its quantum with members still runnable.
@@ -323,8 +345,9 @@ enum Sweep {
 /// a drained deployment frees its islands.
 struct Group {
     started: Instant,
-    /// Whether no client can wake the group: it has no ingress or egress
-    /// port.  Only a sealed group is finalized when it quiesces.
+    /// Whether nothing outside the pool can wake the group: it has no
+    /// ingress or egress port, and no endpoint's medium calls its waker.
+    /// Only a sealed group is finalized when it quiesces.
     sealed: bool,
     /// Components that have not reported yet.
     remaining: AtomicUsize,
@@ -707,8 +730,8 @@ pub(crate) fn run_batch(
     let mut pool = SharedPool::launch(PoolOptions::new(workers, quantum), trace)
         .expect("set_execution_mode refuses empty pools and zero quanta");
     // A batch run's environment streams are preloaded: it has no ports,
-    // so its group is sealed.
-    let group = pool.place(drivers, topology, true, Instant::now(), |_| 0);
+    // so its group is sealed unless a link's medium can wake it.
+    let group = pool.place(drivers, topology, true, Instant::now(), 0);
     group.wait(None);
     let worker_traces = pool.stop_workers();
     (group.take_reports(), pool.worker_stats(), worker_traces)
@@ -933,10 +956,7 @@ impl SharedPool {
             }
         }
         let sealed = ingress.is_empty() && egress.is_empty();
-        let group = self.place(drivers, &topology, sealed, started, |i| {
-            let boost = options.boosts.get(&names[i]).copied().unwrap_or(0);
-            options.base_priority.saturating_add(boost)
-        });
+        let group = self.place(drivers, &topology, sealed, started, options.base_priority);
         SubmittedDeployment {
             sched: Arc::clone(&self.sched),
             group,
@@ -957,14 +977,16 @@ impl SharedPool {
     }
 
     /// Places `drivers` as one group: one cell per island of the channel
-    /// graph, enqueued on its home worker.
+    /// graph, its members' endpoints handed the island's waker, enqueued
+    /// on its home worker.  A group placed `sealed` stays sealed only when
+    /// no endpoint's medium will call that waker.
     fn place(
         &self,
         drivers: Vec<Driver>,
         topology: &Topology,
         sealed: bool,
         started: Instant,
-        priority: impl Fn(usize) -> u32,
+        priority: u32,
     ) -> Arc<Group> {
         let n = drivers.len();
         let islands = islands(n, &topology.channels);
@@ -976,35 +998,49 @@ impl SharedPool {
         }
         let mut drivers: Vec<Option<Driver>> = drivers.into_iter().map(Some).collect();
         let base = self.sched.next_home.fetch_add(islands.len().max(1), SeqCst);
-        let cells = islands
-            .iter()
-            .enumerate()
-            .map(|(k, members)| Cell {
-                state: AtomicU8::new(QUEUED),
-                priority: members.iter().map(|&i| priority(i)).max().unwrap_or(0),
-                home: (base + k) % self.workers,
-                label: members[0],
-                slot: Mutex::new(Some(
-                    members
+        let group = Arc::new_cyclic(|weak: &Weak<Group>| {
+            let mut wakes = false;
+            let cells = islands
+                .iter()
+                .enumerate()
+                .map(|(k, members)| {
+                    let home = (base + k) % self.workers;
+                    let waker = Waker::from(Arc::new(IslandWaker {
+                        sched: Arc::downgrade(&self.sched),
+                        group: weak.clone(),
+                        island: k,
+                        home,
+                    }));
+                    let members: Members = members
                         .iter()
                         .map(|&i| (i, drivers[i].take().expect("one island per component")))
-                        .collect(),
-                )),
-            })
-            .collect();
-        let group = Arc::new(Group {
-            started,
-            sealed,
-            remaining: AtomicUsize::new(n),
-            // The placement hold, released once every island is queued.
-            work: AtomicUsize::new(1),
-            cells,
-            island_of,
-            reports: Mutex::new((0..n).map(|_| None).collect()),
-            elapsed: Mutex::new(None),
-            completion: Mutex::new(None),
-            done_lock: Mutex::new(n == 0),
-            done_cv: Condvar::new(),
+                        .collect();
+                    for (_, driver) in &members {
+                        wakes |= driver.set_waker(&waker);
+                    }
+                    Cell {
+                        state: AtomicU8::new(QUEUED),
+                        priority,
+                        home,
+                        label: members[0].0,
+                        slot: Mutex::new(Some(members)),
+                    }
+                })
+                .collect();
+            Group {
+                started,
+                sealed: sealed && !wakes,
+                remaining: AtomicUsize::new(n),
+                // The placement hold, released once every island is queued.
+                work: AtomicUsize::new(1),
+                cells,
+                island_of,
+                reports: Mutex::new((0..n).map(|_| None).collect()),
+                elapsed: Mutex::new(None),
+                completion: Mutex::new(None),
+                done_lock: Mutex::new(n == 0),
+                done_cv: Condvar::new(),
+            }
         });
         for (k, cell) in group.cells.iter().enumerate() {
             self.sched.enqueue(cell.home, &group, k, false);

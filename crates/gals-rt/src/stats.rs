@@ -24,13 +24,12 @@ pub enum StopReason {
     StepLimit,
     /// The machine faulted.
     Fault(String),
-    /// The pool scheduler found every surviving component of a batch run
-    /// blocked on a channel edge with nothing queued or dispatched: a
-    /// communication deadlock (only reachable on a cyclic topology the
-    /// static cycle analysis let through — explicitly allowed, or
-    /// derivably bounded but never primed with a first token).  The
-    /// dedicated-thread mode would hang on the same state; the pool
-    /// detects it and stops.
+    /// The pool scheduler found every surviving component of a sealed
+    /// batch run blocked on a channel edge with nothing queued or
+    /// dispatched: a communication deadlock (only reachable on a cyclic
+    /// topology the static cycle analysis let through — explicitly
+    /// allowed, or derivably bounded but never primed with a first
+    /// token).  The pool detects it and stops instead of hanging.
     Deadlocked,
 }
 
@@ -80,8 +79,7 @@ impl fmt::Display for ComponentStats {
     }
 }
 
-/// The scheduling counters of one pool worker thread (empty in
-/// thread-per-component mode).
+/// The scheduling counters of one pool worker thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolWorkerStats {
     /// The worker's index in the pool.
@@ -185,10 +183,10 @@ pub struct DeploymentStats {
     pub edges: Vec<ChannelSpec>,
     /// Name of the transport backend that carried the channels.
     pub backend: &'static str,
-    /// How components were mapped onto OS threads.
+    /// The shape of the pool that ran the components.
     pub mode: ExecutionMode,
-    /// Per-worker scheduling counters of the pool (empty in
-    /// thread-per-component mode).
+    /// Per-worker scheduling counters of the pool (empty for a served
+    /// tenant: its pool outlives it and counts every tenant).
     pub pool_workers: Vec<PoolWorkerStats>,
     /// Wall-clock duration of the run (spawn to last join).
     pub elapsed: Duration,
@@ -228,14 +226,12 @@ impl DeploymentStats {
         self.components.iter().map(|c| c.tokens_received).sum()
     }
 
-    /// Total dispatches across the pool workers (0 in thread-per-component
-    /// mode).
+    /// Total dispatches across the pool workers (0 for a served tenant).
     pub fn total_dispatches(&self) -> u64 {
         self.pool_workers.iter().map(|w| w.dispatches).sum()
     }
 
-    /// Total steals across the pool workers (0 in thread-per-component
-    /// mode).
+    /// Total steals across the pool workers (0 for a served tenant).
     pub fn total_steals(&self) -> u64 {
         self.pool_workers.iter().map(|w| w.steals).sum()
     }
@@ -284,13 +280,8 @@ impl fmt::Display for DeploymentStats {
             }
             writeln!(f)?;
         }
-        // The per-worker scheduling counters belong to pool runs only: a
-        // thread-per-component report stays free of an empty (or stale)
-        // pool section even when the field is populated.
-        if matches!(self.mode, ExecutionMode::Pool { .. }) {
-            for w in &self.pool_workers {
-                writeln!(f, "  {w}")?;
-            }
+        for w in &self.pool_workers {
+            writeln!(f, "  {w}")?;
         }
         if let Some(prediction) = &self.prediction {
             for line in prediction.to_string().lines() {
@@ -335,7 +326,10 @@ mod tests {
             sizing: ChannelSizing::Fixed,
             edges: Vec::new(),
             backend: "spsc-ring",
-            mode: ExecutionMode::ThreadPerComponent,
+            mode: ExecutionMode::Pool {
+                workers: 1,
+                quantum: 32,
+            },
             pool_workers: Vec::new(),
             elapsed: Duration::from_millis(2),
             prediction: None,
@@ -354,7 +348,7 @@ mod tests {
         assert!(text.contains("environment input a exhausted"));
         assert!(text.contains("upstream of x closed"));
         assert!(text.contains("over spsc-ring"));
-        assert!(text.contains("thread-per-component"));
+        assert!(text.contains("pool of 1 worker(s), quantum 32"));
     }
 
     #[test]
@@ -411,23 +405,5 @@ mod tests {
         assert!(text.contains("pool of 2 worker(s), quantum 8"));
         assert!(text.contains("worker 0: 7 dispatches (2 stolen), 1 parks"));
         assert!(text.contains("worker 1: 3 dispatches (1 stolen), 4 parks, pinned"));
-    }
-
-    #[test]
-    fn thread_mode_report_prints_no_pool_worker_lines() {
-        // Regression: the report keyed the pool section on the counters
-        // being present, not on the mode — a thread-per-component run
-        // handed stale pool counters printed a bogus worker section.
-        let mut stats = sample();
-        stats.pool_workers = vec![PoolWorkerStats {
-            worker: 0,
-            dispatches: 0,
-            steals: 0,
-            parks: 0,
-            pinned: false,
-        }];
-        assert_eq!(stats.mode, ExecutionMode::ThreadPerComponent);
-        let text = stats.to_string();
-        assert!(!text.contains("worker 0:"));
     }
 }

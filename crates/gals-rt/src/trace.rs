@@ -672,7 +672,7 @@ impl Trace {
         &self.components
     }
 
-    /// Per-pool-worker timelines (empty in thread-per-component mode).
+    /// Per-pool-worker timelines (empty for a served tenant).
     pub fn workers(&self) -> &[ComponentTrace] {
         &self.workers
     }

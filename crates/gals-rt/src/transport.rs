@@ -15,9 +15,17 @@
 //! Channel sizing is described by a [`ChannelPolicy`]: a default
 //! capacity, per-signal overrides and installed derived bounds — the
 //! per-edge resolution is reported by `Deployment::topology()`.
+//!
+//! **Wakers.**  The pool never blocks inside a step: an island whose
+//! edges are empty or full parks until something moves them.  Before it
+//! is first queued, every endpoint of its members is handed the island's
+//! [`Waker`]; a medium that moves tokens on a thread of its own (a
+//! socket's acceptor or ack reader) calls it after each event.  The ring
+//! ignores it: both of its ends live in one island.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::task::Waker;
 
 use signal_lang::{Name, Value};
 
@@ -136,6 +144,13 @@ pub trait TokenTx: Send {
     fn occupancy(&self) -> Option<usize> {
         None
     }
+
+    /// Installs the waker of the sending island.  A medium whose credit
+    /// returns on another thread calls it whenever room frees up or the
+    /// connection breaks, and returns `true`; the default returns `false`.
+    fn set_waker(&self, _waker: &Waker) -> bool {
+        false
+    }
 }
 
 /// The receiving endpoint of one bounded token channel.
@@ -163,6 +178,13 @@ pub trait TokenRx: Send {
     /// tell (`None` otherwise).  Same contract as [`TokenTx::occupancy`].
     fn occupancy(&self) -> Option<usize> {
         None
+    }
+
+    /// Installs the waker of the reading island.  A medium that delivers
+    /// on another thread calls it after each queued token, close or
+    /// fault, and returns `true`; the default returns `false`.
+    fn set_waker(&self, _waker: &Waker) -> bool {
+        false
     }
 }
 

@@ -18,10 +18,14 @@
 //! empty (another sweep of its island, a spurious wake) therefore costs
 //! one `try_recv`, never a refused step.
 //!
-//! The classic one-OS-thread-per-component execution is the degenerate
-//! client of the same driver: [`run_dedicated`] drives with an unbounded
-//! quantum and serves each `Pending` with the endpoint's *blocking*
-//! `recv`/`send` — exactly the backpressure loop of earlier releases.
+//! The pool is the only executor, so nothing here ever blocks: an empty
+//! or full edge is always a `Pending` that hands the thread back to the
+//! scheduler.  That holds for a *link* too — an endpoint the deployment
+//! did not mint (a partition's cut edge on a socket): the driver reads
+//! it with `try_recv` and publishes to it with `try_send` like any ring,
+//! and the medium wakes the island when it moves
+//! ([`TokenRx::set_waker`]).  The tokens taken from an incoming link are
+//! kept, so the outcome still carries the cut signal as received.
 //!
 //! The driver is written purely against the [`transport`](crate::transport)
 //! endpoint API: which medium carries the tokens (the lock-free SPSC
@@ -31,6 +35,7 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
+use std::task::Waker;
 
 use signal_lang::{Name, Value};
 
@@ -39,25 +44,15 @@ use crate::stats::{ComponentStats, StopReason};
 use crate::trace::{BlockDirection, TraceBuffer};
 use crate::transport::{TokenRx, TokenTx, TryRecvError, TrySendError};
 
-/// The edge a cooperative driver is blocked on, by port index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Pending {
-    /// The machine's reaction waits on this input port and its buffer is
-    /// empty: runnable again once the upstream producer delivers.
-    Upstream(usize),
-    /// A produced token on this sink (an index into the driver's sinks)
-    /// could not be published because a consumer's buffer is full:
-    /// runnable again once that consumer drains.
-    Downstream(usize),
-}
-
 /// What one [`Driver::drive`] dispatch concluded.
 #[derive(Debug)]
 pub(crate) enum DriveOutcome {
     /// The quantum was exhausted with the machine still runnable.
     Yielded,
-    /// The machine is blocked on a channel edge; re-drive once it moves.
-    Pending(Pending),
+    /// The machine is blocked on a channel edge: its reaction waits on an
+    /// empty input, or a produced token found a consumer's buffer full.
+    /// Re-drive once that edge moves.
+    Pending,
     /// The machine will never react again.
     Done(StopReason),
 }
@@ -72,6 +67,10 @@ struct Source {
     /// reported as [`StopReason::EnvironmentExhausted`] rather than the
     /// mid-pipeline [`StopReason::UpstreamClosed`].
     environment: bool,
+    /// The tokens taken so far, for an incoming link (`None` for a
+    /// channel the deployment minted): a partition's outcome reports the
+    /// cut signal as received.
+    received: Option<Vec<Value>>,
 }
 
 /// One channel-fed output port of a driver and its publication state.
@@ -127,6 +126,8 @@ pub(crate) struct WorkerReport {
     pub(crate) stats: ComponentStats,
     pub(crate) machine: Box<dyn StepMachine>,
     pub(crate) trace: Option<TraceBuffer>,
+    /// The flow taken from each incoming link, by signal.
+    pub(crate) received: Vec<(Name, Vec<Value>)>,
 }
 
 impl Driver {
@@ -145,6 +146,7 @@ impl Driver {
                     signal,
                     rx,
                     environment: false,
+                    received: None,
                 })
             })
             .collect();
@@ -191,6 +193,31 @@ impl Driver {
         }
     }
 
+    /// Keeps the tokens an incoming link delivers, for the outcome.  (A
+    /// link is an environment edge, marked by
+    /// [`mark_environment`](Self::mark_environment).)
+    pub(crate) fn keep_received(&mut self, signal: &Name) {
+        for source in self.sources.iter_mut().flatten() {
+            if source.signal == *signal {
+                source.received = Some(Vec::new());
+            }
+        }
+    }
+
+    /// Hands `waker` to every endpoint of the driver; returns whether any
+    /// of them will call it (a medium that moves tokens from outside the
+    /// island).
+    pub(crate) fn set_waker(&self, waker: &Waker) -> bool {
+        let mut wakes = false;
+        for source in self.sources.iter().flatten() {
+            wakes |= source.rx.set_waker(waker);
+        }
+        for tx in self.sinks.iter().flat_map(|sink| sink.txs.iter().flatten()) {
+            wakes |= tx.set_waker(waker);
+        }
+        wakes
+    }
+
     /// The stop reason for observing source `port`'s channel closed: the
     /// normal end of the environment stream for an ingress edge, a
     /// mid-pipeline producer termination otherwise.
@@ -221,43 +248,32 @@ impl Driver {
         self.reactions
     }
 
-    /// Publishes every not-yet-published produced token.  Non-blocking by
-    /// default: returns the sink whose broadcast stalled on a full buffer
-    /// (`None` when fully flushed), remembering the stalled position so
-    /// the next call resumes exactly where this one stopped and no
-    /// consumer ever sees a token twice.  With `blocking` (the
-    /// dedicated-thread mode, where waiting on a full buffer *is* the
-    /// backpressure mechanism), a full buffer is waited out instead and
-    /// the flush always completes.
-    fn flush(&mut self, blocking: bool) -> Option<usize> {
+    /// Publishes every not-yet-published produced token without blocking.
+    /// Returns the sink whose broadcast stalled on a full buffer (`None`
+    /// when fully flushed), remembering the stalled position so the next
+    /// call resumes exactly where this one stopped and no consumer ever
+    /// sees a token twice.  A stall opens (or moves) a downstream blocked
+    /// episode in the trace; a completed flush closes any open one.
+    fn flush(&mut self) -> Option<usize> {
+        let stalled = self.publish();
+        if let Some(trace) = self.trace.as_deref_mut() {
+            match stalled {
+                Some(sink) => trace.blocked(&self.sinks[sink].signal, BlockDirection::Downstream),
+                None => trace.unblocked_downstream(),
+            }
+        }
+        stalled
+    }
+
+    /// The publication loop of [`Driver::flush`].
+    fn publish(&mut self) -> Option<usize> {
         for (index, sink) in self.sinks.iter_mut().enumerate() {
             let produced = self.machine.output(sink.port);
             while sink.cursor < produced.len() {
                 let value = produced[sink.cursor];
                 for (idx, slot) in sink.txs.iter_mut().enumerate().skip(sink.resume) {
                     let Some(tx) = slot else { continue };
-                    let sent = if !blocking {
-                        tx.try_send(value)
-                    } else if self.trace.is_none() {
-                        tx.send(value).map_err(|_closed| TrySendError::Closed)
-                    } else {
-                        // Traced blocking send: probe first so the wait on
-                        // a full buffer surfaces as a blocked episode.
-                        match tx.try_send(value) {
-                            Err(TrySendError::Full) => {
-                                if let Some(trace) = self.trace.as_deref_mut() {
-                                    trace.blocked(&sink.signal, BlockDirection::Downstream);
-                                }
-                                let result = tx.send(value).map_err(|_closed| TrySendError::Closed);
-                                if let Some(trace) = self.trace.as_deref_mut() {
-                                    trace.unblocked(&sink.signal);
-                                }
-                                result
-                            }
-                            other => other,
-                        }
-                    };
-                    match sent {
+                    match tx.try_send(value) {
                         Ok(()) => {
                             self.tokens_sent += 1;
                             if let Some(trace) = self.trace.as_deref_mut() {
@@ -278,28 +294,14 @@ impl Driver {
         None
     }
 
-    /// [`Driver::flush`], non-blocking, with the blocked-episode
-    /// bookkeeping of the cooperative path: a stall opens (or moves) a
-    /// downstream episode, a completed flush closes any open one.
-    fn flush_cooperative(&mut self) -> Option<usize> {
-        let stalled = self.flush(false);
-        if let Some(trace) = self.trace.as_deref_mut() {
-            match stalled {
-                Some(sink) => trace.blocked(&self.sinks[sink].signal, BlockDirection::Downstream),
-                None => trace.unblocked_downstream(),
-            }
-        }
-        stalled
-    }
-
     /// Advances the machine by up to `quantum` reactions without ever
     /// blocking the OS thread: a full or empty channel edge surfaces as
     /// [`DriveOutcome::Pending`] instead of a parked wait.  Outstanding
     /// unpublished tokens are flushed before new reactions are attempted,
     /// so a resumed driver first completes the broadcast it stalled in.
     pub(crate) fn drive(&mut self, quantum: u64) -> DriveOutcome {
-        if let Some(sink) = self.flush_cooperative() {
-            return DriveOutcome::Pending(Pending::Downstream(sink));
+        if self.flush().is_some() {
+            return DriveOutcome::Pending;
         }
         let mut steps = 0u64;
         loop {
@@ -328,8 +330,8 @@ impl Driver {
                     if let (Some(trace), Some(begin)) = (self.trace.as_deref_mut(), begin) {
                         trace.reaction(begin);
                     }
-                    if let Some(sink) = self.flush_cooperative() {
-                        return DriveOutcome::Pending(Pending::Downstream(sink));
+                    if self.flush().is_some() {
+                        return DriveOutcome::Pending;
                     }
                 }
                 Err(StepFault::NeedInput(port)) => {
@@ -342,9 +344,6 @@ impl Driver {
                         });
                     }
                     self.suspended_on = Some(port);
-                }
-                Err(StepFault::Exhausted(signal)) => {
-                    return DriveOutcome::Done(StopReason::EnvironmentExhausted(signal));
                 }
                 Err(StepFault::Fault(message)) => {
                     return DriveOutcome::Done(StopReason::Fault(message));
@@ -374,7 +373,7 @@ impl Driver {
                 {
                     trace.blocked(&source.signal, BlockDirection::Upstream);
                 }
-                Some(DriveOutcome::Pending(Pending::Upstream(port)))
+                Some(DriveOutcome::Pending)
             }
         }
     }
@@ -386,24 +385,15 @@ impl Driver {
         self.tokens_received += 1;
         self.suspended_on = None;
         self.waiting = false;
-        if let (Some(trace), Some(source)) =
-            (self.trace.as_deref_mut(), self.sources[port].as_ref())
-        {
+        let Some(source) = self.sources[port].as_mut() else {
+            return;
+        };
+        if let Some(received) = source.received.as_mut() {
+            received.push(value);
+        }
+        if let Some(trace) = self.trace.as_deref_mut() {
             trace.received(&source.signal, source.rx.occupancy());
             trace.unblocked(&source.signal);
-        }
-    }
-
-    /// Serves a [`Pending::Upstream`] blockage with the endpoint's
-    /// *blocking* receive (dedicated-thread mode).  Returns the stop reason
-    /// when the wait observed the channel close instead of a token.
-    fn recv_blocking(&mut self, port: usize) -> Option<StopReason> {
-        match self.source(port).rx.recv() {
-            Ok(value) => {
-                self.fed(port, value);
-                None
-            }
-            Err(_closed) => Some(self.closed_stop(port)),
         }
     }
 
@@ -415,6 +405,12 @@ impl Driver {
             trace.stopped(&stop);
         }
         let name = self.machine.machine_name().to_string();
+        let received = self
+            .sources
+            .iter_mut()
+            .flatten()
+            .filter_map(|source| Some((source.signal.clone(), source.received.take()?)))
+            .collect();
         WorkerReport {
             stats: ComponentStats {
                 name,
@@ -426,6 +422,7 @@ impl Driver {
             },
             machine: self.machine,
             trace: self.trace.map(|buffer| *buffer),
+            received,
         }
     }
 }
@@ -438,26 +435,4 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
         .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
         .unwrap_or("a non-string payload");
     format!("machine panicked: {message}")
-}
-
-/// Runs one driver to completion on the current (dedicated) OS thread:
-/// the thread-per-component execution mode, where channel waits park the
-/// thread itself — blocking-read/blocking-write backpressure.
-pub(crate) fn run_dedicated(mut driver: Driver) -> WorkerReport {
-    let stop = loop {
-        match driver.drive(u64::MAX) {
-            DriveOutcome::Yielded => unreachable!("an unbounded quantum never yields"),
-            DriveOutcome::Done(stop) => break stop,
-            DriveOutcome::Pending(Pending::Upstream(port)) => {
-                if let Some(stop) = driver.recv_blocking(port) {
-                    break stop;
-                }
-            }
-            DriveOutcome::Pending(Pending::Downstream(_)) => {
-                let stalled = driver.flush(true);
-                debug_assert!(stalled.is_none(), "a blocking flush always completes");
-            }
-        }
-    };
-    driver.finish(stop)
 }

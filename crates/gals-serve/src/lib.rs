@@ -33,13 +33,11 @@
 //!   the design, so every further tenant of it pays only for
 //!   instantiating its machines and wiring its channels.
 //!
-//! * **Priorities and placement.**  Admission seeds each tenant's
-//!   scheduling priority from the predictor's bottleneck edge — the two
-//!   components adjacent to the busiest channel get a boost, which raises
-//!   the pool island holding them (a connected tenant is one island) —
-//!   and the server can pin its workers
-//!   to CPU cores ([`affinity`]) so the steady-state cache footprint of a
-//!   long-running pool stays put.
+//! * **Priorities and placement.**  Each tenant runs at the priority it
+//!   was admitted with ([`AdmitOptions::base_priority`]); a connected
+//!   tenant is one pool island, so the priority orders whole tenants.
+//!   The server can pin its workers to CPU cores ([`affinity`]) so the
+//!   steady-state cache footprint of a long-running pool stays put.
 //!
 //! The streaming surface of a tenant ([`DeploymentHandle::feed`],
 //! [`DeploymentHandle::poll_outputs`], [`DeploymentHandle::finish`])

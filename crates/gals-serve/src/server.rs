@@ -74,9 +74,8 @@ impl fmt::Debug for ServerOptions {
 /// Per-submission knobs for [`Server::admit_with`].
 #[derive(Debug, Clone, Default)]
 pub struct AdmitOptions {
-    /// Base scheduling priority of every component of this tenant: a
-    /// ready island always dispatches before any lower-priority ready
-    /// island.  The bottleneck boost is added on top.
+    /// Scheduling priority of every island of this tenant: a ready island
+    /// always dispatches before any lower-priority ready island.
     pub base_priority: u32,
 }
 
@@ -127,11 +126,7 @@ impl Server {
 
     /// Prices `design` from its verification artifacts, reserves its
     /// [`Footprint`] against the budget, stages it with derived channel
-    /// capacities, and submits it to the pool — with component
-    /// priorities seeded from the predictor: the two components adjacent
-    /// to the predicted bottleneck edge get a `+1` boost over the
-    /// tenant's base priority.  An island runs at its members' highest
-    /// priority, so the boost raises the island holding that edge.
+    /// capacities, and submits it to the pool at the options' priority.
     ///
     /// The design's capacity analysis, prediction and step programs are
     /// derived once, by whichever admission (or other caller) needs them
@@ -189,25 +184,13 @@ impl Server {
             self.budget.check(&id, &footprint, &ledger.in_use())?;
             ledger.tenants.insert(id.clone(), footprint.clone());
         }
-        // Seed priorities from the predicted bottleneck edge: its
-        // producer and consumer outrank the tenant's other components.
-        let mut submit = SubmitOptions {
+        let submit = SubmitOptions {
             base_priority: options.base_priority,
-            ..SubmitOptions::default()
         };
-        if let Some(edge) = prediction.bottleneck() {
-            let names = staged.component_names();
-            for index in [edge.producer, edge.consumer] {
-                if let Some(name) = names.get(index) {
-                    *submit.boosts.entry(name.clone()).or_insert(0) += 1;
-                }
-            }
-        }
         let inner = self.pool.submit(staged, &submit);
         Ok(DeploymentHandle {
             id,
             footprint,
-            boosts: submit.boosts.into_keys().collect(),
             inner: Some(inner),
             ledger: Arc::clone(&self.ledger),
         })
@@ -286,7 +269,6 @@ impl fmt::Debug for Server {
 pub struct DeploymentHandle {
     id: String,
     footprint: Footprint,
-    boosts: Vec<String>,
     inner: Option<SubmittedDeployment>,
     ledger: Arc<Mutex<Ledger>>,
 }
@@ -300,12 +282,6 @@ impl DeploymentHandle {
     /// The footprint reserved against the server budget.
     pub fn footprint(&self) -> &Footprint {
         &self.footprint
-    }
-
-    /// The components whose priority admission boosted (the predicted
-    /// bottleneck edge's producer and consumer), in name order.
-    pub fn boosted(&self) -> &[String] {
-        &self.boosts
     }
 
     /// Component (machine) names, in machine order.
@@ -430,7 +406,6 @@ impl fmt::Debug for DeploymentHandle {
         f.debug_struct("DeploymentHandle")
             .field("id", &self.id)
             .field("footprint", &self.footprint)
-            .field("boosted", &self.boosts)
             .field("finished", &self.is_finished())
             .finish()
     }

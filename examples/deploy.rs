@@ -1,6 +1,6 @@
 //! The GALS deployment runtime end to end: build a pipeline of one-place
-//! buffers, verify the weak-hierarchy criterion, deploy each stage on its
-//! own OS thread with bounded channels, and check dynamic isochrony
+//! buffers, verify the weak-hierarchy criterion, deploy the stages on the
+//! worker pool with bounded channels, and check dynamic isochrony
 //! conformance against the synchronous reference.
 //!
 //! Each stage runs as a compiled step machine, and each channel is a
@@ -12,12 +12,12 @@
 //! prove the design isochronous bound its FIFOs (`ChannelSizing::Derived`,
 //! provenance reported per edge).
 //!
-//! The thread mapping is selectable too: the default
-//! `ExecutionMode::ThreadPerComponent` dedicates one OS thread per stage,
-//! while `ExecutionMode::Pool { workers, quantum }` multiplexes every
-//! stage onto a fixed work-stealing pool — each dispatch steps a ready
-//! stage up to `quantum` reactions, so a deployment of hundreds of
-//! components still runs on a handful of threads.
+//! The pool is the one executor, and its shape is selectable:
+//! `ExecutionMode::Pool { workers, quantum }` multiplexes every stage onto
+//! `workers` OS threads (one per core by default), and each dispatch
+//! sweeps the connected stages — one island — up to `quantum` reactions
+//! per stage, so a deployment of hundreds of components still runs on a
+//! handful of threads.
 //!
 //! ```text
 //! cargo run --example deploy
@@ -33,9 +33,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Static criterion (Definition 12 / Theorem 1) ==");
     println!("{}", design.verdict());
 
-    // Deploy: one OS thread per stage, bounded channels in between.  The
-    // policy sets a default capacity and deepens the p2 channel
-    // specifically.
+    // Deploy on the default pool (one worker per core), bounded channels
+    // in between.  The policy sets a default capacity and deepens the p2
+    // channel specifically.
     let mut deployment = design.deploy()?;
     deployment.set_capacity(8)?;
     deployment.set_channel_capacity("p2", 32)?;
@@ -64,15 +64,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{report}");
     assert!(report.is_isochronous());
 
-    // Isochrony is scheduler-agnostic: the same four stages multiplexed
-    // onto a 2-worker work-stealing pool (each dispatch batches up to 8
-    // reactions) observe the same flows again — on 2 OS threads instead
-    // of 4.  The stats record the mode and the per-worker dispatch/steal
-    // counters.
+    // Isochrony is scheduler-agnostic: the same four stages on a
+    // 2-worker pool that re-queues their island after every single
+    // reaction observe the same flows again.  The stats record the pool's
+    // shape and the per-worker dispatch/steal counters.
     let mut pooled = design.deploy()?;
     pooled.set_execution_mode(ExecutionMode::Pool {
         workers: 2,
-        quantum: 8,
+        quantum: 1,
     })?;
     pooled.feed("p0", stream.iter().copied());
     let pooled_outcome = pooled.run()?;
@@ -107,8 +106,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{prediction}");
     derived.set_prediction(prediction.clone());
     // Tracing records every reaction, blocking episode and token hand-off
-    // into per-thread bounded buffers (zero cost when off), merged into a
-    // timeline at join.
+    // into per-component and per-worker bounded buffers (zero cost when
+    // off), merged into a timeline at join.
     derived.set_tracing(true);
     derived.feed("p0", stream.iter().copied());
     let derived_outcome = derived.run()?;

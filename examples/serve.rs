@@ -44,11 +44,7 @@ fn main() {
             .admit(format!("tenant-{tenant:02}"), &design)
             .expect("within budget");
         if tenant == 0 {
-            println!(
-                "each tenant is priced at {} (bottleneck boost on [{}])",
-                handle.footprint(),
-                handle.boosted().join(", ")
-            );
+            println!("each tenant is priced at {}", handle.footprint());
         }
         handles.push(handle);
     }

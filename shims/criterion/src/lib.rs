@@ -6,7 +6,10 @@
 //! `criterion_main!` macros — as a small wall-clock harness: each
 //! benchmark is warmed up, then timed for `sample_size` samples (bounded
 //! by `measurement_time`), and the mean/min/max per-iteration time is
-//! printed.  No statistics beyond that, no HTML reports.
+//! printed.  No statistics beyond that, no HTML reports.  Like criterion,
+//! the first command-line argument that is not a flag filters the
+//! benchmarks by substring of `group/id`:
+//! `cargo bench --bench <target> -- <filter>`.
 
 use std::time::{Duration, Instant};
 
@@ -21,6 +24,8 @@ pub struct Criterion {
     warm_up_time: Duration,
     measurement_time: Duration,
     sample_size: usize,
+    /// Only benchmarks whose `group/id` contains this string run.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
@@ -29,6 +34,7 @@ impl Default for Criterion {
             warm_up_time: Duration::from_millis(300),
             measurement_time: Duration::from_millis(1500),
             sample_size: 30,
+            filter: None,
         }
     }
 }
@@ -53,9 +59,12 @@ impl Criterion {
         self
     }
 
-    /// In real criterion this reads CLI flags; the shim keeps the
-    /// programmatic configuration and merely tolerates the call.
-    pub fn configure_from_args(self) -> Self {
+    /// Reads the command line: the first argument that does not start
+    /// with `--` becomes a substring filter on `group/id`, and every other
+    /// benchmark is skipped.  The rest of the configuration stays
+    /// programmatic.
+    pub fn configure_from_args(mut self) -> Self {
+        self.filter = filter_from(std::env::args().skip(1));
         self
     }
 
@@ -186,6 +195,11 @@ impl Bencher {
     }
 }
 
+/// The benchmark filter of a command line (program name excluded).
+fn filter_from(args: impl IntoIterator<Item = String>) -> Option<String> {
+    args.into_iter().find(|arg| !arg.starts_with("--"))
+}
+
 fn run_one<F>(config: &Criterion, group: Option<&str>, id: &str, mut f: F)
 where
     F: FnMut(&mut Bencher),
@@ -194,6 +208,11 @@ where
         Some(g) => format!("{g}/{id}"),
         None => id.to_string(),
     };
+    if let Some(filter) = &config.filter {
+        if !full_name.contains(filter.as_str()) {
+            return;
+        }
+    }
 
     // Warm-up: run single iterations until the warm-up budget is spent,
     // which also calibrates the per-iteration cost.
@@ -268,7 +287,7 @@ fn format_ns(ns: f64) -> String {
 macro_rules! criterion_group {
     (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion: $crate::Criterion = $config;
+            let mut criterion: $crate::Criterion = $config.configure_from_args();
             $($target(&mut criterion);)+
         }
     };
@@ -315,6 +334,19 @@ mod tests {
         });
         group.finish();
         assert!(calls > 0);
+    }
+
+    #[test]
+    fn a_filtered_out_routine_is_never_called() {
+        let mut criterion = quick();
+        criterion.filter = filter_from(["--bench".to_string(), "shim/kept".to_string()]);
+        let mut group = criterion.benchmark_group("shim");
+        let (mut kept, mut skipped) = (0u64, 0u64);
+        group.bench_function("kept", |b| b.iter(|| kept += 1));
+        group.bench_function("skipped", |b| b.iter(|| skipped += 1));
+        group.finish();
+        assert!(kept > 0, "the matching routine ran");
+        assert_eq!(skipped, 0, "the filtered-out routine was never called");
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! End-to-end dynamic isochrony: every weakly hierarchic composition
-//! reachable from `signal_lang::stdlib` is deployed on OS threads with
-//! bounded channels, and the observed flows must equal the synchronous
-//! reference replay — Theorem 1 as an executable test (the conformance
-//! checker of `gals_rt`).
+//! reachable from `signal_lang::stdlib` is deployed on the worker pool
+//! with bounded channels, and the observed flows must equal the
+//! synchronous reference replay — Theorem 1 as an executable test (the
+//! conformance checker of `gals_rt`).
 //!
-//! Every scenario runs under **both** execution modes — dedicated threads
-//! and a 2-worker work-stealing pool (fewer workers than components for
-//! every multi-component design), so the cooperative scheduler must
-//! observe the same synchronous flows as the blocking one.
+//! Every scenario runs under **both** schedules of the shared `MODES` —
+//! a 2-worker work-stealing pool (fewer workers than components for
+//! every multi-component design) with a batched quantum and with a
+//! quantum of 1 — and must observe the same synchronous flows under
+//! each.
 
 mod support;
 
@@ -19,10 +20,9 @@ use polychrony::moc::Value;
 use support::{bools, ints, MODES};
 
 /// Deploys the design with every feed applied, at the given channel
-/// capacity, under **both** execution modes; asserts the conformance
-/// verdict of each run, and returns the last outcome — Theorem 1's
-/// isochrony is scheduler-agnostic, so both modes must observe the
-/// synchronous flows.
+/// capacity, under **both** schedules; asserts the conformance verdict
+/// of each run, and returns the last outcome — Theorem 1's isochrony is
+/// scheduler-agnostic, so both must observe the synchronous flows.
 fn assert_conformant(
     design: &Design,
     feeds: &[(&str, Vec<Value>)],
@@ -142,7 +142,7 @@ fn the_ltta_deploys_four_components_on_four_threads() {
     ];
     for capacity in [1usize, 16] {
         let outcome = assert_conformant(&design, &feeds, capacity);
-        // One worker (hence one OS thread) per device.
+        // One component per device.
         assert_eq!(outcome.stats().components.len(), 4);
         // The alternating-bit protocol delivered fresh values end to end.
         let xr = outcome.flow("xr");

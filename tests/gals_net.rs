@@ -6,20 +6,28 @@
 //! every transport observes the ring's close-then-drain semantics, a cut
 //! edge's flow-control window is exactly the derived capacity bound, a
 //! partitioned run conforms to the synchronous reference of the whole
-//! design, and a crashed-and-restarted sender resumes without loss or
-//! duplication.  (CI's release stress lane re-runs the reconnect test
-//! repeatedly with `GALS_TRACE_DIR` set.)
+//! design, every partition runs on the pool with its cut edges linked
+//! straight to its components, and a crashed-and-restarted sender resumes
+//! without loss or duplication.  (CI's release stress lane re-runs the
+//! pooled partition tests and the reconnect test repeatedly with
+//! `GALS_TRACE_DIR` set: the link wakes are the raciest code here.)
+
+mod support;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
 use std::thread;
+use std::time::Duration;
 
 use polychrony::gals_net::runner::run_partition;
 use polychrony::gals_net::{
-    merged_conformance, plan, plan_with_overrides, Frame, FrameReader, MergedStats, NetReceiver,
-    NetSender, NetTransport, RetryPolicy, ShmTransport, UdsLinks,
+    merge_flows, merged_conformance, plan, plan_with_overrides, Frame, FrameReader, MergedStats,
+    NetReceiver, NetSender, NetTransport, RetryPolicy, ShmTransport, UdsLinks,
 };
-use polychrony::gals_rt::{RingTransport, TokenRx, TokenTx, Transport, TryRecvError, TrySendError};
+use polychrony::gals_rt::{
+    RingTransport, StopReason, TokenRx, TokenTx, Transport, TryRecvError, TrySendError,
+};
 use polychrony::isochron::library;
 use polychrony::moc::{Name, Value};
 use proptest::prelude::*;
@@ -212,6 +220,68 @@ fn a_partitioned_pipeline_conforms_over_real_sockets() {
         )
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A two-way cut on the pool: the primed loop split `[0 | 1]` puts `p0`
+/// and `p1` on links in opposite directions, so each partition's only
+/// island both waits on an incoming link and publishes into an outgoing
+/// one's credit window — where a step blocking on the medium would stall
+/// its island for good.  Under each schedule both partitions run to a
+/// step budget, and the merged cut flows are prefixes of an in-process
+/// run.  A lost wake parks an island forever: a 30 s watchdog fails it.
+#[test]
+fn a_two_way_cut_runs_both_partitions_on_the_pool() {
+    const STEPS: u64 = 200;
+    let design = library::primed_loop_design().expect("builds");
+    let mut in_process = design.deploy_derived().expect("verified");
+    in_process.set_max_steps(2 * STEPS).expect("nonzero");
+    let in_process = in_process.run().expect("runs");
+    let plan = plan(&design, &[0, 1]).expect("plans");
+    assert_eq!(plan.cuts().len(), 2, "one link each way");
+    for mode in support::MODES {
+        let dir = temp_dir("two-way");
+        let (tx, rx) = mpsc::channel();
+        for process in 0..plan.processes() {
+            let (plan, dir, tx) = (plan.clone(), dir.clone(), tx.clone());
+            thread::spawn(move || {
+                let design = library::primed_loop_design().expect("builds");
+                let mut deployment = plan
+                    .deployment(&design, process, &UdsLinks::new(dir))
+                    .expect("links");
+                deployment.set_execution_mode(mode).expect("valid mode");
+                deployment.set_max_steps(STEPS).expect("nonzero");
+                let _ = tx.send(deployment.run().expect("the partition runs"));
+            });
+        }
+        let flows: Vec<_> = (0..plan.processes())
+            .map(|_| {
+                let outcome = rx
+                    .recv_timeout(Duration::from_secs(30))
+                    .unwrap_or_else(|e| {
+                        panic!("{mode}: a partition never stopped, a wake was lost ({e})")
+                    });
+                let stops: Vec<_> = outcome.stats().components.iter().map(|c| &c.stop).collect();
+                assert_eq!(stops, [&StopReason::StepLimit], "{mode}");
+                outcome.flows().clone()
+            })
+            .collect();
+        // Each partition observed both cut signals, one as its output and
+        // one as taken from its link; the merge cross-checks the copies.
+        let merged = merge_flows(&flows).expect("both copies of each cut signal agree");
+        for signal in [Name::from("p0"), Name::from("p1")] {
+            assert!(
+                flows.iter().all(|part| part.contains_key(&signal)),
+                "{mode}"
+            );
+            let got = &merged[&signal];
+            assert_eq!(got.len() as u64, STEPS / 2, "{mode}: {signal}");
+            assert_eq!(
+                got.as_slice(),
+                &in_process.flow(signal.as_str())[..got.len()]
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// The reconnect path: a sender dies mid-stream without the closing

@@ -74,8 +74,6 @@ fn the_footprint_is_priced_from_the_verification_artifacts() {
     assert_eq!(footprint.channel_slots, slots);
     // Each buffer stage performs two reactions per environment token.
     assert_eq!(footprint.reactions_per_input, 6.0);
-    // The bottleneck edge's producer and consumer got the boost.
-    assert!(!handle.boosted().is_empty(), "predictor seeded priorities");
     assert_eq!(server.load().in_use, *footprint);
     drop(handle);
     assert_eq!(server.load().deployments, 0, "dropping releases");
@@ -106,13 +104,8 @@ fn threads_admitting_one_design_at_once_price_it_identically() {
     // An identically built design admitted alone prices the same.
     let alone = library::buffer_pipeline_design(3).expect("builds");
     let reference = server.admit("alone", &alone).expect("admitted");
-    assert!(
-        !reference.boosted().is_empty(),
-        "predictor seeded priorities"
-    );
     for handle in &handles {
         assert_eq!(handle.footprint(), reference.footprint(), "{}", handle.id());
-        assert_eq!(handle.boosted(), reference.boosted(), "{}", handle.id());
     }
     assert_eq!(server.load().deployments, THREADS + 1);
 }

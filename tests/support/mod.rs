@@ -7,21 +7,26 @@
 use polychrony::gals_rt::ExecutionMode;
 use polychrony::moc::Value;
 
-/// The execution modes every scenario is replayed under: the classic
-/// dedicated-thread mode and a deliberately undersized pool (2 workers,
-/// small quantum) that forces component multiplexing and stealing.  The
-/// pool is the scheduler that also serves `gals-serve` tenants, so every
-/// pool scenario covers the serving path's dispatch, wake and park.
+/// The two schedules every scenario is replayed under, both on a
+/// deliberately undersized pool (2 workers) that forces multiplexing and
+/// stealing: a batched quantum, and a quantum of 1, which re-queues an
+/// island after every member reaction so that islands interleave as
+/// finely as the pool allows.  The pool is the only executor and the
+/// scheduler that also serves `gals-serve` tenants, so every scenario
+/// covers the serving path's dispatch, wake and park.
 pub const MODES: [ExecutionMode; 2] = modes(4);
 
-/// [`MODES`] with another pool quantum.  The fuzz suite yields every 3
+/// [`MODES`] with another batched quantum.  The fuzz suite yields every 3
 /// reactions so that its interleavings differ from the fixed scenarios'.
 pub const fn modes(quantum: u64) -> [ExecutionMode; 2] {
     [
-        ExecutionMode::ThreadPerComponent,
         ExecutionMode::Pool {
             workers: 2,
             quantum,
+        },
+        ExecutionMode::Pool {
+            workers: 2,
+            quantum: 1,
         },
     ]
 }
