@@ -166,6 +166,10 @@ struct Mode {
     /// this index, so reads, writes and latches there take effect at once
     /// instead of being staged for the commit.
     direct_from: usize,
+    /// The input queue of the first op that can stop the reaction, when
+    /// that op is a read: with the queue empty, the reaction is certain to
+    /// suspend there before anything else happens.
+    demand: Option<u32>,
 }
 
 impl Mode {
@@ -195,16 +199,7 @@ impl Mode {
         // output or register is touched twice (a direct effect would then
         // land before a staged one of an earlier op; the interpreter reads
         // one head twice).
-        let direct_from = match ops.iter().rposition(|op| {
-            matches!(
-                op,
-                Op::Read { .. }
-                    | Op::Unary { .. }
-                    | Op::Binary { .. }
-                    | Op::Func { .. }
-                    | Op::Missing { .. }
-            )
-        }) {
+        let direct_from = match ops.iter().rposition(can_stop) {
             Some(at) if matches!(ops[at], Op::Read { .. }) => at,
             Some(at) => at + 1,
             None => 0,
@@ -227,8 +222,29 @@ impl Mode {
         } else {
             direct_from
         };
-        Mode { ops, direct_from }
+        let demand = match ops.iter().find(|op| can_stop(op)) {
+            Some(&Op::Read { queue, .. }) => Some(queue),
+            _ => None,
+        };
+        Mode {
+            ops,
+            direct_from,
+            demand,
+        }
     }
+}
+
+/// Whether a mode's op can stop its reaction: a read can stall on an
+/// empty queue, a function can fault.
+fn can_stop(op: &Op) -> bool {
+    matches!(
+        op,
+        Op::Read { .. }
+            | Op::Unary { .. }
+            | Op::Binary { .. }
+            | Op::Func { .. }
+            | Op::Missing { .. }
+    )
 }
 
 /// The slot an operand reads, if any.
@@ -862,6 +878,9 @@ struct State {
     queues: Vec<VecDeque<Value>>,
     flows: Vec<Vec<Value>>,
     steps: u64,
+    /// The mode the registers select for the next reaction, kept from the
+    /// last commit (the only place registers change).
+    next_mode: Option<usize>,
     /// Where the suspended reaction resumes, while one waits on an empty
     /// queue: its mode (`None`: the program's own ops, every clock
     /// computed) and the read's index.
@@ -899,13 +918,14 @@ impl CompiledRuntime {
     pub fn new(program: impl Into<Arc<CompiledProgram>>) -> CompiledRuntime {
         let program = program.into();
         let slots = program.slot_count();
-        let state = State {
+        let mut state = State {
             values: vec![Value::Bool(false); slots],
             flags: vec![0; slots],
             registers: program.registers.iter().map(|(_, v)| *v).collect(),
             queues: program.inputs.iter().map(|_| VecDeque::new()).collect(),
             flows: program.outputs.iter().map(|_| Vec::new()).collect(),
             steps: 0,
+            next_mode: None,
             resume: None,
             clock_stack: Vec::with_capacity(program.max_clock_depth),
             consumed: Vec::with_capacity(program.inputs.len()),
@@ -913,6 +933,7 @@ impl CompiledRuntime {
             pending_writes: Vec::with_capacity(program.outputs.len()),
             args_buf: Vec::new(),
         };
+        state.next_mode = state.mode(&program);
         CompiledRuntime { program, state }
     }
 
@@ -1042,11 +1063,10 @@ impl State {
         let (mode, from) = match self.resume.take() {
             Some(point) => point,
             None => {
-                let mode = self.mode(program);
-                if mode.is_none() {
+                if self.next_mode.is_none() {
                     self.flags.fill(0);
                 }
-                (mode, 0)
+                (self.next_mode, 0)
             }
         };
         let run = match mode.map(|m| &program.modes[m]) {
@@ -1077,6 +1097,7 @@ impl State {
         }
         self.discard();
         self.steps += 1;
+        self.next_mode = self.mode(program);
         Ok(())
     }
 
@@ -1095,8 +1116,8 @@ impl State {
         Ok(())
     }
 
-    /// The mode the registers select for the next reaction; `None` when
-    /// the program has none or a mode register holds a non-boolean.
+    /// The mode the registers select; `None` when the program has none or
+    /// a mode register holds a non-boolean.
     fn mode(&self, program: &CompiledProgram) -> Option<usize> {
         if program.modes.is_empty() {
             return None;
@@ -1374,6 +1395,17 @@ impl gals_rt::StepMachine for CompiledRuntime {
 
     fn output(&self, port: usize) -> &[Value] {
         self.state.flows.get(port).map_or(&[], Vec::as_slice)
+    }
+
+    /// The first read of the next reaction's mode, while its queue is
+    /// empty: that reaction can only suspend there.  A suspended reaction,
+    /// or one without a mode, demands nothing in advance.
+    fn demand(&self) -> Option<usize> {
+        if self.state.resume.is_some() {
+            return None;
+        }
+        let queue = self.program.modes[self.state.next_mode?].demand? as usize;
+        self.state.queues[queue].is_empty().then_some(queue)
     }
 }
 

@@ -11,17 +11,21 @@
 //! the OS threads; [`Deployment::stage`] instead hands the wired machines
 //! to a long-lived [`SharedPool`](crate::SharedPool).
 //!
-//! The channels themselves are minted by a [`Transport`] — the lock-free
-//! SPSC ring unless [`Deployment::set_transport`] plugs in another
-//! medium, since every derived edge has exactly one producer and one
-//! consumer — at the capacities of a [`ChannelPolicy`] (a default plus
-//! per-signal overrides, or derived bounds).  [`Deployment::topology`]
-//! reports the resolved capacity and backend of every edge.
+//! Every edge gets the capacity a [`ChannelPolicy`] resolves for it (a
+//! default plus per-signal overrides, or derived bounds).  Unless
+//! [`Deployment::set_transport`] names a medium, an edge is an island
+//! [slot](ISLAND_MEDIUM): both of its ends run in one island, which owns
+//! it as a plain bounded FIFO.  A named medium mints an endpoint pair per
+//! edge instead.  [`Deployment::topology`] reports the resolved capacity
+//! and the medium of every edge.
 //!
-//! A signal can also be **linked** to an endpoint the deployment did not
-//! mint ([`Deployment::link_input`], [`Deployment::link_output`]), such
-//! as a partition's cut edge on a socket: read and written without
-//! blocking like a ring, its medium waking the island.
+//! The streaming ingress and egress of a staged deployment cross threads
+//! (the client's and the pool's), so they are endpoints of the named
+//! medium, or of the lock-free SPSC ring ([`RingTransport`]) when none is
+//! named.  A signal can also be **linked** to an endpoint the deployment
+//! did not mint ([`Deployment::link_input`], [`Deployment::link_output`]),
+//! such as a partition's cut edge on a socket: read and written without
+//! blocking like a slot, its medium waking the island.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -43,11 +47,16 @@ use crate::trace::{Trace, TraceBuffer, TraceConfig};
 use crate::transport::{
     CapacitySource, ChannelPolicy, ChannelSizing, TokenRx, TokenTx, Transport, ZeroCapacity,
 };
-use crate::worker::{Driver, WorkerReport};
+use crate::worker::{Driver, Inbound, Outbound, WorkerReport};
 
 /// Default per-component step budget: a safety net against components that
 /// can react forever without consuming any finite stream.
 pub const DEFAULT_MAX_STEPS: u64 = 1_000_000;
+
+/// The medium [`ChannelSpec::backend`] names for an edge on no medium
+/// the deployment named: a bounded slot owned by the island both of its
+/// ends run in, read and written by index on one worker at a time.
+pub const ISLAND_MEDIUM: &str = "island-slot";
 
 /// Default capacity of the streaming ingress/egress channels a staged
 /// deployment ([`Deployment::stage`]) exposes: deep enough to absorb a
@@ -260,7 +269,8 @@ pub struct ChannelSpec {
     /// For derived edges, the derivation: the rate relation between the
     /// producer and consumer clocks that produced the bound.
     pub derivation: Option<String>,
-    /// The name of the transport backend wiring this edge.
+    /// The medium carrying this edge: [`ISLAND_MEDIUM`], or the name of
+    /// the transport the deployment named.
     pub backend: &'static str,
 }
 
@@ -419,8 +429,8 @@ pub struct Deployment {
 
 impl Deployment {
     /// Creates an empty deployment with channel capacity 1 (the one-place
-    /// rendez-vous of the paper's concurrent scheme), the SPSC ring as
-    /// the medium, a pool of one worker per core
+    /// rendez-vous of the paper's concurrent scheme), island slots as the
+    /// medium, a pool of one worker per core
     /// ([`ExecutionMode::pool_per_core`]) and the default step budget.
     pub fn new() -> Self {
         Deployment {
@@ -571,7 +581,9 @@ impl Deployment {
     }
 
     /// Routes every channel through a custom [`Transport`] (a shared-memory
-    /// or network medium, say) instead of the built-in SPSC ring.
+    /// or network medium, say): each edge becomes an endpoint pair it
+    /// mints instead of an island slot, and the staged ingress and egress
+    /// use it instead of the SPSC ring.
     pub fn set_transport(&mut self, transport: Arc<dyn Transport>) -> &mut Self {
         self.transport = Some(transport);
         self
@@ -688,19 +700,25 @@ impl Deployment {
         self
     }
 
-    /// The transport instance that mints the channels: the custom one, or
-    /// the SPSC ring (every edge of a derived topology is
-    /// single-producer/single-consumer).
+    /// The transport instance that mints the endpoints: the custom one,
+    /// or the SPSC ring (every channel is single-producer/single-consumer).
     fn transport_instance(&self) -> Arc<dyn Transport> {
         self.transport
             .clone()
             .unwrap_or_else(|| Arc::new(RingTransport))
     }
 
+    /// The medium of the edges: the named transport's, or the island's.
+    fn medium(&self) -> &'static str {
+        self.transport
+            .as_ref()
+            .map_or(ISLAND_MEDIUM, |transport| transport.name())
+    }
+
     /// Derives the channel topology from the machine interfaces, resolved
     /// against the channel policy: every [`ChannelSpec`] reports the
     /// capacity (with its source and, for derived edges, the derivation)
-    /// and backend its edge will be wired with.
+    /// and medium its edge will be wired with.
     ///
     /// # Errors
     ///
@@ -717,7 +735,7 @@ impl Deployment {
                 }
             }
         }
-        let backend = self.transport_instance().name();
+        let backend = self.medium();
         let mut topology = Topology::default();
         let mut environment: BTreeSet<Name> = BTreeSet::new();
         for (j, machine) in self.machines.iter().enumerate() {
@@ -833,8 +851,9 @@ impl Deployment {
 
     /// Runs the deployment to completion on a pool of the selected
     /// [`ExecutionMode`] started for the run, its machines connected by
-    /// bounded channels minted by the selected transport and by their
-    /// links.  Blocks until every component finished.
+    /// bounded channels (island slots, or endpoints of the named
+    /// transport) and by their links.  Blocks until every component
+    /// finished.
     ///
     /// # Errors
     ///
@@ -846,7 +865,7 @@ impl Deployment {
     pub fn run(mut self) -> Result<DeploymentOutcome, DeployError> {
         let (topology, wired) = self.wire()?;
         let mode = self.execution_mode();
-        let backend = wired.transport.name();
+        let backend = self.medium();
         let mut drivers = wired.into_drivers(self.machines, self.max_steps);
         // The trace epoch doubles as the wall-clock start: every buffer
         // timestamps against this one `Instant`, which is what makes the
@@ -922,7 +941,7 @@ impl Deployment {
                     continue;
                 }
                 let (tx, rx) = wired.transport.open(self.stream_capacity)?;
-                wired.sources[j].insert(input.clone(), rx);
+                wired.sources[j].insert(input.clone(), Inbound::Endpoint(rx));
                 ingress
                     .entry(input)
                     .or_insert_with(|| IngressPort {
@@ -944,7 +963,10 @@ impl Deployment {
                     continue;
                 }
                 let (tx, rx) = wired.transport.open(self.stream_capacity)?;
-                wired.sinks[i].entry(output.clone()).or_default().push(tx);
+                wired.sinks[i]
+                    .entry(output.clone())
+                    .or_default()
+                    .push(Outbound::Endpoint(tx));
                 egress.insert(output, EgressPort { producer: i, rx });
             }
         }
@@ -954,7 +976,7 @@ impl Deployment {
             .iter()
             .map(|machine| machine.machine_name().to_string())
             .collect();
-        let backend = wired.transport.name();
+        let backend = self.medium();
         Ok(StagedDeployment {
             drivers: wired.into_drivers(self.machines, self.max_steps),
             topology,
@@ -972,11 +994,13 @@ impl Deployment {
     }
 
     /// What [`run`](Self::run) and [`stage`](Self::stage) share: the
-    /// static checks, the bounded internal channels — one endpoint pair
-    /// per edge, minted by the transport at the edge's resolved capacity —
-    /// the links, and the preloaded environment streams.  A machine reads
-    /// its own input queue before its channel, so in a staged deployment
-    /// the preloaded tokens come strictly before streamed ones.
+    /// static checks, the bounded internal channels, the links, and the
+    /// preloaded environment streams.  An edge is the slot of its
+    /// topology index — the island that owns it numbers it anew — unless
+    /// a transport was named, which mints an endpoint pair per edge at its
+    /// resolved capacity.  A machine reads its own input queue before its
+    /// channel, so in a staged deployment the preloaded tokens come
+    /// strictly before streamed ones.
     fn wire(&mut self) -> Result<(Topology, Wired), DeployError> {
         if self.machines.is_empty() {
             return Err(DeployError::Empty);
@@ -984,14 +1008,18 @@ impl Deployment {
         let topology = self.topology()?;
         self.check_cycles(&topology)?;
         let environment = self.validate_feeds(&topology)?;
-        let transport = self.transport_instance();
         let n = self.machines.len();
-        let mut sources: Vec<BTreeMap<Name, Box<dyn TokenRx>>> =
+        let mut sources: Vec<BTreeMap<Name, Inbound>> = (0..n).map(|_| BTreeMap::new()).collect();
+        let mut sinks: Vec<BTreeMap<Name, Vec<Outbound>>> =
             (0..n).map(|_| BTreeMap::new()).collect();
-        let mut sinks: Vec<BTreeMap<Name, Vec<Box<dyn TokenTx>>>> =
-            (0..n).map(|_| BTreeMap::new()).collect();
-        for spec in &topology.channels {
-            let (tx, rx) = transport.open(spec.capacity)?;
+        for (k, spec) in topology.channels.iter().enumerate() {
+            let (tx, rx) = match &self.transport {
+                None => (Outbound::Slot(k), Inbound::Slot(k)),
+                Some(transport) => {
+                    let (tx, rx) = transport.open(spec.capacity)?;
+                    (Outbound::Endpoint(tx), Inbound::Endpoint(rx))
+                }
+            };
             sinks[spec.producer]
                 .entry(spec.signal.clone())
                 .or_default()
@@ -1000,7 +1028,7 @@ impl Deployment {
         }
         let mut linked = Vec::with_capacity(self.linked_inputs.len());
         for ((machine, signal), rx) in std::mem::take(&mut self.linked_inputs) {
-            sources[machine].insert(signal.clone(), rx);
+            sources[machine].insert(signal.clone(), Inbound::Endpoint(rx));
             linked.push((machine, signal));
         }
         for (signal, tx) in std::mem::take(&mut self.linked_outputs) {
@@ -1009,7 +1037,10 @@ impl Deployment {
                 .iter()
                 .position(|m| m.output_signals().contains(&signal))
             {
-                sinks[producer].entry(signal).or_default().push(tx);
+                sinks[producer]
+                    .entry(signal)
+                    .or_default()
+                    .push(Outbound::Endpoint(tx));
             }
         }
         // Every feed names an unlinked environment input (validated).
@@ -1022,7 +1053,7 @@ impl Deployment {
         }
         let wired = Wired {
             environment,
-            transport,
+            transport: self.transport_instance(),
             sources,
             sinks,
             linked,
@@ -1084,11 +1115,12 @@ impl Deployment {
 /// A deployment checked and wired by [`Deployment::wire`].
 struct Wired {
     environment: BTreeSet<Name>,
+    /// The medium of the staged ingress and egress endpoints.
     transport: Arc<dyn Transport>,
-    /// Per machine: the receiving endpoint of each channel-fed input.
-    sources: Vec<BTreeMap<Name, Box<dyn TokenRx>>>,
-    /// Per machine: the sending endpoints of each published output.
-    sinks: Vec<BTreeMap<Name, Vec<Box<dyn TokenTx>>>>,
+    /// Per machine: the receiving end of each channel-fed input.
+    sources: Vec<BTreeMap<Name, Inbound>>,
+    /// Per machine: the sending ends of each published output.
+    sinks: Vec<BTreeMap<Name, Vec<Outbound>>>,
     /// The linked (machine, input) pairs.
     linked: Vec<(usize, Name)>,
 }

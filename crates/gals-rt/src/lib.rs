@@ -15,11 +15,14 @@
 //!   full or empty channel yields its worker and is woken when the edge
 //!   moves; no step ever blocks) — the finite-buffer refinement of the
 //!   paper's unbounded-FIFO asynchronous model (`^` [`sim::AsyncNetwork`]);
+//! * **island-owned channels**: an edge between two components of one
+//!   pool island is a plain bounded slot the island owns
+//!   ([`ISLAND_MEDIUM`]), read and written by index without atomics;
 //! * a **pluggable transport layer** ([`Transport`] minting
-//!   [`TokenTx`]/[`TokenRx`] endpoint pairs) whose built-in medium is a
-//!   **lock-free SPSC ring buffer** ([`ring`]) — every edge the topology
-//!   derivation produces is point-to-point — and a [`ChannelPolicy`] for
-//!   per-signal capacities;
+//!   [`TokenTx`]/[`TokenRx`] endpoint pairs) for what crosses threads — a
+//!   named medium's edges, a served tenant's ingress and egress — whose
+//!   built-in medium is a **lock-free SPSC ring buffer** ([`ring`]), and
+//!   a [`ChannelPolicy`] for per-signal capacities;
 //! * per-component counters (reactions, blocked reads, tokens) aggregated
 //!   into a [`DeploymentStats`] report;
 //! * a dynamic **isochrony conformance checker**
@@ -105,7 +108,7 @@ pub use capacity::{CapacityAnalysis, DerivedCapacity, EdgeClocks, UnprimedCycle}
 pub use conformance::{replay_reference, ConformanceError, ConformanceReport, ReferenceComponent};
 pub use deploy::{
     ChannelSpec, DeployError, Deployment, DeploymentOutcome, StagedDeployment, Topology,
-    DEFAULT_MAX_STEPS, DEFAULT_STREAM_CAPACITY,
+    DEFAULT_MAX_STEPS, DEFAULT_STREAM_CAPACITY, ISLAND_MEDIUM,
 };
 pub use machine::{StepFault, StepMachine};
 pub use predict::{ComponentPrediction, EdgePrediction, PerformancePrediction};
@@ -299,7 +302,7 @@ mod tests {
                 capacity: 1,
                 source: CapacitySource::Default,
                 derivation: None,
-                backend: RingTransport::NAME,
+                backend: ISLAND_MEDIUM,
             }
         );
         assert!(!topology.has_cycle());
@@ -317,8 +320,34 @@ mod tests {
             .iter()
             .map(|c| (c.signal.as_str().to_string(), (c.capacity, c.backend)))
             .collect();
-        assert_eq!(by_signal["s1"], (8, RingTransport::NAME));
-        assert_eq!(by_signal["s2"], (2, RingTransport::NAME));
+        assert_eq!(by_signal["s1"], (8, ISLAND_MEDIUM));
+        assert_eq!(by_signal["s2"], (2, ISLAND_MEDIUM));
+    }
+
+    #[test]
+    fn only_a_named_medium_turns_island_edges_into_endpoints() {
+        // Without `set_transport` every edge is a slot of its island; a
+        // named medium, even the ring, carries every edge and is what the
+        // stats report.
+        let mut deployment = pipeline(4);
+        let topology = deployment.topology().expect("well-formed");
+        assert_eq!(topology.channels.len(), 3);
+        assert!(topology.channels.iter().all(|c| c.backend == ISLAND_MEDIUM));
+        deployment.feed("s0", (1..=8).map(Value::Int));
+        let outcome = deployment.run().expect("runs");
+        assert_eq!(outcome.stats().backend, ISLAND_MEDIUM);
+
+        let mut deployment = pipeline(4);
+        deployment.set_transport(std::sync::Arc::new(RingTransport));
+        let topology = deployment.topology().expect("well-formed");
+        assert!(topology
+            .channels
+            .iter()
+            .all(|c| c.backend == RingTransport::NAME));
+        deployment.feed("s0", (1..=8).map(Value::Int));
+        let ringed = deployment.run().expect("runs");
+        assert_eq!(ringed.stats().backend, RingTransport::NAME);
+        assert_eq!(ringed.flows(), outcome.flows());
     }
 
     #[test]

@@ -63,6 +63,12 @@ impl fmt::Display for StepFault {
 /// * [`output`](StepMachine::output) returns the complete flow written so
 ///   far on an output port — the engine tracks a cursor per output and
 ///   publishes only the suffix produced by the latest step.
+/// * [`demand`](StepMachine::demand) is a hint, never a refusal: when it
+///   names a port, the next `try_step` (with no feed in between) would
+///   refuse with exactly `NeedInput` on that port, so the engine feeds it
+///   before the attempt instead of after a refusal.  `None` promises
+///   nothing, and a machine that always answers `None` (the default) is
+///   driven by its refusals alone.
 pub trait StepMachine: Send {
     /// The component name (used in reports and statistics).
     fn machine_name(&self) -> &str;
@@ -81,6 +87,16 @@ pub trait StepMachine: Send {
 
     /// The flow produced so far on output port `port`.
     fn output(&self, port: usize) -> &[Value];
+
+    /// The input port whose empty queue the next reaction will wait on
+    /// first, when the machine knows it before attempting the step: the
+    /// next [`try_step`](StepMachine::try_step) would then refuse with
+    /// `NeedInput` on exactly this port and change nothing.  `None` when
+    /// the machine cannot tell, or the next reaction waits on nothing yet;
+    /// the default answers `None` always.
+    fn demand(&self) -> Option<usize> {
+        None
+    }
 
     /// Appends one value to the input named `signal` (ignored when the
     /// machine has no such input).  Resolves the name on every call: the

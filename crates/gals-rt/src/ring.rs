@@ -1,9 +1,14 @@
 //! A lock-free fixed-capacity SPSC ring buffer for [`Value`] tokens.
 //!
-//! The topology derivation only ever produces point-to-point edges (one
-//! producer, one consumer per channel), so the general mpsc machinery —
-//! and its per-operation mutex in `std::sync::mpsc` — is pure overhead on
-//! the runtime's hottest path.  This ring exploits the SPSC restriction:
+//! The ring is the built-in endpoint medium: it carries what crosses
+//! threads — a served tenant's ingress and egress between the client and
+//! the pool — and every edge of a deployment that names it
+//! (`Deployment::set_transport`).  An edge inside a pool island on no
+//! named medium is a plain slot of the island instead (see
+//! `crate::worker`).  Every channel has one producer and one consumer, so
+//! the general mpsc machinery — and its per-operation mutex in
+//! `std::sync::mpsc` — would be pure overhead.  This ring exploits the
+//! SPSC restriction:
 //!
 //! * `head` and `tail` are monotonically increasing atomic counters, each
 //!   written by exactly one side; a send is one slot write plus one

@@ -17,11 +17,22 @@
 //!   `crate::worker::Driver`s plus scheduling state.  Theorem 1 is the
 //!   license: a verified design's flows do not depend on how its
 //!   components are scheduled over FIFOs at least as large as the derived
-//!   bounds (Kahn, 1974), so fusing them changes no flow.  Every channel
-//!   of a group lies inside one island, with its endpoints and resolved
-//!   capacity untouched, so occupancy never exceeds capacity.
-//!   Disconnected parts of one deployment, and separate tenants, are
-//!   separate islands: that is where the pool's parallelism comes from.
+//!   bounds (Kahn, 1974), so fusing them changes no flow.  Disconnected
+//!   parts of one deployment, and separate tenants, are separate islands:
+//!   that is where the pool's parallelism comes from.
+//! * **An island owns its channels.**  Every channel of a group lies
+//!   inside one island.  One on no medium the deployment named is a
+//!   *slot* (`crate::worker::Slot`): a plain bounded FIFO at its resolved
+//!   capacity, kept in the cell beside the members and numbered per
+//!   island when the group is placed, so each island indexes only its own
+//!   slots.  The island runs on one worker at a time and moves between
+//!   workers under its cell's slot mutex — the only synchronization its
+//!   slots need.  A slot refuses a token at capacity like any channel, so
+//!   occupancy never exceeds capacity.  Channels on a named medium keep
+//!   their endpoints, as do a tenant's ingress and egress and a
+//!   partition's links.  This is the paper's §5.2 controller, which
+//!   schedules separately compiled step functions and carries their
+//!   rendez-vous itself, done at run time for n members.
 //! * **Dispatch.**  Each of the `workers` threads pops a ready island and
 //!   sweeps its live members in topological order of its edges (cycles in
 //!   a fixed order), stepping each until it blocks.  Sweeps repeat until
@@ -71,7 +82,7 @@
 //!   dispatch decrements it only after publishing its outcome.  A group
 //!   that nothing outside its workers can wake is *sealed*: it has no
 //!   ingress or egress port and no endpoint whose medium calls its waker
-//!   — every batch run on the built-in ring, whose environment streams
+//!   — every batch run on slots or the ring, whose environment streams
 //!   are preloaded.  When a sealed group's `work` drops to 0 with
 //!   components remaining, every surviving island is stuck and no wake
 //!   can originate: a communication deadlock (only reachable on a cyclic
@@ -107,7 +118,7 @@ use crate::deploy::{
 use crate::stats::{PoolWorkerStats, StopReason};
 use crate::trace::TraceBuffer;
 use crate::transport::TrySendError;
-use crate::worker::{DriveOutcome, Driver, WorkerReport};
+use crate::worker::{DriveOutcome, Driver, Slot, WorkerReport};
 
 /// The shape of the pool a deployment runs on.  The default is
 /// [`ExecutionMode::pool_per_core`].
@@ -120,8 +131,9 @@ pub enum ExecutionMode {
     /// own is empty), and one dispatch sweeps the island's members in
     /// topological order until it is stuck, finished, or has run `quantum`
     /// reactions per live member.  Channels keep their resolved
-    /// capacities.  The OS-thread footprint is `workers`, whatever the
-    /// component count; parallelism comes from independent islands.
+    /// capacities; an island owns the ones on no named medium.  The
+    /// OS-thread footprint is `workers`, whatever the component count;
+    /// parallelism comes from independent islands.
     Pool {
         /// Pool size in OS threads (must be nonzero).
         workers: usize,
@@ -281,10 +293,14 @@ impl Ord for ReadyEntry {
     }
 }
 
-/// The live members of one island, in topological order of its edges:
-/// `(component index in the group, driver)`.  A member leaves the list
-/// when it finishes.
-type Members = Vec<(usize, Driver)>;
+/// One island's state between dispatches: its live members in
+/// topological order of its edges, as `(component index in the group,
+/// driver)` — a member leaves the list when it finishes — and the slots
+/// of the edges between them, which the members address by index.
+struct Island {
+    members: Vec<(usize, Driver)>,
+    slots: Vec<Slot>,
+}
 
 /// One island living on a pool, addressed by its index in its group.
 struct Cell {
@@ -298,12 +314,14 @@ struct Cell {
     /// The component a dispatch of this island is recorded under: its
     /// first member in topological order.
     label: usize,
-    /// Member storage while the island is not being dispatched.
-    slot: Mutex<Option<Members>>,
+    /// The island while no worker dispatches it.  A dispatch takes it
+    /// out and puts it back under this mutex, the only synchronization
+    /// its slots need.
+    slot: Mutex<Option<Island>>,
 }
 
 impl Cell {
-    fn lock_slot(&self) -> MutexGuard<'_, Option<Members>> {
+    fn lock_slot(&self) -> MutexGuard<'_, Option<Island>> {
         self.slot.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
@@ -547,13 +565,13 @@ impl Scheduler {
         let previous = state.swap(RUNNING, SeqCst);
         debug_assert_eq!(previous, QUEUED, "a dequeued island is queued");
 
-        let mut members = cell
+        let mut island = cell
             .lock_slot()
             .take()
-            .expect("a queued island's members are parked in its slot");
-        match self.sweep(group, &mut members) {
+            .expect("a queued island is parked in its slot");
+        match self.sweep(group, &mut island) {
             Sweep::Yielded => {
-                *cell.lock_slot() = Some(members);
+                *cell.lock_slot() = Some(island);
                 // The wake latch is subsumed: the island goes straight back
                 // to the ready set either way, and its fresh sequence puts
                 // it behind its equal-priority peers.
@@ -564,8 +582,8 @@ impl Scheduler {
                 // Park the members *before* publishing the blocked state: a
                 // concurrent wake that sees BLOCKED may immediately re-queue
                 // the island for another worker, which will look for the
-                // members in the slot.
-                *cell.lock_slot() = Some(members);
+                // island in the slot.
+                *cell.lock_slot() = Some(island);
                 if state
                     .compare_exchange(RUNNING, BLOCKED, SeqCst, SeqCst)
                     .is_err()
@@ -588,9 +606,11 @@ impl Scheduler {
     /// until it blocks, yields or stops, until a whole sweep makes no
     /// progress, every member finished, or the island ran `quantum`
     /// reactions per member it started with.  A member that stops is
-    /// finalized on the spot — dropping its endpoints closes its channels,
-    /// which its island-mates observe on the next sweep.
-    fn sweep(&self, group: &Group, members: &mut Members) -> Sweep {
+    /// finalized on the spot — closing its slots and dropping its
+    /// endpoints closes its channels, which its island-mates observe on
+    /// the next sweep.
+    fn sweep(&self, group: &Group, island: &mut Island) -> Sweep {
+        let Island { members, slots } = island;
         let budget = self.quantum.saturating_mul(members.len() as u64);
         let mut used = 0u64;
         loop {
@@ -602,13 +622,13 @@ impl Scheduler {
                 }
                 let driver = &mut members[i].1;
                 let (reactions, moved) = (driver.reactions(), driver.tokens_moved());
-                let outcome = driver.drive(self.quantum.min(budget - used));
+                let outcome = driver.drive(self.quantum.min(budget - used), slots);
                 let reacted = driver.reactions() - reactions;
                 used += reacted;
                 progressed |= reacted > 0 || driver.tokens_moved() != moved;
                 if let DriveOutcome::Done(stop) = outcome {
                     let (component, driver) = members.remove(i);
-                    self.retire(group, component, driver.finish(stop));
+                    self.retire(group, component, driver.finish(stop, slots));
                     progressed = true;
                 } else {
                     i += 1;
@@ -655,12 +675,13 @@ impl Scheduler {
                 .compare_exchange(BLOCKED, DONE, SeqCst, SeqCst)
                 .is_ok()
             {
-                let members = cell
+                let mut island = cell
                     .lock_slot()
                     .take()
-                    .expect("a blocked island's members are parked in its slot");
-                for (component, driver) in members {
-                    self.retire(group, component, driver.finish(StopReason::Deadlocked));
+                    .expect("a blocked island is parked in its slot");
+                for (component, driver) in island.members {
+                    let report = driver.finish(StopReason::Deadlocked, &mut island.slots);
+                    self.retire(group, component, report);
                 }
             }
         }
@@ -977,9 +998,10 @@ impl SharedPool {
     }
 
     /// Places `drivers` as one group: one cell per island of the channel
-    /// graph, its members' endpoints handed the island's waker, enqueued
-    /// on its home worker.  A group placed `sealed` stays sealed only when
-    /// no endpoint's medium will call that waker.
+    /// graph, holding its members and the slots between them (numbered
+    /// per island), its members' endpoints handed the island's waker,
+    /// enqueued on its home worker.  A group placed `sealed` stays sealed
+    /// only when no endpoint's medium will call that waker.
     fn place(
         &self,
         drivers: Vec<Driver>,
@@ -997,6 +1019,8 @@ impl SharedPool {
             }
         }
         let mut drivers: Vec<Option<Driver>> = drivers.into_iter().map(Some).collect();
+        // A slot's index in its island, by its edge's index in the topology.
+        let mut local = vec![usize::MAX; topology.channels.len()];
         let base = self.sched.next_home.fetch_add(islands.len().max(1), SeqCst);
         let group = Arc::new_cyclic(|weak: &Weak<Group>| {
             let mut wakes = false;
@@ -1011,19 +1035,29 @@ impl SharedPool {
                         island: k,
                         home,
                     }));
-                    let members: Members = members
+                    let mut members: Vec<(usize, Driver)> = members
                         .iter()
                         .map(|&i| (i, drivers[i].take().expect("one island per component")))
                         .collect();
-                    for (_, driver) in &members {
+                    // Both ends of an edge lie in one island: the first end
+                    // met numbers the slot, the other finds it numbered.
+                    let mut slots = Vec::new();
+                    for (_, driver) in &mut members {
                         wakes |= driver.set_waker(&waker);
+                        for k in driver.slot_indices() {
+                            if local[*k] == usize::MAX {
+                                local[*k] = slots.len();
+                                slots.push(Slot::new(topology.channels[*k].capacity));
+                            }
+                            *k = local[*k];
+                        }
                     }
                     Cell {
                         state: AtomicU8::new(QUEUED),
                         priority,
                         home,
                         label: members[0].0,
-                        slot: Mutex::new(Some(members)),
+                        slot: Mutex::new(Some(Island { members, slots })),
                     }
                 })
                 .collect();

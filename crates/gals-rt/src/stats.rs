@@ -181,7 +181,9 @@ pub struct DeploymentStats {
     /// capacity, the capacity's source and (for derived edges) the
     /// derivation.
     pub edges: Vec<ChannelSpec>,
-    /// Name of the transport backend that carried the channels.
+    /// The medium that carried the channels:
+    /// [`ISLAND_MEDIUM`](crate::ISLAND_MEDIUM), or the name of the
+    /// transport the deployment named.
     pub backend: &'static str,
     /// The shape of the pool that ran the components.
     pub mode: ExecutionMode,

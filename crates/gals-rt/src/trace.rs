@@ -159,7 +159,9 @@ impl SideCounter {
 
 /// A worker-private bounded event recorder.  Owned by exactly one thread
 /// at a time (it travels with its component across pool workers), so the
-/// hot path takes no locks.
+/// hot path takes no locks.  Its token counters are indexed by the
+/// driver's dense port and sink numbers; names are resolved once, when
+/// the buffer becomes a [`ComponentTrace`].
 #[derive(Debug, Clone)]
 pub(crate) struct TraceBuffer {
     epoch: Instant,
@@ -172,10 +174,14 @@ pub(crate) struct TraceBuffer {
     open_block: Option<(Name, BlockDirection, u64)>,
     /// Per-signal blocked episodes: (count, total nanoseconds).
     blocked_by_signal: BTreeMap<Name, (u64, u64)>,
-    /// Tokens sent per (signal, sink index).
-    sent: BTreeMap<(Name, usize), SideCounter>,
-    /// Tokens received per signal (one upstream channel per signal).
-    received: BTreeMap<Name, SideCounter>,
+    /// The signal of each input port.
+    inputs: Vec<Name>,
+    /// The signal of each of the driver's sinks.
+    sinks: Vec<Name>,
+    /// Tokens sent per sink, per consumer channel of that sink.
+    sent: Vec<Vec<SideCounter>>,
+    /// Tokens received per input port (one upstream channel per port).
+    received: Vec<SideCounter>,
     first_ts: Option<u64>,
     last_ts: u64,
 }
@@ -192,11 +198,22 @@ impl TraceBuffer {
             blocked_ns: 0,
             open_block: None,
             blocked_by_signal: BTreeMap::new(),
-            sent: BTreeMap::new(),
-            received: BTreeMap::new(),
+            inputs: Vec::new(),
+            sinks: Vec::new(),
+            sent: Vec::new(),
+            received: Vec::new(),
             first_ts: None,
             last_ts: 0,
         }
+    }
+
+    /// Names the ports the token counters are indexed by: the signal of
+    /// each input port and of each sink.
+    pub(crate) fn name_ports(&mut self, inputs: Vec<Name>, sinks: Vec<Name>) {
+        self.received = vec![SideCounter::default(); inputs.len()];
+        self.sent = vec![Vec::new(); sinks.len()];
+        self.inputs = inputs;
+        self.sinks = sinks;
     }
 
     /// Nanoseconds since the trace epoch.  `u64` holds ~584 years.
@@ -277,37 +294,32 @@ impl TraceBuffer {
         }
     }
 
-    /// Records a token published into the `sink`-th channel of `signal`.
-    pub(crate) fn sent(&mut self, signal: &Name, sink: usize, occupancy: Option<usize>) {
-        self.sent
-            .entry((signal.clone(), sink))
-            .or_default()
-            .record(occupancy);
+    /// Records a token published by sink `sink` into the channel of its
+    /// `consumer`-th consumer.
+    pub(crate) fn sent(&mut self, sink: usize, consumer: usize, occupancy: Option<usize>) {
+        let counters = &mut self.sent[sink];
+        if counters.len() <= consumer {
+            counters.resize(consumer + 1, SideCounter::default());
+        }
+        counters[consumer].record(occupancy);
         let now = self.now();
+        let signal = self.sinks[sink].clone();
         self.push(
             now,
             TraceEvent::TokenSent {
-                signal: signal.clone(),
-                sink,
+                signal,
+                sink: consumer,
                 occupancy,
             },
         );
     }
 
-    /// Records a token consumed from the channel of `signal`.
-    pub(crate) fn received(&mut self, signal: &Name, occupancy: Option<usize>) {
-        self.received
-            .entry(signal.clone())
-            .or_default()
-            .record(occupancy);
+    /// Records a token consumed from the channel of input port `port`.
+    pub(crate) fn received(&mut self, port: usize, occupancy: Option<usize>) {
+        self.received[port].record(occupancy);
         let now = self.now();
-        self.push(
-            now,
-            TraceEvent::TokenReceived {
-                signal: signal.clone(),
-                occupancy,
-            },
-        );
+        let signal = self.inputs[port].clone();
+        self.push(now, TraceEvent::TokenReceived { signal, occupancy });
     }
 
     /// Records a pool dispatch (worker-side buffers only).
@@ -354,7 +366,29 @@ pub struct ComponentTrace {
 }
 
 impl ComponentTrace {
+    /// Takes over a buffer's timeline and resolves its port-indexed token
+    /// counters to the signals they count.
     fn from_buffer(name: String, buffer: TraceBuffer) -> Self {
+        let counted = |counter: &SideCounter| counter.tokens > 0;
+        let sent = buffer
+            .sinks
+            .iter()
+            .zip(&buffer.sent)
+            .flat_map(|(signal, counters)| {
+                counters
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, counter)| counted(counter))
+                    .map(move |(consumer, counter)| ((signal.clone(), consumer), counter.clone()))
+            })
+            .collect();
+        let received = buffer
+            .inputs
+            .iter()
+            .zip(&buffer.received)
+            .filter(|(_, counter)| counted(counter))
+            .map(|(signal, counter)| (signal.clone(), counter.clone()))
+            .collect();
         ComponentTrace {
             name,
             records: buffer.records,
@@ -363,8 +397,8 @@ impl ComponentTrace {
             busy_ns: buffer.busy_ns,
             blocked_ns: buffer.blocked_ns,
             blocked_by_signal: buffer.blocked_by_signal,
-            sent: buffer.sent,
-            received: buffer.received,
+            sent,
+            received,
             first_ts: buffer.first_ts,
             last_ts: buffer.last_ts,
         }
@@ -995,9 +1029,10 @@ mod tests {
     fn blocked_episodes_are_deduplicated_and_balanced() {
         let mut buffer = TraceBuffer::new(Instant::now(), 1024);
         let x = name("x");
+        buffer.name_ports(vec![x.clone()], Vec::new());
         buffer.blocked(&x, BlockDirection::Upstream);
         buffer.blocked(&x, BlockDirection::Upstream); // re-entry: no-op
-        buffer.received(&x, Some(0));
+        buffer.received(0, Some(0));
         buffer.unblocked(&x);
         buffer.unblocked(&x); // double close: no-op
         let blocks = buffer
@@ -1037,14 +1072,16 @@ mod tests {
         let epoch = Instant::now();
         let x = name("x");
         let mut producer = TraceBuffer::new(epoch, 1024);
-        producer.sent(&x, 0, Some(1));
-        producer.sent(&x, 0, Some(2));
+        producer.name_ports(vec![name("a")], vec![x.clone()]);
+        producer.sent(0, 0, Some(1));
+        producer.sent(0, 0, Some(2));
         producer.stopped(&StopReason::EnvironmentExhausted(name("a")));
         let mut consumer = TraceBuffer::new(epoch, 1024);
+        consumer.name_ports(vec![x.clone()], Vec::new());
         consumer.blocked(&x, BlockDirection::Upstream);
-        consumer.received(&x, Some(1));
+        consumer.received(0, Some(1));
         consumer.unblocked(&x);
-        consumer.received(&x, Some(0));
+        consumer.received(0, Some(0));
         consumer.stopped(&StopReason::UpstreamClosed(x.clone()));
         let trace = Trace::assemble(
             vec![("p".into(), producer), ("c".into(), consumer)],
@@ -1073,11 +1110,13 @@ mod tests {
         let epoch = Instant::now();
         let x = name("x");
         let mut producer = TraceBuffer::new(epoch, 1024);
-        producer.sent(&x, 0, Some(1));
-        producer.sent(&x, 1, Some(1));
-        producer.sent(&x, 1, Some(2));
+        producer.name_ports(Vec::new(), vec![x.clone()]);
+        producer.sent(0, 0, Some(1));
+        producer.sent(0, 1, Some(1));
+        producer.sent(0, 1, Some(2));
         let mut c1 = TraceBuffer::new(epoch, 1024);
-        c1.received(&x, Some(0));
+        c1.name_ports(vec![x.clone()], Vec::new());
+        c1.received(0, Some(0));
         let c2 = TraceBuffer::new(epoch, 1024);
         let trace = Trace::assemble(
             vec![("p".into(), producer), ("c1".into(), c1), ("c2".into(), c2)],

@@ -7,10 +7,14 @@
 //! the derived topology, so the worker loop and the deployment builder
 //! never name a concrete channel type.
 //!
-//! The built-in medium is [`crate::ring::RingTransport`], a lock-free
-//! fixed-capacity SPSC ring buffer: every edge the topology derivation
-//! produces is single-producer/single-consumer.  Other media (shared
-//! memory, sockets) plug in through `Deployment::set_transport`.
+//! An edge on no named medium needs no endpoint at all: both of its ends
+//! run in one pool island, which owns it as a plain bounded slot
+//! (`ISLAND_MEDIUM`).  Endpoints carry what crosses threads: an edge on a
+//! medium plugged in through `Deployment::set_transport` (shared memory,
+//! sockets, or the ring itself), a served tenant's ingress and egress,
+//! and a partition's links.  The built-in endpoint medium is
+//! [`crate::ring::RingTransport`], a lock-free fixed-capacity SPSC ring
+//! buffer: every channel is single-producer/single-consumer.
 //!
 //! Channel sizing is described by a [`ChannelPolicy`]: a default
 //! capacity, per-signal overrides and installed derived bounds — the
@@ -21,7 +25,7 @@
 //! is first queued, every endpoint of its members is handed the island's
 //! [`Waker`]; a medium that moves tokens on a thread of its own (a
 //! socket's acceptor or ack reader) calls it after each event.  The ring
-//! ignores it: both of its ends live in one island.
+//! ignores it: a client's feed or poll wakes the island itself.
 
 use std::collections::BTreeMap;
 use std::fmt;

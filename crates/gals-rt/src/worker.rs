@@ -1,8 +1,8 @@
-//! The per-component step driver.
+//! The per-component step driver and the channels of an island.
 //!
-//! A [`Driver`] owns one [`StepMachine`] and its channel endpoints and
-//! advances it **cooperatively**: [`Driver::drive`] steps the machine up to
-//! a quantum of reactions and, instead of parking the OS thread, returns
+//! A [`Driver`] owns one [`StepMachine`] and its channel ends and advances
+//! it **cooperatively**: [`Driver::drive`] steps the machine up to a
+//! quantum of reactions and, instead of parking the OS thread, returns
 //! [`DriveOutcome::Pending`] when progress needs a peer — a token on an
 //! empty upstream edge, or room in a full downstream buffer.  The pool
 //! scheduler ([`crate::sched`]) drives the members of an island in
@@ -11,29 +11,45 @@
 //! channels once, at construction, and its hot path keys nothing by
 //! signal name.
 //!
+//! **An island owns its channels.**  An edge between two members of one
+//! island, wired on no named medium, is a [`Slot`]: a plain bounded FIFO
+//! at the edge's resolved capacity with a close flag per side.  The
+//! island keeps its slots beside its members and hands them to each
+//! `drive`, which reads and publishes them by index — no atomics, no
+//! shared pointer, no virtual call.  The island runs on one worker at a
+//! time and moves between workers under its cell's mutex, which is all
+//! the synchronization the slots need.  A slot has the channel contract
+//! of the ring: a publish at capacity is refused (its length is the
+//! occupancy the trace records), a finished producer closes its slots and
+//! the consumer drains them before it sees the close, and a finished
+//! consumer closes its slots so the producer's publish reports `Closed`.
+//!
+//! Every other channel end is an *endpoint* of the
+//! [`transport`](crate::transport) API, read with `try_recv` and written
+//! with `try_send`: an edge on a medium the deployment named
+//! (`set_transport`), a served tenant's ingress and egress, and a *link*
+//! — an endpoint the deployment did not mint, such as a partition's cut
+//! edge on a socket.  A medium that moves tokens from its own thread
+//! wakes the island ([`TokenRx::set_waker`]).  The tokens taken from an
+//! incoming link are kept, so the outcome still carries the cut signal as
+//! received.
+//!
 //! A refused step is a *suspension*, not a failure: the machine names the
 //! input port its reaction waits on ([`StepFault::NeedInput`]) and may
 //! keep the partial reaction, and the driver steps it again only once it
-//! has fed that port a token.  A member re-driven while its edge is still
-//! empty (another sweep of its island, a spurious wake) therefore costs
-//! one `try_recv`, never a refused step.
+//! has fed that port a token.  A machine that knows its next reaction's
+//! first read in advance says so ([`StepMachine::demand`]), and the
+//! driver takes that token before the attempt, so the read is never
+//! refused at all.  A member re-driven while its edge is still empty
+//! (another sweep of its island, a spurious wake) therefore costs one
+//! receive attempt, never a refused step.
 //!
 //! The pool is the only executor, so nothing here ever blocks: an empty
 //! or full edge is always a `Pending` that hands the thread back to the
-//! scheduler.  That holds for a *link* too — an endpoint the deployment
-//! did not mint (a partition's cut edge on a socket): the driver reads
-//! it with `try_recv` and publishes to it with `try_send` like any ring,
-//! and the medium wakes the island when it moves
-//! ([`TokenRx::set_waker`]).  The tokens taken from an incoming link are
-//! kept, so the outcome still carries the cut signal as received.
-//!
-//! The driver is written purely against the [`transport`](crate::transport)
-//! endpoint API: which medium carries the tokens (the lock-free SPSC
-//! ring, shared memory, a socket) is the deployment's business, not the
-//! driver's.
+//! scheduler.
 
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::task::Waker;
 
@@ -57,10 +73,75 @@ pub(crate) enum DriveOutcome {
     Done(StopReason),
 }
 
+/// One edge inside an island: a bounded FIFO whose two ends are members
+/// of the island, owned by the island and addressed by index.
+#[derive(Debug)]
+pub(crate) struct Slot {
+    queue: VecDeque<Value>,
+    capacity: usize,
+    /// The producer finished: once drained, a receive reports the close.
+    tx_closed: bool,
+    /// The consumer finished: a publish reports `Closed`.
+    rx_closed: bool,
+}
+
+impl Slot {
+    /// An open, empty slot of `capacity` tokens.
+    pub(crate) fn new(capacity: usize) -> Slot {
+        Slot {
+            queue: VecDeque::with_capacity(capacity),
+            capacity,
+            tx_closed: false,
+            rx_closed: false,
+        }
+    }
+
+    fn try_send(&mut self, token: Value) -> Result<(), TrySendError> {
+        if self.rx_closed {
+            Err(TrySendError::Closed)
+        } else if self.queue.len() >= self.capacity {
+            Err(TrySendError::Full)
+        } else {
+            self.queue.push_back(token);
+            Ok(())
+        }
+    }
+
+    fn try_recv(&mut self) -> Result<Value, TryRecvError> {
+        match self.queue.pop_front() {
+            Some(token) => Ok(token),
+            None if self.tx_closed => Err(TryRecvError::Closed),
+            None => Err(TryRecvError::Empty),
+        }
+    }
+
+    /// The consumer is gone: its buffered tokens can never be read.
+    fn close_rx(&mut self) {
+        self.rx_closed = true;
+        self.queue = VecDeque::new();
+    }
+}
+
+/// Where an input port's tokens come from.
+pub(crate) enum Inbound {
+    /// The island's slot of this index.
+    Slot(usize),
+    /// An endpoint of a transport or a link.
+    Endpoint(Box<dyn TokenRx>),
+}
+
+/// Where an output port's tokens go, per consumer.
+pub(crate) enum Outbound {
+    /// The island's slot of this index.
+    Slot(usize),
+    /// An endpoint of a transport, an egress or a link.
+    Endpoint(Box<dyn TokenTx>),
+}
+
 /// One channel-fed input port of a driver.
 struct Source {
     signal: Name,
-    rx: Box<dyn TokenRx>,
+    from: Inbound,
     /// Whether the edge is really an *environment* ingress edge (a staged
     /// deployment streams its env inputs over channels instead of
     /// preloading them): its close is the normal end of the input stream,
@@ -78,9 +159,9 @@ struct Sink {
     /// The machine's output port.
     port: usize,
     signal: Name,
-    /// One sending endpoint per consumer (`None` once that consumer
-    /// terminated and its channel closed).
-    txs: Vec<Option<Box<dyn TokenTx>>>,
+    /// One channel per consumer (`None` once that consumer terminated and
+    /// its channel closed).
+    txs: Vec<Option<Outbound>>,
     /// Publication cursor into `machine.output(port)`.
     cursor: usize,
     /// Mid-value publication state: the consumer to resume a partially
@@ -88,18 +169,21 @@ struct Sink {
     resume: usize,
 }
 
-/// A resumable step driver: one machine, its endpoints, its counters.
+/// A resumable step driver: one machine, its channel ends, its counters.
 ///
-/// Ports are mapped to channels once, at construction: a refusal names
-/// its input port, which indexes `sources` directly, and a flush walks
-/// the sinks in order, so no map keyed by signal name is touched on the
-/// hot path.
+/// Ports are mapped to channels once, at construction: a refusal or a
+/// demand names its input port, which indexes `sources` directly, and a
+/// flush walks the sinks in order, so no map keyed by signal name is
+/// touched on the hot path.
 pub(crate) struct Driver {
     machine: Box<dyn StepMachine>,
     /// The channel feeding each input port (`None`: a preloaded
     /// environment stream).
     sources: Vec<Option<Source>>,
     sinks: Vec<Sink>,
+    /// Whether a publication stalled on a full channel, leaving produced
+    /// tokens unpublished: only then does a drive start with a flush.
+    backlog: bool,
     /// The input port the machine's reaction is suspended on, until the
     /// driver feeds it a token.  The machine is not stepped again before.
     suspended_on: Option<usize>,
@@ -133,18 +217,18 @@ pub(crate) struct WorkerReport {
 impl Driver {
     pub(crate) fn new(
         machine: Box<dyn StepMachine>,
-        mut sources: BTreeMap<Name, Box<dyn TokenRx>>,
-        sinks: BTreeMap<Name, Vec<Box<dyn TokenTx>>>,
+        mut sources: BTreeMap<Name, Inbound>,
+        sinks: BTreeMap<Name, Vec<Outbound>>,
         max_steps: u64,
     ) -> Self {
         let sources = machine
             .input_signals()
             .into_iter()
             .map(|signal| {
-                let rx = sources.remove(&signal)?;
+                let from = sources.remove(&signal)?;
                 Some(Source {
                     signal,
-                    rx,
+                    from,
                     environment: false,
                     received: None,
                 })
@@ -168,6 +252,7 @@ impl Driver {
             machine,
             sources,
             sinks,
+            backlog: false,
             suspended_on: None,
             waiting: false,
             max_steps,
@@ -179,9 +264,35 @@ impl Driver {
         }
     }
 
-    /// Installs the event recorder (tracing on).
-    pub(crate) fn set_trace(&mut self, buffer: TraceBuffer) {
+    /// Installs the event recorder (tracing on), naming the ports it
+    /// counts tokens by.
+    pub(crate) fn set_trace(&mut self, mut buffer: TraceBuffer) {
+        let sinks = self.sinks.iter().map(|sink| sink.signal.clone()).collect();
+        buffer.name_ports(self.machine.input_signals(), sinks);
         self.trace = Some(Box::new(buffer));
+    }
+
+    /// The index of every slot the driver reads or publishes, for the
+    /// island that owns them to number them its own way.
+    pub(crate) fn slot_indices(&mut self) -> impl Iterator<Item = &mut usize> {
+        let inbound = self
+            .sources
+            .iter_mut()
+            .flatten()
+            .map(|source| &mut source.from);
+        let outbound = self
+            .sinks
+            .iter_mut()
+            .flat_map(|sink| sink.txs.iter_mut().flatten());
+        inbound
+            .filter_map(|from| match from {
+                Inbound::Slot(k) => Some(k),
+                Inbound::Endpoint(_) => None,
+            })
+            .chain(outbound.filter_map(|to| match to {
+                Outbound::Slot(k) => Some(k),
+                Outbound::Endpoint(_) => None,
+            }))
     }
 
     /// Marks a channel-fed input as an environment ingress edge.
@@ -210,10 +321,14 @@ impl Driver {
     pub(crate) fn set_waker(&self, waker: &Waker) -> bool {
         let mut wakes = false;
         for source in self.sources.iter().flatten() {
-            wakes |= source.rx.set_waker(waker);
+            if let Inbound::Endpoint(rx) = &source.from {
+                wakes |= rx.set_waker(waker);
+            }
         }
-        for tx in self.sinks.iter().flat_map(|sink| sink.txs.iter().flatten()) {
-            wakes |= tx.set_waker(waker);
+        for to in self.sinks.iter().flat_map(|sink| sink.txs.iter().flatten()) {
+            if let Outbound::Endpoint(tx) = to {
+                wakes |= tx.set_waker(waker);
+            }
         }
         wakes
     }
@@ -254,8 +369,9 @@ impl Driver {
     /// call resumes exactly where this one stopped and no consumer ever
     /// sees a token twice.  A stall opens (or moves) a downstream blocked
     /// episode in the trace; a completed flush closes any open one.
-    fn flush(&mut self) -> Option<usize> {
-        let stalled = self.publish();
+    fn flush(&mut self, slots: &mut [Slot]) -> Option<usize> {
+        let stalled = self.publish(slots);
+        self.backlog = stalled.is_some();
         if let Some(trace) = self.trace.as_deref_mut() {
             match stalled {
                 Some(sink) => trace.blocked(&self.sinks[sink].signal, BlockDirection::Downstream),
@@ -266,21 +382,29 @@ impl Driver {
     }
 
     /// The publication loop of [`Driver::flush`].
-    fn publish(&mut self) -> Option<usize> {
+    fn publish(&mut self, slots: &mut [Slot]) -> Option<usize> {
         for (index, sink) in self.sinks.iter_mut().enumerate() {
             let produced = self.machine.output(sink.port);
             while sink.cursor < produced.len() {
                 let value = produced[sink.cursor];
-                for (idx, slot) in sink.txs.iter_mut().enumerate().skip(sink.resume) {
-                    let Some(tx) = slot else { continue };
-                    match tx.try_send(value) {
+                for (idx, channel) in sink.txs.iter_mut().enumerate().skip(sink.resume) {
+                    let Some(to) = channel else { continue };
+                    let sent = match to {
+                        Outbound::Slot(k) => slots[*k].try_send(value),
+                        Outbound::Endpoint(tx) => tx.try_send(value),
+                    };
+                    match sent {
                         Ok(()) => {
                             self.tokens_sent += 1;
                             if let Some(trace) = self.trace.as_deref_mut() {
-                                trace.sent(&sink.signal, idx, tx.occupancy());
+                                let occupancy = match to {
+                                    Outbound::Slot(k) => Some(slots[*k].queue.len()),
+                                    Outbound::Endpoint(tx) => tx.occupancy(),
+                                };
+                                trace.sent(index, idx, occupancy);
                             }
                         }
-                        Err(TrySendError::Closed) => *slot = None,
+                        Err(TrySendError::Closed) => *channel = None,
                         Err(TrySendError::Full) => {
                             sink.resume = idx;
                             return Some(index);
@@ -296,11 +420,11 @@ impl Driver {
 
     /// Advances the machine by up to `quantum` reactions without ever
     /// blocking the OS thread: a full or empty channel edge surfaces as
-    /// [`DriveOutcome::Pending`] instead of a parked wait.  Outstanding
-    /// unpublished tokens are flushed before new reactions are attempted,
-    /// so a resumed driver first completes the broadcast it stalled in.
-    pub(crate) fn drive(&mut self, quantum: u64) -> DriveOutcome {
-        if self.flush().is_some() {
+    /// [`DriveOutcome::Pending`] instead of a parked wait.  `slots` are
+    /// the channels of the driver's island.  A broadcast that stalled is
+    /// completed before new reactions are attempted.
+    pub(crate) fn drive(&mut self, quantum: u64, slots: &mut [Slot]) -> DriveOutcome {
+        if self.backlog && self.flush(slots).is_some() {
             return DriveOutcome::Pending;
         }
         let mut steps = 0u64;
@@ -311,10 +435,13 @@ impl Driver {
             if steps >= quantum {
                 return DriveOutcome::Yielded;
             }
-            // A suspended reaction resumes only with its token in hand.
-            if let Some(port) = self.suspended_on {
-                if let Some(outcome) = self.receive(port) {
-                    return outcome;
+            // A suspended reaction resumes only with its token in hand, and
+            // a reaction whose first read is known gets its token first.
+            if let Some(port) = self.suspended_on.or_else(|| self.machine.demand()) {
+                if matches!(self.sources.get(port), Some(Some(_))) {
+                    if let Some(outcome) = self.receive(port, slots) {
+                        return outcome;
+                    }
                 }
             }
             let begin = self.trace.as_ref().map(|trace| trace.now());
@@ -330,7 +457,7 @@ impl Driver {
                     if let (Some(trace), Some(begin)) = (self.trace.as_deref_mut(), begin) {
                         trace.reaction(begin);
                     }
-                    if self.flush().is_some() {
+                    if self.flush(slots).is_some() {
                         return DriveOutcome::Pending;
                     }
                 }
@@ -353,13 +480,17 @@ impl Driver {
     }
 
     /// Takes one token from input port `port`'s channel into the machine,
-    /// ending the suspension on it.  Returns the outcome that ends the
-    /// drive instead when the edge is empty (one wait episode counts once,
+    /// ending the wait on it.  Returns the outcome that ends the drive
+    /// instead when the edge is empty (one wait episode counts once,
     /// however many re-drives find it still empty) or closed.
-    fn receive(&mut self, port: usize) -> Option<DriveOutcome> {
-        match self.source(port).rx.try_recv() {
+    fn receive(&mut self, port: usize, slots: &mut [Slot]) -> Option<DriveOutcome> {
+        let received = match &self.source(port).from {
+            Inbound::Slot(k) => slots[*k].try_recv(),
+            Inbound::Endpoint(rx) => rx.try_recv(),
+        };
+        match received {
             Ok(value) => {
-                self.fed(port, value);
+                self.fed(port, value, slots);
                 None
             }
             Err(TryRecvError::Closed) => Some(DriveOutcome::Done(self.closed_stop(port))),
@@ -378,9 +509,8 @@ impl Driver {
         }
     }
 
-    /// Feeds a token received on input port `port` to the suspended
-    /// machine.
-    fn fed(&mut self, port: usize, value: Value) {
+    /// Feeds a token received on input port `port` to the machine.
+    fn fed(&mut self, port: usize, value: Value, slots: &[Slot]) {
         self.machine.feed(port, value);
         self.tokens_received += 1;
         self.suspended_on = None;
@@ -392,17 +522,32 @@ impl Driver {
             received.push(value);
         }
         if let Some(trace) = self.trace.as_deref_mut() {
-            trace.received(&source.signal, source.rx.occupancy());
+            let occupancy = match &source.from {
+                Inbound::Slot(k) => Some(slots[*k].queue.len()),
+                Inbound::Endpoint(rx) => rx.occupancy(),
+            };
+            trace.received(port, occupancy);
             trace.unblocked(&source.signal);
         }
     }
 
     /// Finalizes the driver: snapshots the counters, hands the machine
-    /// back, and drops the endpoints, which closes every adjacent channel
-    /// (blocked peers observe the close instead of hanging).
-    pub(crate) fn finish(mut self, stop: StopReason) -> WorkerReport {
+    /// back, closes its side of every slot of `slots` (its island's) and
+    /// drops its endpoints, so every adjacent channel is closed (blocked
+    /// peers observe the close instead of hanging).
+    pub(crate) fn finish(mut self, stop: StopReason, slots: &mut [Slot]) -> WorkerReport {
         if let Some(trace) = self.trace.as_deref_mut() {
             trace.stopped(&stop);
+        }
+        for source in self.sources.iter().flatten() {
+            if let Inbound::Slot(k) = source.from {
+                slots[k].close_rx();
+            }
+        }
+        for to in self.sinks.iter().flat_map(|sink| sink.txs.iter().flatten()) {
+            if let Outbound::Slot(k) = *to {
+                slots[k].tx_closed = true;
+            }
         }
         let name = self.machine.machine_name().to_string();
         let received = self

@@ -4,8 +4,9 @@
 //! conformance against the synchronous reference.
 //!
 //! Each stage runs as a compiled step machine, and each channel is a
-//! lock-free SPSC ring sized individually by a `ChannelPolicy` — the
-//! resolved per-edge capacity and medium are reported by `topology()`.
+//! bounded slot of the island the stages run in, sized individually by a
+//! `ChannelPolicy` — the resolved per-edge capacity and medium are
+//! reported by `topology()`.
 //!
 //! Capacities need not be hand-tuned at all: `Design::deploy_derived`
 //! sizes every channel from the clock calculus — the same relations that
@@ -43,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Channel topology (policy resolved per edge) ==");
     for spec in &deployment.topology()?.channels {
         println!(
-            "  {} -> {}  signal {:<3} capacity {:>3} ({})  backend {}",
+            "  {} -> {}  signal {:<3} capacity {:>3} ({})  medium {}",
             spec.producer, spec.consumer, spec.signal, spec.capacity, spec.source, spec.backend
         );
     }

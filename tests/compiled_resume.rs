@@ -14,6 +14,12 @@
 //! ended); and a refusal must leave every observable of the compiled
 //! machine unchanged.
 //!
+//! The same drive is repeated led by the machine's demand
+//! (`StepMachine::demand`), the way the deployment driver feeds a member
+//! before stepping it: every demand must name exactly the port the step
+//! would refuse on, with nothing observable changed by that refusal, and
+//! feeding by demand must reproduce the refusal-driven run.
+//!
 //! The nightly fuzz lane raises the case count:
 //!
 //! ```text
@@ -146,6 +152,67 @@ fn trickle<M: StepMachine, S: PartialEq>(
     (run, refusals_were_silent)
 }
 
+/// [`trickle`], led by the machine's demand: whenever the compiled
+/// runtime demands a port, a clone of it must refuse the step with
+/// exactly `NeedInput` on that port and change nothing, and the demanded
+/// port is fed before the step instead of after the refusal.  The demand
+/// counts as the stall it spares.  Also returns how many feeds a demand
+/// led.
+fn demand_fed(
+    machine: &mut CompiledRuntime,
+    program: &StepProgram,
+    feeds: &[Vec<Value>],
+) -> (Run, u64) {
+    let mut cursors = vec![0usize; feeds.len()];
+    let mut stalls = Vec::new();
+    let mut reactions = 0u64;
+    let mut demanded = 0u64;
+    let end = loop {
+        let port = match machine.demand() {
+            Some(port) => {
+                let mut probe = machine.clone();
+                let before = snapshot(&probe, program);
+                assert_eq!(machine.pending(program.inputs[port].as_str()), 0);
+                assert_eq!(
+                    probe.try_step(),
+                    Err(StepFault::NeedInput(port)),
+                    "{}: the demand named port {port}",
+                    program.name
+                );
+                assert_eq!(snapshot(&probe, program), before, "{}", program.name);
+                demanded += 1;
+                port
+            }
+            None => match machine.try_step() {
+                Ok(()) => {
+                    reactions += 1;
+                    continue;
+                }
+                Err(StepFault::NeedInput(port)) => port,
+                Err(StepFault::Fault(_)) => break End::Fault,
+            },
+        };
+        stalls.push((reactions, port));
+        let Some(&value) = feeds[port].get(cursors[port]) else {
+            break End::NeedInput(port);
+        };
+        cursors[port] += 1;
+        StepMachine::feed(machine, port, value);
+        assert!(
+            reactions < 10_000,
+            "{} never exhausted its feeds",
+            program.name
+        );
+    };
+    let run = Run {
+        stalls,
+        end,
+        reactions,
+        flows: flows(machine),
+    };
+    (run, demanded)
+}
+
 /// The observables of a compiled runtime a refusal must not change.
 fn snapshot(machine: &CompiledRuntime, program: &StepProgram) -> (u64, Vec<usize>, Vec<usize>) {
     (
@@ -193,6 +260,30 @@ proptest! {
         }
     }
 
+    /// A demand names exactly the port the next step would refuse on, and
+    /// feeding by demand drives the machine through the same flows,
+    /// reactions and stall boundaries as feeding after each refusal.
+    #[test]
+    fn demand_fed_runs_match_refusal_fed_runs(
+        seed in any::<u64>(),
+        base_len in 0usize..12,
+    ) {
+        for (program, types) in cases() {
+            let feeds = random_feeds(&program, &types, seed, base_len);
+            let (refused, _) =
+                trickle(&mut CompiledRuntime::from_program(&program), &feeds, |_| ());
+            let (demanded, _) =
+                demand_fed(&mut CompiledRuntime::from_program(&program), &program, &feeds);
+            prop_assert_eq!(
+                &demanded,
+                &refused,
+                "{}: feeding by demand diverged from feeding by refusal on {:?}",
+                program.name,
+                feeds
+            );
+        }
+    }
+
     /// The inherent stepping API suspends too: `step` reports the exhausted
     /// input by name, and a feed by name resumes the reaction.
     #[test]
@@ -230,4 +321,29 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+fn a_pipeline_stage_demands_every_read_before_it_refuses_one() {
+    // A buffer stage's read phase reads first: each of its reads is known
+    // before the attempt, so a demand-led drive names every one of them,
+    // the end of the stream included, and never steps into a refusal.
+    let stage = library::buffer_pipeline(2)
+        .into_iter()
+        .next()
+        .expect("a stage");
+    let program = Component::new(stage).expect("analyzes").step_program();
+    let feeds = vec![(0..8).map(|i| Value::Bool(i % 3 == 0)).collect::<Vec<_>>()];
+    let (run, demanded) = demand_fed(
+        &mut CompiledRuntime::from_program(&program),
+        &program,
+        &feeds,
+    );
+    assert_eq!(run.reactions, 16, "{run:?}");
+    assert_eq!(
+        demanded, 9,
+        "eight tokens and the end of the stream: {run:?}"
+    );
+    assert_eq!(run.stalls.len(), 9, "every stall was a demand: {run:?}");
+    assert_eq!(run.end, End::NeedInput(0));
 }

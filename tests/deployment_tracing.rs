@@ -9,9 +9,11 @@
 
 mod support;
 
+use std::collections::BTreeMap;
+
 use polychrony::gals_rt::{ExecutionMode, Trace, TraceConfig, TraceEvent};
 use polychrony::isochron::{library, Design};
-use polychrony::moc::Value;
+use polychrony::moc::{Name, Value};
 use proptest::prelude::*;
 use support::{bools, MODES};
 
@@ -175,9 +177,50 @@ mod json {
 }
 
 /// Checks the structural invariants of one merged timeline: monotonic
-/// timestamps, balanced reaction pairs, and blocked episodes that close
-/// with an `Unblocked` or a terminal stop.
+/// timestamps, balanced reaction pairs, blocked episodes that close with
+/// an `Unblocked` or a terminal stop, and, on a complete timeline, token
+/// records that agree with the exact per-edge counters of the summary.
 fn assert_timeline_invariants(trace: &Trace, context: &str) {
+    let summary = trace.summary();
+    for (index, component) in trace.components().iter().enumerate() {
+        if component.dropped() > 0 {
+            continue;
+        }
+        let mut sent: BTreeMap<&Name, u64> = BTreeMap::new();
+        let mut received: BTreeMap<&Name, u64> = BTreeMap::new();
+        for record in component.records() {
+            match &record.event {
+                TraceEvent::TokenSent { signal, .. } => *sent.entry(signal).or_default() += 1,
+                TraceEvent::TokenReceived { signal, .. } => {
+                    *received.entry(signal).or_default() += 1;
+                }
+                _ => {}
+            }
+        }
+        for (signal, count) in &received {
+            assert_eq!(
+                component.tokens_received(signal),
+                *count,
+                "{context}: {}: received {signal}",
+                component.name()
+            );
+        }
+        for edge in summary.edges.iter().filter(|edge| edge.producer == index) {
+            let counted: u64 = summary
+                .edges
+                .iter()
+                .filter(|other| other.producer == index && other.signal == edge.signal)
+                .map(|other| other.tokens_sent)
+                .sum();
+            assert_eq!(
+                sent.get(&edge.signal).copied().unwrap_or(0),
+                counted,
+                "{context}: {}: sent {}",
+                component.name(),
+                edge.signal
+            );
+        }
+    }
     for component in trace.components().iter().chain(trace.workers()) {
         let mut last_ts = 0u64;
         let mut in_reaction = false;

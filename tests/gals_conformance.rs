@@ -8,15 +8,22 @@
 //! a 2-worker work-stealing pool (fewer workers than components for
 //! every multi-component design) with a batched quantum and with a
 //! quantum of 1 — and must observe the same synchronous flows under
-//! each.
+//! each.  The edges of a default deployment are island slots; a few
+//! scenarios name the SPSC ring as their medium, so that endpoints
+//! inside an island keep their coverage.
 
 mod support;
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use polychrony::codegen::CompiledRuntime;
 use polychrony::gals_rt::{
-    CapacityRange, DeployError, Deployment, DeploymentOutcome, ExecutionMode, StopReason,
+    CapacityRange, DeployError, Deployment, DeploymentOutcome, ExecutionMode, RingTransport,
+    StepFault, StepMachine, StopReason, ISLAND_MEDIUM,
 };
 use polychrony::isochron::{design::chain_of_pairs, library, Design};
-use polychrony::moc::Value;
+use polychrony::moc::{Name, Value};
 use support::{bools, ints, MODES};
 
 /// Deploys the design with every feed applied, at the given channel
@@ -394,4 +401,140 @@ fn derived_capacities_conform_across_modes_and_backends() {
             );
         }
     }
+}
+
+#[test]
+fn a_named_ring_carries_island_edges_with_the_same_flows() {
+    // With `set_transport(RingTransport)` every edge inside an island is a
+    // ring endpoint pair instead of a slot: a pipeline and the primed
+    // feedback loop (no input: it turns until its step budget) must
+    // observe the synchronous flows either way.
+    type Scenario = (Design, Vec<(&'static str, Vec<Value>)>);
+    let scenarios: Vec<Scenario> = vec![
+        (
+            library::buffer_pipeline_design(4).unwrap(),
+            vec![("p0", bools(&[true, false, true, true, false, false]))],
+        ),
+        (library::primed_loop_design().unwrap(), Vec::new()),
+    ];
+    for (design, feeds) in &scenarios {
+        for mode in MODES {
+            let mut outcomes = Vec::new();
+            for ring in [false, true] {
+                let mut deployment = design.deploy_derived().expect("verified design");
+                deployment.set_execution_mode(mode).expect("valid mode");
+                deployment.set_max_steps(40).expect("nonzero");
+                if ring {
+                    deployment.set_transport(Arc::new(RingTransport));
+                }
+                for (signal, values) in feeds {
+                    deployment.feed(*signal, values.iter().copied());
+                }
+                let outcome = deployment.run().expect("the deployment runs");
+                let medium = if ring {
+                    RingTransport::NAME
+                } else {
+                    ISLAND_MEDIUM
+                };
+                let stats = outcome.stats();
+                assert_eq!(stats.backend, medium);
+                assert!(stats.edges.iter().all(|edge| edge.backend == medium));
+                if feeds.is_empty() {
+                    // The loop's flows are a prefix cut by the budget, so
+                    // the two media are compared with each other below.
+                    for component in &stats.components {
+                        assert_eq!(component.stop, StopReason::StepLimit, "{component}");
+                        assert_eq!(component.reactions, 40, "{component}");
+                    }
+                } else {
+                    let report = outcome.check_conformance().expect("reference registered");
+                    assert!(
+                        report.is_isochronous(),
+                        "{} ({mode}, {medium}): {report}",
+                        design.name()
+                    );
+                }
+                outcomes.push(outcome);
+            }
+            assert_eq!(
+                outcomes[0].flows(),
+                outcomes[1].flows(),
+                "{} ({mode}): the ring and the slots observed different flows",
+                design.name()
+            );
+        }
+    }
+}
+
+/// A compiled machine that counts the steps refused on it, forwarding
+/// everything else, its demand included.
+struct CountingRefusals {
+    inner: CompiledRuntime,
+    refusals: Arc<AtomicU64>,
+}
+
+impl StepMachine for CountingRefusals {
+    fn machine_name(&self) -> &str {
+        self.inner.machine_name()
+    }
+    fn input_signals(&self) -> Vec<Name> {
+        StepMachine::input_signals(&self.inner)
+    }
+    fn output_signals(&self) -> Vec<Name> {
+        StepMachine::output_signals(&self.inner)
+    }
+    fn feed(&mut self, port: usize, value: Value) {
+        StepMachine::feed(&mut self.inner, port, value);
+    }
+    fn try_step(&mut self) -> Result<(), StepFault> {
+        let step = self.inner.try_step();
+        if step.is_err() {
+            self.refusals.fetch_add(1, Ordering::Relaxed);
+        }
+        step
+    }
+    fn output(&self, port: usize) -> &[Value] {
+        StepMachine::output(&self.inner, port)
+    }
+    fn demand(&self) -> Option<usize> {
+        self.inner.demand()
+    }
+}
+
+#[test]
+fn a_compiled_pipe8_token_pays_no_refused_step_in_its_island() {
+    // Every stage's read mode names its read before the attempt, so the
+    // driver takes the token first and the read is never refused: only
+    // the ends of the streams are.  Without the demand, each of the 7
+    // channel reads refused once per token.
+    const TOKENS: usize = 4_000;
+    let design = library::buffer_pipeline_design(8).unwrap();
+    let refusals = Arc::new(AtomicU64::new(0));
+    let mut deployment = Deployment::new();
+    for component in design.components() {
+        deployment.add_machine(Box::new(CountingRefusals {
+            inner: component.compiled_runtime(),
+            refusals: Arc::clone(&refusals),
+        }));
+    }
+    deployment.set_capacity_analysis(&design.capacity_analysis().expect("bounded"));
+    deployment
+        .set_execution_mode(ExecutionMode::Pool {
+            workers: 2,
+            quantum: 32,
+        })
+        .expect("valid mode");
+    let stream: Vec<Value> = (0..TOKENS).map(|i| Value::Bool(i % 3 == 0)).collect();
+    deployment.feed("p0", stream.iter().copied());
+    let outcome = deployment.run().expect("runs");
+    assert_eq!(outcome.flow("p8"), stream.as_slice());
+    let stats = outcome.stats();
+    assert_eq!(stats.edges.len(), 7);
+    assert!(stats.edges.iter().all(|edge| edge.backend == ISLAND_MEDIUM));
+    assert_eq!(stats.total_reactions(), 16 * TOKENS as u64);
+    let refused = refusals.load(Ordering::Relaxed);
+    assert!(
+        refused * 100 < TOKENS as u64,
+        "{refused} refused steps for {TOKENS} tokens\n{stats}"
+    );
 }
