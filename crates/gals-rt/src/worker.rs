@@ -581,3 +581,32 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
         .unwrap_or("a non-string payload");
     format!("machine panicked: {message}")
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_slot_keeps_the_channel_contract() {
+        // Bounded: a publish at capacity is refused, and the length is the
+        // occupancy.
+        let mut slot = Slot::new(2);
+        assert_eq!(slot.try_recv(), Err(TryRecvError::Empty));
+        slot.try_send(Value::Int(1)).expect("room");
+        slot.try_send(Value::Int(2)).expect("room");
+        assert_eq!(slot.try_send(Value::Int(3)), Err(TrySendError::Full));
+        assert_eq!(slot.queue.len(), 2);
+        // Close-then-drain: the consumer of a finished producer reads every
+        // buffered token before it sees the close.
+        slot.tx_closed = true;
+        assert_eq!(slot.try_recv(), Ok(Value::Int(1)));
+        assert_eq!(slot.try_recv(), Ok(Value::Int(2)));
+        assert_eq!(slot.try_recv(), Err(TryRecvError::Closed));
+        // A finished consumer refuses the producer's publish as closed.
+        let mut slot = Slot::new(1);
+        slot.try_send(Value::Bool(true)).expect("room");
+        slot.close_rx();
+        assert_eq!(slot.try_send(Value::Bool(false)), Err(TrySendError::Closed));
+        assert!(slot.queue.is_empty());
+    }
+}
