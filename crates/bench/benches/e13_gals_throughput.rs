@@ -10,7 +10,10 @@
 //!    batched pool at 8, 64 and 256 components, on a pipeline shape and a
 //!    fan-out/fan-in shape, on `available_parallelism` workers whatever
 //!    the component count.  Each shape is one island, swept a quantum of
-//!    reactions per member per dispatch.  A row is named
+//!    reactions per member per dispatch.  Each row starts one
+//!    `SharedPool` and each iteration stages, submits and drains the
+//!    deployment on it, so the rows time scheduling, not thread start-up
+//!    and join.  A row is named
 //!    `e13_scheduler/n<components>/<shape>/pool`; the command line takes a
 //!    filter, so `cargo bench --bench e13_gals_throughput -- n256/fan`
 //!    times that row alone.
@@ -29,9 +32,10 @@
 
 use bench::boolean_flow;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gals_rt::{Deployment, ExecutionMode, StepFault, StepMachine};
+use gals_rt::{Deployment, PoolOptions, SharedPool, StepFault, StepMachine, SubmitOptions};
 use isochron::library;
 use signal_lang::{Name, Value};
+use std::time::Duration;
 
 const STREAM_LEN: usize = 256;
 
@@ -194,7 +198,6 @@ fn bench_schedulers(c: &mut Criterion) {
         .into_iter()
         .map(Value::Bool)
         .collect();
-    let pool = ExecutionMode::pool_per_core();
     let mut group = c.benchmark_group("e13_scheduler");
     group.sample_size(10);
     for components in [8usize, 64, 256] {
@@ -202,16 +205,26 @@ fn bench_schedulers(c: &mut Criterion) {
             ("pipeline", pipeline_shape as fn(usize) -> Deployment, "s0"),
             ("fan", fan_shape as fn(usize) -> Deployment, "in"),
         ] {
+            // One pool per row, started outside the timed routine: an
+            // iteration pays for placing, running and draining the
+            // deployment, not for starting and joining worker threads.
+            let pool = SharedPool::start(PoolOptions::per_core()).expect("the pool starts");
             group.bench_with_input(
                 BenchmarkId::new(format!("n{components}/{shape}"), "pool"),
                 &pool,
-                |bencher, &mode| {
+                |bencher, pool| {
                     bencher.iter(|| {
                         let mut deployment = build(components);
-                        deployment.set_execution_mode(mode).expect("valid mode");
                         deployment.set_capacity(16).expect("nonzero");
+                        // The egress holds the whole output, so draining
+                        // never throttles the run.
+                        deployment.set_stream_capacity(STREAM_LEN).expect("nonzero");
                         deployment.feed(env, stream.iter().copied());
-                        let outcome = deployment.run().expect("the deployment runs");
+                        let staged = deployment.stage().expect("the deployment stages");
+                        let outcome = pool
+                            .submit(staged, &SubmitOptions::default())
+                            .drain(Duration::from_secs(30))
+                            .expect("the deployment drains");
                         // Every relay forwarded the full stream.
                         assert_eq!(
                             outcome.stats().total_reactions(),

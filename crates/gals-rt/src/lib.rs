@@ -138,7 +138,7 @@ mod tests {
         name: String,
         input: Name,
         output: Name,
-        queue: Vec<Value>,
+        queue: std::collections::VecDeque<Value>,
         produced: Vec<Value>,
         sum: i64,
     }
@@ -149,7 +149,7 @@ mod tests {
                 name: name.into(),
                 input: Name::from(input),
                 output: Name::from(output),
-                queue: Vec::new(),
+                queue: std::collections::VecDeque::new(),
                 produced: Vec::new(),
                 sum: 0,
             }
@@ -167,13 +167,13 @@ mod tests {
             vec![self.output.clone()]
         }
         fn feed(&mut self, _port: usize, value: Value) {
-            self.queue.push(value);
+            self.queue.push_back(value);
         }
         fn try_step(&mut self) -> Result<(), StepFault> {
-            if self.queue.is_empty() {
+            let Some(value) = self.queue.pop_front() else {
                 return Err(StepFault::NeedInput(0));
-            }
-            let v = self.queue.remove(0).as_int().unwrap_or(0);
+            };
+            let v = value.as_int().unwrap_or(0);
             self.sum += v;
             self.produced.push(Value::Int(self.sum));
             Ok(())
@@ -675,6 +675,32 @@ mod tests {
         assert!(
             (1..256).contains(&dispatches),
             "{dispatches} dispatches for 256 tokens"
+        );
+    }
+
+    #[test]
+    fn a_lone_island_stays_on_its_worker_while_the_other_waits() {
+        // The island yields onto its own worker's empty heap, which bumps
+        // no epoch: the other worker, hot or parked, is not told, and a
+        // park that times out does not pop.  Only the start-up race, both
+        // workers reaching for the first entry, can move the island.
+        const TOKENS: usize = 64_000;
+        let mut deployment = pipeline(8);
+        deployment
+            .set_execution_mode(ExecutionMode::Pool {
+                workers: 2,
+                quantum: 32,
+            })
+            .expect("valid mode");
+        deployment.feed("s0", std::iter::repeat_n(Value::Int(0), TOKENS));
+        let outcome = deployment.run().expect("runs");
+        assert_eq!(outcome.flow("s8").len(), TOKENS);
+        let stats = outcome.stats();
+        let (dispatches, steals) = (stats.total_dispatches(), stats.total_steals());
+        assert!(dispatches >= 1_000, "{dispatches} dispatches");
+        assert!(
+            steals * 1_000 <= dispatches,
+            "{steals} steals in {dispatches} dispatches"
         );
     }
 
@@ -1257,6 +1283,77 @@ mod tests {
         assert!(stats[0].pinned, "hook returned true for worker 0");
         assert!(!stats[1].pinned, "hook returned false for worker 1");
         pool.shutdown();
+    }
+
+    /// Spins until `done` holds, failing the test with `what` instead of
+    /// hanging when it does not hold within 20 s.
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "{what}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_pool_paused_while_its_worker_is_hot_parks_and_resumes() {
+        let pool = SharedPool::start(PoolOptions::new(1, 4)).expect("pool");
+        let parks = || pool.worker_stats()[0].parks;
+        let mut first = pool.submit(
+            pipeline(2).stage().expect("stages"),
+            &SubmitOptions::default(),
+        );
+        // The tenant's last dispatch runs after this read, so the worker
+        // parks after it; once it finished, that dispatch just ended and
+        // the worker waits hot.
+        let before = parks();
+        first.feed("s0", [Value::Int(1)]).expect("env input");
+        first.close_inputs();
+        wait_until("the first tenant never finished", || first.is_finished());
+        pool.pause();
+        wait_until("a paused pool's worker kept its core", || parks() > before);
+        // A tenant placed while paused wakes the worker, which finds
+        // nothing it may pop and parks again: from then on, only the
+        // resume can wake it.
+        let before = parks();
+        let mut second = pool.submit(
+            pipeline(2).stage().expect("stages"),
+            &SubmitOptions::default(),
+        );
+        wait_until("the placement did not wake the paused worker", || {
+            parks() > before
+        });
+        second.feed("s0", [Value::Int(2)]).expect("env input");
+        pool.resume();
+        let outcome = second
+            .drain(Duration::from_secs(20))
+            .expect("the resume serves the island queued while paused");
+        assert_eq!(outcome.flow("s2"), [Value::Int(2)]);
+        let outcome = first.drain(Duration::from_secs(20)).expect("finished");
+        assert_eq!(outcome.flow("s2"), [Value::Int(1)]);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn dropping_a_pool_whose_worker_is_hot_joins_promptly() {
+        let pool = SharedPool::start(PoolOptions::new(1, 4)).expect("pool");
+        let staged = pipeline(2).stage().expect("stages");
+        let mut handle = pool.submit(staged, &SubmitOptions::default());
+        handle.feed("s0", [Value::Int(1)]).expect("env input");
+        let outcome = handle.drain(Duration::from_secs(20)).expect("finishes");
+        assert_eq!(outcome.flow("s2"), [Value::Int(1)]);
+        // The worker just dispatched the tenant's end and waits hot; the
+        // shutdown flag ends that wait as it ends a park.
+        let (joined, done) = std::sync::mpsc::channel();
+        let dropper = std::thread::spawn(move || {
+            drop(pool);
+            let _ = joined.send(());
+        });
+        assert!(
+            done.recv_timeout(Duration::from_secs(1)).is_ok(),
+            "the pool's worker did not join within 1 s"
+        );
+        dropper.join().expect("dropping the pool does not panic");
     }
 
     /// A test link: a queue another thread serves as the medium, the

@@ -55,8 +55,9 @@ const SPIN_LIMIT: u32 = 128;
 const YIELD_LIMIT: u32 = 64;
 
 /// The spin budget, computed once: zero on single-core machines (where
-/// busy-waiting only delays the peer), [`SPIN_LIMIT`] elsewhere.
-fn spin_limit() -> u32 {
+/// busy-waiting only delays the peer), [`SPIN_LIMIT`] elsewhere.  The
+/// pool's hot wait after a dispatch spins the same budget.
+pub(crate) fn spin_limit() -> u32 {
     static LIMIT: OnceLock<u32> = OnceLock::new();
     *LIMIT.get_or_init(|| match std::thread::available_parallelism() {
         Ok(cores) if cores.get() > 1 => SPIN_LIMIT,

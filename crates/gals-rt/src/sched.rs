@@ -67,12 +67,28 @@
 //!   run ended does nothing.  A wake that races a dispatch of the same
 //!   island is latched in a `NOTIFIED` state and re-queued by the
 //!   dispatching worker, never lost.
-//! * **Parking.**  A worker with nothing to pop parks on a condvar, and
-//!   an enqueue notifies the parked workers — except when a worker pushes
-//!   onto its own empty heap during a dispatch, since it takes that island
-//!   itself.  The enqueue side and the parking side meet in a `SeqCst`
-//!   handshake; the park is still bounded by `PARK_TIMEOUT`, so a
-//!   hypothetically missed notify costs a retry, never a hang.
+//! * **Parking.**  Idle workers wait on an eventcount, the pool's
+//!   `epoch`.  An enqueue bumps it after its push and notifies the parked
+//!   workers — except when a worker pushes onto its own empty heap during
+//!   a dispatch, since it takes that island itself — and a resume bumps it
+//!   too.  A worker that finds nothing to pop right after a dispatch first
+//!   waits *hot*: it spins the ring's spin budget (none on one CPU), then
+//!   yields its core, until the epoch moves or shutdown shows up, or
+//!   `PARK_TIMEOUT` has passed since that dispatch ended.  Only then does
+//!   it park on a condvar, until the epoch moves; a park that times out
+//!   re-reads the epoch and parks again, so an idle worker never pops, and
+//!   never steals, on a timer.  A hot worker thus reacts to exactly the
+//!   events that wake a parked one: watching only its own heap would
+//!   leave a busy sibling's backlog unstolen for a whole window, and
+//!   watching the ready entries of every heap would steal the island a
+//!   sibling just yielded.  No wake is lost: the worker reads the epoch
+//!   *before* its failed pop, and the enqueue bumps it *after* the push
+//!   the pop missed, so the worker sees the bump, hot or parked.  While
+//!   tokens arrive faster than one per window, no worker sleeps and an
+//!   enqueue never takes the park lock.  The enqueue side and the parking
+//!   side meet in a `SeqCst` handshake; the park is still bounded by
+//!   `PARK_TIMEOUT`, so a hypothetically missed notify costs a retry,
+//!   never a hang.
 //! * **Groups.**  A group owns the islands of one deployment and tracks
 //!   its remaining components, their per-component reports and its
 //!   completion.  Its handle and its queued entries hold it by reference
@@ -115,6 +131,7 @@ use crate::deploy::{
     ChannelSpec, DeployError, DeploymentOutcome, EgressPort, IngressPort, OutcomeParts,
     StagedDeployment, Topology,
 };
+use crate::ring::spin_limit;
 use crate::stats::{PoolWorkerStats, StopReason};
 use crate::trace::TraceBuffer;
 use crate::transport::TrySendError;
@@ -190,6 +207,13 @@ const DONE: u8 = 4;
 
 /// Bound on one idle park: a missed notify (prevented by the `SeqCst`
 /// handshake, but cheap to insure against) costs a retry, not a hang.
+///
+/// It is also the hot window: a worker that finds nothing to pop waits
+/// hot until this long after its last dispatch ended, watching the
+/// pool's epoch, before it parks.  An arrival within the window meets a
+/// running worker, so it pays neither a futex wake nor a sleeping core's
+/// wake-up; the price is a busy core for up to one window after each
+/// dispatch that leaves a worker idle.
 const PARK_TIMEOUT: Duration = Duration::from_millis(5);
 
 /// How long one `drain` waiting slice lasts between egress polls.
@@ -440,8 +464,9 @@ struct Scheduler {
     quantum: u64,
     /// Monotonic ready-entry sequence: the FIFO age among equal priorities.
     seq: AtomicU64,
-    /// Ready entries sitting in some heap.
-    queued: AtomicUsize,
+    /// The eventcount idle workers wait on, hot or parked: bumped after
+    /// every push that a sibling should see, and by a resume.
+    epoch: AtomicU64,
     /// Workers parked on `idle`.
     sleepers: AtomicUsize,
     park_lock: Mutex<()>,
@@ -460,16 +485,19 @@ impl Scheduler {
         self.park_lock.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Pushes a ready cell onto a worker's heap and wakes a parked worker
-    /// if any.  The counters are incremented *before* the push, so the
-    /// decrements that follow a pop never precede them.  The `SeqCst`
-    /// fence pairs with the re-check a parking worker performs under the
-    /// lock: either this side sees `sleepers > 0` and notifies, or the
-    /// parking side's re-check sees `queued > 0` and never sleeps.
+    /// Pushes a ready cell onto a worker's heap, tells the idle workers
+    /// and wakes the parked ones if any.  The group's `work` is
+    /// incremented *before* the push, so the decrement that follows a
+    /// dispatch never precedes it.  The epoch is bumped *after* the push:
+    /// an idle worker whose pop missed the entry read the epoch before
+    /// that pop, so it sees the bump.  The `SeqCst` fence pairs with the
+    /// re-check a parking worker performs under the lock: either this side
+    /// sees `sleepers > 0` and notifies, or the parking side's re-check
+    /// sees the new epoch and never sleeps.
     ///
     /// `by_owner` marks a push by the heap's own worker while it
     /// dispatches.  Onto an empty heap, that worker pops the cell itself
-    /// right after the dispatch, so no parked sibling is woken for it.
+    /// right after the dispatch, so no sibling, hot or parked, is told.
     fn enqueue(&self, worker: usize, group: &Arc<Group>, cell: usize, by_owner: bool) {
         group.work.fetch_add(1, SeqCst);
         let entry = ReadyEntry {
@@ -478,7 +506,6 @@ impl Scheduler {
             group: Arc::clone(group),
             cell,
         };
-        self.queued.fetch_add(1, SeqCst);
         let was_empty = {
             let mut heap = self.queues[worker]
                 .lock()
@@ -490,6 +517,7 @@ impl Scheduler {
         if by_owner && was_empty {
             return;
         }
+        self.epoch.fetch_add(1, SeqCst);
         fence(SeqCst);
         if self.sleepers.load(Relaxed) > 0 {
             let _guard = self.lock_park();
@@ -550,7 +578,6 @@ impl Scheduler {
                 .unwrap_or_else(|e| e.into_inner())
                 .pop();
             if let Some(entry) = entry {
-                self.queued.fetch_sub(1, SeqCst);
                 return Some((entry, offset != 0));
             }
         }
@@ -687,25 +714,57 @@ impl Scheduler {
         }
     }
 
-    /// Parks an idle (or paused) worker until work may exist again.
-    fn park(&self) {
-        let guard = self.lock_park();
-        // Register as a sleeper *before* re-checking for work: the enqueue
-        // side increments `queued` before loading `sleepers`, and this side
-        // increments `sleepers` before loading `queued` — two store→load
+    /// Parks an idle (or paused) worker until the epoch moves past
+    /// `epoch`, read before its failed pop, or the pool shuts down.  A
+    /// park that times out re-reads the epoch and parks again: only the
+    /// owner's own yields go unannounced, and the owner pops those itself.
+    fn park(&self, epoch: u64) {
+        let mut guard = self.lock_park();
+        // Register as a sleeper *before* re-reading the epoch: the enqueue
+        // side bumps the epoch before loading `sleepers`, and this side
+        // increments `sleepers` before loading the epoch — two store→load
         // pairs under `SeqCst`, so at least one side observes the other.
         // The notify is taken under `park_lock`, which this thread holds
         // until `wait_timeout` releases it.
         self.sleepers.fetch_add(1, SeqCst);
-        if !self.shutdown.load(SeqCst)
-            && (self.paused.load(SeqCst) || self.queued.load(SeqCst) == 0)
-        {
-            let _guard = self
+        while !self.shutdown.load(SeqCst) && self.epoch.load(SeqCst) == epoch {
+            guard = self
                 .idle
                 .wait_timeout(guard, PARK_TIMEOUT)
-                .unwrap_or_else(|e| e.into_inner());
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
         }
         self.sleepers.fetch_sub(1, SeqCst);
+    }
+
+    /// Waits hot for an event past `epoch` — an enqueue that would have
+    /// woken a parked worker, a resume — or for shutdown: spins the ring's
+    /// budget, then yields the core, until the window that opened when the
+    /// last dispatch ended at `since` closes.  Returns whether an event
+    /// arrived; `false` means the window closed and the worker should park.
+    fn wait_hot(&self, epoch: u64, since: Instant) -> bool {
+        let arrived = || self.epoch.load(SeqCst) != epoch || self.shutdown.load(SeqCst);
+        let deadline = since + PARK_TIMEOUT;
+        // A closed window reports no arrival, so steady events that some
+        // other worker always pops cannot keep this one from parking.
+        if Instant::now() >= deadline {
+            return false;
+        }
+        for _ in 0..spin_limit() {
+            if arrived() {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+        loop {
+            if arrived() {
+                return true;
+            }
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::yield_now();
+        }
     }
 
     /// One worker's loop, until shutdown.  `recorder` is the worker's
@@ -714,7 +773,11 @@ impl Scheduler {
     /// when the worker stops.
     fn work(&self, me: usize, mut recorder: Option<TraceBuffer>) -> Option<TraceBuffer> {
         let counters = &self.counters[me];
+        // When the last dispatch ended, while its hot window is open.
+        let mut hot_since = None;
         while !self.shutdown.load(SeqCst) {
+            // Read before the pop: an enqueue the pop misses bumps it later.
+            let epoch = self.epoch.load(SeqCst);
             if let Some((entry, stolen)) = self.pop(me) {
                 counters.dispatches.fetch_add(1, Relaxed);
                 if stolen {
@@ -724,12 +787,16 @@ impl Scheduler {
                     recorder.dispatch(entry.group.cells[entry.cell].label, stolen);
                 }
                 self.dispatch(me, &entry.group, entry.cell);
+                hot_since = Some(Instant::now());
+            } else if hot_since.is_some_and(|since| self.wait_hot(epoch, since)) {
+                // Something arrived within the window: pop again.
             } else {
+                hot_since = None;
                 counters.parks.fetch_add(1, Relaxed);
                 if let Some(recorder) = recorder.as_mut() {
                     recorder.park();
                 }
-                self.park();
+                self.park(epoch);
             }
         }
         recorder
@@ -875,7 +942,7 @@ impl SharedPool {
                 .collect(),
             quantum: options.quantum,
             seq: AtomicU64::new(0),
-            queued: AtomicUsize::new(0),
+            epoch: AtomicU64::new(0),
             sleepers: AtomicUsize::new(0),
             park_lock: Mutex::new(()),
             idle: Condvar::new(),
@@ -930,6 +997,7 @@ impl SharedPool {
     /// Resumes a paused pool.
     pub fn resume(&self) {
         self.sched.paused.store(false, SeqCst);
+        self.sched.epoch.fetch_add(1, SeqCst);
         let _guard = self.sched.lock_park();
         self.sched.idle.notify_all();
     }

@@ -88,7 +88,10 @@ pub struct PoolWorkerStats {
     pub dispatches: u64,
     /// Dispatches whose component was stolen from a sibling's ready heap.
     pub steals: u64,
-    /// Times the worker found no runnable component and parked.
+    /// Times the worker found no runnable component and parked: after
+    /// its hot window closed, or without having dispatched since its last
+    /// park.  One park lasts until new work is announced, however many
+    /// timeouts it re-arms.
     pub parks: u64,
     /// Whether the worker's startup hook pinned it to a core
     /// ([`crate::PoolOptions::worker_setup`]).  Always `false` for the

@@ -121,7 +121,8 @@ pub enum TraceEvent {
         /// Whether the task was stolen from a sibling worker's ready heap.
         stolen: bool,
     },
-    /// A pool worker found no runnable component and parked.
+    /// A pool worker found no runnable component and parked (after its
+    /// hot window, if it had just dispatched).
     Park,
     /// The component stopped.
     Stop {

@@ -305,6 +305,41 @@ fn a_served_pipeline_costs_about_two_dispatches_per_token() {
 }
 
 #[test]
+fn a_tenant_fed_as_fast_as_it_answers_keeps_its_worker_awake() {
+    // After a dispatch the worker waits hot for the next wake, so a
+    // client that feeds each token as soon as the previous one is back
+    // meets a running worker: no park, and no futex wake, between tokens.
+    // A worker that parked as soon as it found nothing to pop would park
+    // about twice per token (after the feed's dispatch and the poll's).
+    const TOKENS: i64 = 256;
+    let design = library::buffer_pipeline_design(3).expect("builds");
+    let server = Server::start(ServerOptions::new(1, 32)).expect("starts");
+    let mut tenant = server.admit("echo", &design).expect("fits");
+    let parks = || server.worker_stats()[0].parks;
+    let before = parks();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    for i in 0..TOKENS {
+        tenant.feed("p0", [Value::Int(i)]).expect("feeds");
+        loop {
+            if let Some(values) = tenant.poll_outputs().get("p3") {
+                assert_eq!(values, &[Value::Int(i)], "token {i}");
+                break;
+            }
+            assert!(Instant::now() < deadline, "token {i} never came back");
+            std::thread::yield_now();
+        }
+    }
+    let parked = parks() - before;
+    let per_token = parked as f64 / TOKENS as f64;
+    assert!(
+        per_token < 0.1,
+        "{parked} parks for {TOKENS} tokens ({per_token:.2} per token)"
+    );
+    let outcome = tenant.finish(Duration::from_secs(30)).expect("drains");
+    assert_eq!(outcome.flow("p3").len(), TOKENS as usize);
+}
+
+#[test]
 fn a_finish_timeout_hands_the_handle_back_with_its_reservation() {
     let design = library::buffer_pipeline_design(2).expect("builds");
     // Paused pool: the tenant cannot make progress, so a zero deadline
