@@ -164,7 +164,7 @@ fn fan_shape(components: usize) -> Deployment {
     deployment
 }
 
-fn bench_backends(c: &mut Criterion) {
+fn bench_capacity(c: &mut Criterion) {
     let stream: Vec<Value> = boolean_flow(STREAM_LEN, 0xE13)
         .into_iter()
         .map(Value::Bool)
@@ -176,7 +176,7 @@ fn bench_backends(c: &mut Criterion) {
         assert!(design.is_weakly_hierarchic(), "{}", design.verdict());
         for capacity in [1usize, 16, 256] {
             group.bench_with_input(
-                BenchmarkId::new(format!("n{components}/ring"), capacity),
+                BenchmarkId::new(format!("n{components}/slot"), capacity),
                 &capacity,
                 |bencher, &capacity| {
                     bencher.iter(|| {
@@ -297,6 +297,6 @@ criterion_group! {
     config = Criterion::default()
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(1500));
-    targets = bench_backends, bench_schedulers, bench_derived_sizing
+    targets = bench_capacity, bench_schedulers, bench_derived_sizing
 }
 criterion_main!(benches);

@@ -1,7 +1,8 @@
 //! E9 — Section 5: concurrent code generation.  The producer and the
-//! consumer run on separate threads and exchange the shared variable
-//! through a one-place rendez-vous; the benchmark compares this against the
-//! sequential controlled execution on the same streams.
+//! consumer run as separate components of one deployment and exchange the
+//! shared variable through a one-place rendez-vous (a slot of their pool
+//! island); the benchmark compares this against the sequential controlled
+//! execution on the same streams.
 
 use bench::paired_streams;
 use clocks::ClockAnalysis;

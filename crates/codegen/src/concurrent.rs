@@ -1,15 +1,15 @@
 //! Concurrent code generation scheme (Section 5).
 //!
-//! The producer and the consumer are compiled separately and run on their
-//! own threads; the rendez-vous on the shared variable is implemented with
-//! a synchronization primitive.  The paper protects a shared variable with
-//! a pair of pthread barriers; here the pair is deployed on the general
-//! multi-threaded GALS engine (`gals_rt`) with the channel capacity set to
+//! The producer and the consumer are compiled separately and run as
+//! separate components; the rendez-vous on the shared variable is
+//! implemented by a one-place channel.  The paper protects a shared
+//! variable with a pair of pthread barriers; here the pair is deployed on
+//! the general GALS engine (`gals_rt`) with the channel capacity set to
 //! **one**: a one-place bounded channel realizes the same rendez-vous (the
-//! producer blocks until the consumer has taken the previous value and vice
-//! versa) without the deadlock pitfalls of mis-matched barrier counts, and
-//! the same engine scales the scheme to arbitrary component counts and
-//! buffer depths.
+//! producer waits, yielding its worker, until the consumer has taken the
+//! previous value and vice versa) without the deadlock pitfalls of
+//! mis-matched barrier counts, and the same engine scales the scheme to
+//! arbitrary component counts and buffer depths.
 
 use gals_rt::Deployment;
 use signal_lang::Value;
@@ -20,15 +20,15 @@ use crate::runtime::SequentialRuntime;
 /// The result of a concurrent producer/consumer run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConcurrentOutcome {
-    /// Values of `u` produced by the producer thread.
+    /// Values of `u` produced by the producer.
     pub u: Vec<Value>,
     /// Values of the shared signal exchanged through the rendez-vous.
     pub shared: Vec<Value>,
-    /// Values of `v` produced by the consumer thread.
+    /// Values of `v` produced by the consumer.
     pub v: Vec<Value>,
-    /// Number of steps executed by the producer thread.
+    /// Number of steps executed by the producer.
     pub producer_steps: u64,
-    /// Number of steps executed by the consumer thread.
+    /// Number of steps executed by the consumer.
     pub consumer_steps: u64,
 }
 

@@ -29,8 +29,8 @@
 //!   components whose composition carries a clock constraint on a shared
 //!   signal are scheduled by a synthesized controller implementing the
 //!   rendez-vous, without adding master clocks to the interface;
-//! * [`concurrent`] — the concurrent scheme of §5: one thread per
-//!   component, the rendez-vous implemented with barriers.
+//! * [`concurrent`] — the concurrent scheme of §5: the components
+//!   deployed separately, the rendez-vous a one-place channel.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

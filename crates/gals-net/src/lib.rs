@@ -2,16 +2,16 @@
 //!
 //! The paper's Theorem 1 says a verified (weakly hierarchic) design keeps
 //! its synchronous semantics over *any* reliable order-preserving FIFO
-//! medium.  `gals-rt` proves that in-process (a worker pool over
-//! lock-free rings); this crate leaves the process:
+//! medium.  `gals-rt` proves that in-process (a worker pool whose islands
+//! own their channels); this crate leaves the process:
 //!
-//! * **Transports** — a shared-file SPSC ring ([`shm`]: the `ring.rs`
-//!   head/tail layout lifted onto a file two processes open) and a Unix
-//!   domain socket backend ([`net`]), both minting endpoints behind the
-//!   existing [`gals_rt::Transport`] trait so `Deployment`, the pool
-//!   scheduler and tracing work unchanged.  The socket endpoints wake the
-//!   pool island that uses them from their own threads, so a partition
-//!   never blocks a worker waiting on the wire.
+//! * **Socket endpoints** ([`net`]) — the two halves of a cut edge on a
+//!   Unix domain socket: a [`NetSender`] and a [`NetReceiver`], which
+//!   implement `gals-rt`'s [`gals_rt::TokenTx`]/[`gals_rt::TokenRx`] so a
+//!   partition links them straight to its components, and the pool
+//!   scheduler and tracing work unchanged.  They wake the pool island
+//!   that uses them from their own threads, so a partition never blocks
+//!   a worker waiting on the wire.
 //! * **A wire protocol** ([`wire`]) — length-prefixed token frames with a
 //!   version handshake, explicit close-then-drain semantics (matching the
 //!   ring), credit-based flow control whose per-edge window is exactly the
@@ -35,23 +35,21 @@ use std::fmt;
 pub mod net;
 pub mod partition;
 pub mod runner;
-pub mod shm;
 pub mod wire;
 
-pub use net::{NetReceiver, NetSender, NetTransport, RetryPolicy};
+pub use net::{NetReceiver, NetSender, RetryPolicy};
 pub use partition::{
     merge_flows, merged_conformance, plan, plan_with_overrides, CutEdge, LinkFactory,
     PartitionError, PartitionPlan,
 };
 pub use runner::{run_partition, MergedStats, PartitionReport, UdsLinks};
-pub use shm::{FileRingReceiver, FileRingSender, ShmTransport};
 pub use wire::{Frame, FrameReader, PROTOCOL_VERSION};
 
-/// An error raised by the wire protocol or a cross-process transport.
+/// An error raised by the wire protocol or a socket endpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
-    /// An I/O operation on the medium failed (connect, read, write, file
-    /// creation); the message carries the OS error text.
+    /// An I/O operation on the socket failed (bind, connect, read,
+    /// write); the message carries the OS error text.
     Io(String),
     /// The peer sent bytes that do not decode as a protocol frame: an
     /// unknown frame kind, an impossible length, a truncated payload, a

@@ -1,4 +1,4 @@
-//! A Unix-domain-socket transport speaking the [`crate::wire`] protocol.
+//! Unix-domain-socket endpoints speaking the [`crate::wire`] protocol.
 //!
 //! One socket carries one edge.  The consumer side ([`NetReceiver`])
 //! binds and accepts; the producer side ([`NetSender`]) dials and opens
@@ -39,7 +39,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::io;
 use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -49,10 +48,7 @@ use std::task::Waker;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use gals_rt::{
-    ChannelClosed, Endpoints, TokenRx, TokenTx, Transport, TransportError, TryRecvError,
-    TrySendError,
-};
+use gals_rt::{ChannelClosed, TokenRx, TokenTx, TryRecvError, TrySendError};
 use signal_lang::Value;
 
 use crate::wire::{Frame, FrameReader, PROTOCOL_VERSION};
@@ -736,83 +732,6 @@ impl Drop for NetSender {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Transport
-// ---------------------------------------------------------------------------
-
-/// A [`Transport`] minting connected socket pairs: every channel of a
-/// deployment becomes a Unix domain socket in the transport's directory,
-/// its flow-control window set to the channel's resolved capacity.  Used
-/// in-process it is the protocol witness — same deployment, every token
-/// framed, sequenced and credit-controlled; across processes the two
-/// halves are [`NetReceiver::bind`] and [`NetSender::connect`].
-pub struct NetTransport {
-    dir: PathBuf,
-    counter: AtomicU64,
-    retry: RetryPolicy,
-}
-
-impl NetTransport {
-    /// The backend name reported in topologies and statistics.
-    pub const NAME: &'static str = "uds";
-
-    /// A transport minting sockets in a fresh per-process subdirectory
-    /// of the system temp directory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-creation failures.
-    pub fn new() -> io::Result<Self> {
-        static INSTANCE: AtomicU64 = AtomicU64::new(0);
-        let n = INSTANCE.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("gals-uds-{}-{}", std::process::id(), n));
-        std::fs::create_dir_all(&dir)?;
-        Ok(NetTransport {
-            dir,
-            counter: AtomicU64::new(0),
-            retry: RetryPolicy::default(),
-        })
-    }
-
-    /// A transport minting sockets inside an existing directory.
-    pub fn with_dir(dir: impl Into<PathBuf>) -> Self {
-        NetTransport {
-            dir: dir.into(),
-            counter: AtomicU64::new(0),
-            retry: RetryPolicy::default(),
-        }
-    }
-
-    /// Replaces the reconnect policy used by minted senders.
-    #[must_use]
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// The directory the socket files live in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-}
-
-impl Transport for NetTransport {
-    fn name(&self) -> &'static str {
-        Self::NAME
-    }
-
-    fn open(&self, capacity: usize) -> Result<Endpoints, TransportError> {
-        let n = self.counter.fetch_add(1, Ordering::Relaxed);
-        let path = self.dir.join(format!("edge-{n}.sock"));
-        let signal = format!("edge-{n}");
-        let window = capacity as u64;
-        let rx = NetReceiver::bind(&path, &signal, window).map_err(TransportError::from)?;
-        let tx =
-            NetSender::connect(&path, &signal, window, self.retry).map_err(TransportError::from)?;
-        Ok((Box::new(tx), Box::new(rx)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -917,17 +836,5 @@ mod tests {
         }
         producer.join().unwrap();
         assert_eq!(got, (1..5).map(Value::Int).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn the_transport_mints_working_pairs() {
-        let transport = NetTransport::new().unwrap();
-        let (tx, rx) = transport.open(2).unwrap();
-        tx.send(Value::Bool(true)).unwrap();
-        assert_eq!(rx.recv(), Ok(Value::Bool(true)));
-        assert_eq!(transport.name(), "uds");
-        drop(tx);
-        assert_eq!(rx.recv(), Err(ChannelClosed));
-        let _ = std::fs::remove_dir_all(transport.dir());
     }
 }

@@ -16,7 +16,7 @@
 //! Theorem 1 is what makes this sound: a verified (weakly hierarchic)
 //! design keeps its synchronous semantics over any reliable
 //! order-preserving FIFO medium, so cutting an edge and re-routing it
-//! through a socket or a shared file cannot change the flows.  The
+//! through a socket cannot change the flows.  The
 //! conformance half lives in [`merge_flows`] / [`merged_conformance`]:
 //! the partitions' observed flows are merged (cross-checking the
 //! producer- and consumer-side copies of every cut signal) and compared

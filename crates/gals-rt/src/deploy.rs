@@ -11,25 +11,21 @@
 //! the OS threads; [`Deployment::stage`] instead hands the wired machines
 //! to a long-lived [`SharedPool`](crate::SharedPool).
 //!
-//! Every edge gets the capacity a [`ChannelPolicy`] resolves for it (a
-//! default plus per-signal overrides, or derived bounds).  Unless
-//! [`Deployment::set_transport`] names a medium, an edge is an island
-//! [slot](ISLAND_MEDIUM): both of its ends run in one island, which owns
-//! it as a plain bounded FIFO.  A named medium mints an endpoint pair per
-//! edge instead.  [`Deployment::topology`] reports the resolved capacity
-//! and the medium of every edge.
+//! Every edge gets the capacity the channel policy resolves for it (a
+//! default plus per-signal overrides, or derived bounds), and every edge
+//! is a slot of its island: both of its ends run in one island, which
+//! owns it as a plain bounded FIFO.  [`Deployment::topology`] reports
+//! the resolved capacity of every edge.
 //!
 //! The streaming ingress and egress of a staged deployment cross threads
-//! (the client's and the pool's), so they are endpoints of the named
-//! medium, or of the lock-free SPSC ring ([`RingTransport`]) when none is
-//! named.  A signal can also be **linked** to an endpoint the deployment
-//! did not mint ([`Deployment::link_input`], [`Deployment::link_output`]),
-//! such as a partition's cut edge on a socket: read and written without
+//! (the client's and the pool's), so each is a lock-free SPSC [`ring`].
+//! A signal can also be **linked** to an endpoint the deployment did not
+//! mint ([`Deployment::link_input`], [`Deployment::link_output`]), such
+//! as a partition's cut edge on a socket: read and written without
 //! blocking like a slot, its medium waking the island.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use signal_lang::{Name, Value};
@@ -40,23 +36,18 @@ use crate::conformance::{
     replay_reference, ConformanceError, ConformanceReport, ReferenceComponent,
 };
 use crate::machine::StepMachine;
-use crate::ring::RingTransport;
+use crate::ring::ring;
 use crate::sched::{self, ExecutionMode};
 use crate::stats::{CapacityRange, DeploymentStats, PoolWorkerStats};
 use crate::trace::{Trace, TraceBuffer, TraceConfig};
 use crate::transport::{
-    CapacitySource, ChannelPolicy, ChannelSizing, TokenRx, TokenTx, Transport, ZeroCapacity,
+    CapacitySource, ChannelPolicy, ChannelSizing, TokenRx, TokenTx, ZeroCapacity,
 };
 use crate::worker::{Driver, Inbound, Outbound, WorkerReport};
 
 /// Default per-component step budget: a safety net against components that
 /// can react forever without consuming any finite stream.
 pub const DEFAULT_MAX_STEPS: u64 = 1_000_000;
-
-/// The medium [`ChannelSpec::backend`] names for an edge on no medium
-/// the deployment named: a bounded slot owned by the island both of its
-/// ends run in, read and written by index on one worker at a time.
-pub const ISLAND_MEDIUM: &str = "island-slot";
 
 /// Default capacity of the streaming ingress/egress channels a staged
 /// deployment ([`Deployment::stage`]) exposes: deep enough to absorb a
@@ -93,10 +84,10 @@ pub enum DeployError {
     /// run is refused unless cycles are explicitly allowed.
     CyclicTopology,
     /// A channel capacity of 0 was requested (for the named signal, or for
-    /// the default when `None`).  A zero-capacity channel is a rendezvous
-    /// the worker loop cannot serve — the producer publishes before its
-    /// next read, so two adjacent workers would deadlock — and it is
-    /// rejected instead of being silently clamped.
+    /// the default when `None`).  A zero-capacity channel is a rendezvous,
+    /// and a step never blocks to meet its reader, so the channel would
+    /// refuse every publish and deadlock its producer; it is rejected
+    /// instead of being silently clamped.
     ZeroCapacity(Option<Name>),
     /// A signal marked as paced ([`Deployment::mark_paced`]) is not an
     /// environment input of the deployment — a typo here would silently
@@ -144,11 +135,6 @@ pub enum DeployError {
     /// cycle the pool scheduler's dynamic `Deadlocked` detection reports —
     /// refused statically instead.
     UnprimedCycle(crate::capacity::UnprimedCycle),
-    /// The transport could not mint an endpoint pair for an edge — a
-    /// socket path unreachable, a shared file uncreatable, a handshake
-    /// refused.  The in-process ring never raises this; a distributed
-    /// medium does, and the failure is a typed outcome instead of a panic.
-    Transport(String),
 }
 
 impl fmt::Display for DeployError {
@@ -230,7 +216,6 @@ impl fmt::Display for DeployError {
                  deadlock"
             ),
             DeployError::UnprimedCycle(cycle) => write!(f, "{cycle}"),
-            DeployError::Transport(message) => write!(f, "transport failure: {message}"),
         }
     }
 }
@@ -243,15 +228,8 @@ impl From<ZeroCapacity> for DeployError {
     }
 }
 
-impl From<crate::transport::TransportError> for DeployError {
-    fn from(err: crate::transport::TransportError) -> Self {
-        DeployError::Transport(err.message)
-    }
-}
-
 /// One bounded point-to-point channel of the derived topology, with its
-/// policy resolution: the capacity this edge gets and the transport
-/// backend that carries it.
+/// policy resolution: the capacity this edge's island slot gets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelSpec {
     /// The shared signal carried by the channel.
@@ -269,9 +247,6 @@ pub struct ChannelSpec {
     /// For derived edges, the derivation: the rate relation between the
     /// producer and consumer clocks that produced the bound.
     pub derivation: Option<String>,
-    /// The medium carrying this edge: [`ISLAND_MEDIUM`], or the name of
-    /// the transport the deployment named.
-    pub backend: &'static str,
 }
 
 /// The static shape of a deployment, derived from the machine interfaces
@@ -411,7 +386,6 @@ pub struct Deployment {
     paced: BTreeSet<Name>,
     feeds: BTreeMap<Name, Vec<Value>>,
     policy: ChannelPolicy,
-    transport: Option<Arc<dyn Transport>>,
     /// Incoming links, by (consuming machine, input signal).
     linked_inputs: BTreeMap<(usize, Name), Box<dyn TokenRx>>,
     /// Outgoing links, by output signal: one per remote consumer.
@@ -429,9 +403,9 @@ pub struct Deployment {
 
 impl Deployment {
     /// Creates an empty deployment with channel capacity 1 (the one-place
-    /// rendez-vous of the paper's concurrent scheme), island slots as the
-    /// medium, a pool of one worker per core
-    /// ([`ExecutionMode::pool_per_core`]) and the default step budget.
+    /// rendez-vous of the paper's concurrent scheme), a pool of one worker
+    /// per core ([`ExecutionMode::pool_per_core`]) and the default step
+    /// budget.
     pub fn new() -> Self {
         Deployment {
             machines: Vec::new(),
@@ -439,7 +413,6 @@ impl Deployment {
             paced: BTreeSet::new(),
             feeds: BTreeMap::new(),
             policy: ChannelPolicy::new(),
-            transport: None,
             linked_inputs: BTreeMap::new(),
             linked_outputs: Vec::new(),
             mode: None,
@@ -563,30 +536,9 @@ impl Deployment {
         self
     }
 
-    /// Selects the channel sizing mode without touching installed bounds.
-    pub fn set_sizing(&mut self, sizing: ChannelSizing) -> &mut Self {
-        self.policy.set_sizing(sizing);
-        self
-    }
-
     /// The channel sizing mode in effect.
     pub fn sizing(&self) -> ChannelSizing {
         self.policy.sizing()
-    }
-
-    /// Replaces the whole channel policy at once.
-    pub fn set_policy(&mut self, policy: ChannelPolicy) -> &mut Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Routes every channel through a custom [`Transport`] (a shared-memory
-    /// or network medium, say): each edge becomes an endpoint pair it
-    /// mints instead of an island slot, and the staged ingress and egress
-    /// use it instead of the SPSC ring.
-    pub fn set_transport(&mut self, transport: Arc<dyn Transport>) -> &mut Self {
-        self.transport = Some(transport);
-        self
     }
 
     /// Links environment input `signal` of machine `machine` (an index
@@ -617,11 +569,6 @@ impl Deployment {
     pub fn link_output(&mut self, signal: impl Into<Name>, tx: Box<dyn TokenTx>) -> &mut Self {
         self.linked_outputs.push((signal.into(), tx));
         self
-    }
-
-    /// The channel policy in effect.
-    pub fn policy(&self) -> &ChannelPolicy {
-        &self.policy
     }
 
     /// The configured default channel capacity.
@@ -700,25 +647,10 @@ impl Deployment {
         self
     }
 
-    /// The transport instance that mints the endpoints: the custom one,
-    /// or the SPSC ring (every channel is single-producer/single-consumer).
-    fn transport_instance(&self) -> Arc<dyn Transport> {
-        self.transport
-            .clone()
-            .unwrap_or_else(|| Arc::new(RingTransport))
-    }
-
-    /// The medium of the edges: the named transport's, or the island's.
-    fn medium(&self) -> &'static str {
-        self.transport
-            .as_ref()
-            .map_or(ISLAND_MEDIUM, |transport| transport.name())
-    }
-
     /// Derives the channel topology from the machine interfaces, resolved
     /// against the channel policy: every [`ChannelSpec`] reports the
     /// capacity (with its source and, for derived edges, the derivation)
-    /// and medium its edge will be wired with.
+    /// its edge will be wired with.
     ///
     /// # Errors
     ///
@@ -735,7 +667,6 @@ impl Deployment {
                 }
             }
         }
-        let backend = self.medium();
         let mut topology = Topology::default();
         let mut environment: BTreeSet<Name> = BTreeSet::new();
         for (j, machine) in self.machines.iter().enumerate() {
@@ -753,7 +684,6 @@ impl Deployment {
                             capacity: resolved.capacity,
                             source: resolved.source,
                             derivation: resolved.derivation,
-                            backend,
                         });
                     }
                     Some(_) => {} // self-loop: resolved inside the machine
@@ -851,21 +781,18 @@ impl Deployment {
 
     /// Runs the deployment to completion on a pool of the selected
     /// [`ExecutionMode`] started for the run, its machines connected by
-    /// bounded channels (island slots, or endpoints of the named
-    /// transport) and by their links.  Blocks until every component
-    /// finished.
+    /// bounded island slots and by their links.  Blocks until every
+    /// component finished.
     ///
     /// # Errors
     ///
     /// Returns [`DeployError`] when the deployment is empty, the topology
     /// is ill-formed or cyclic, a feed, paced mark or link does not name
-    /// an environment input (or a linked output no output), a linked
-    /// signal is fed, or the transport fails to mint an endpoint pair for
-    /// an edge ([`DeployError::Transport`]).
+    /// an environment input (or a linked output no output), or a linked
+    /// signal is fed.
     pub fn run(mut self) -> Result<DeploymentOutcome, DeployError> {
         let (topology, wired) = self.wire()?;
         let mode = self.execution_mode();
-        let backend = self.medium();
         let mut drivers = wired.into_drivers(self.machines, self.max_steps);
         // The trace epoch doubles as the wall-clock start: every buffer
         // timestamps against this one `Instant`, which is what makes the
@@ -889,7 +816,6 @@ impl Deployment {
             reports,
             channels: topology.channels,
             sizing: self.policy.sizing(),
-            backend,
             mode,
             pool_workers,
             worker_traces,
@@ -912,7 +838,7 @@ impl Deployment {
     /// and the external outputs become bounded **egress** channels the
     /// client drains
     /// ([`poll_outputs`](crate::SubmittedDeployment::poll_outputs)), both
-    /// sized by [`set_stream_capacity`](Self::set_stream_capacity).
+    /// SPSC rings sized by [`set_stream_capacity`](Self::set_stream_capacity).
     /// Streams fed *before* staging are still preloaded and consumed
     /// ahead of any streamed token.
     ///
@@ -926,8 +852,8 @@ impl Deployment {
     /// # Errors
     ///
     /// The same static refusals as [`run`](Self::run): empty deployment,
-    /// ill-formed or unproven-cyclic topology, unknown feeds or paced
-    /// marks, transport failures.
+    /// ill-formed or unproven-cyclic topology, unknown feeds, paced marks
+    /// or links.
     pub fn stage(mut self) -> Result<StagedDeployment, DeployError> {
         let (topology, mut wired) = self.wire()?;
 
@@ -940,15 +866,15 @@ impl Deployment {
                 if !wired.environment.contains(&input) || wired.sources[j].contains_key(&input) {
                     continue;
                 }
-                let (tx, rx) = wired.transport.open(self.stream_capacity)?;
-                wired.sources[j].insert(input.clone(), Inbound::Endpoint(rx));
+                let (tx, rx) = ring(self.stream_capacity);
+                wired.sources[j].insert(input.clone(), Inbound::Endpoint(Box::new(rx)));
                 ingress
                     .entry(input)
                     .or_insert_with(|| IngressPort {
                         consumers: Vec::new(),
                     })
                     .consumers
-                    .push((j, tx));
+                    .push((j, Box::new(tx)));
             }
         }
 
@@ -962,12 +888,18 @@ impl Deployment {
                 if wired.sinks[i].contains_key(&output) {
                     continue;
                 }
-                let (tx, rx) = wired.transport.open(self.stream_capacity)?;
+                let (tx, rx) = ring(self.stream_capacity);
                 wired.sinks[i]
                     .entry(output.clone())
                     .or_default()
-                    .push(Outbound::Endpoint(tx));
-                egress.insert(output, EgressPort { producer: i, rx });
+                    .push(Outbound::Endpoint(Box::new(tx)));
+                egress.insert(
+                    output,
+                    EgressPort {
+                        producer: i,
+                        rx: Box::new(rx),
+                    },
+                );
             }
         }
 
@@ -976,7 +908,6 @@ impl Deployment {
             .iter()
             .map(|machine| machine.machine_name().to_string())
             .collect();
-        let backend = self.medium();
         Ok(StagedDeployment {
             drivers: wired.into_drivers(self.machines, self.max_steps),
             topology,
@@ -986,7 +917,6 @@ impl Deployment {
             feeds: self.feeds,
             reference: self.reference,
             paced: self.paced,
-            backend,
             sizing: self.policy.sizing(),
             prediction: self.prediction,
             trace: self.trace,
@@ -996,11 +926,10 @@ impl Deployment {
     /// What [`run`](Self::run) and [`stage`](Self::stage) share: the
     /// static checks, the bounded internal channels, the links, and the
     /// preloaded environment streams.  An edge is the slot of its
-    /// topology index — the island that owns it numbers it anew — unless
-    /// a transport was named, which mints an endpoint pair per edge at its
-    /// resolved capacity.  A machine reads its own input queue before its
-    /// channel, so in a staged deployment the preloaded tokens come
-    /// strictly before streamed ones.
+    /// topology index — the island that owns it numbers it anew.  A
+    /// machine reads its own input queue before its channel, so in a
+    /// staged deployment the preloaded tokens come strictly before
+    /// streamed ones.
     fn wire(&mut self) -> Result<(Topology, Wired), DeployError> {
         if self.machines.is_empty() {
             return Err(DeployError::Empty);
@@ -1013,18 +942,11 @@ impl Deployment {
         let mut sinks: Vec<BTreeMap<Name, Vec<Outbound>>> =
             (0..n).map(|_| BTreeMap::new()).collect();
         for (k, spec) in topology.channels.iter().enumerate() {
-            let (tx, rx) = match &self.transport {
-                None => (Outbound::Slot(k), Inbound::Slot(k)),
-                Some(transport) => {
-                    let (tx, rx) = transport.open(spec.capacity)?;
-                    (Outbound::Endpoint(tx), Inbound::Endpoint(rx))
-                }
-            };
             sinks[spec.producer]
                 .entry(spec.signal.clone())
                 .or_default()
-                .push(tx);
-            sources[spec.consumer].insert(spec.signal.clone(), rx);
+                .push(Outbound::Slot(k));
+            sources[spec.consumer].insert(spec.signal.clone(), Inbound::Slot(k));
         }
         let mut linked = Vec::with_capacity(self.linked_inputs.len());
         for ((machine, signal), rx) in std::mem::take(&mut self.linked_inputs) {
@@ -1053,7 +975,6 @@ impl Deployment {
         }
         let wired = Wired {
             environment,
-            transport: self.transport_instance(),
             sources,
             sinks,
             linked,
@@ -1115,8 +1036,6 @@ impl Deployment {
 /// A deployment checked and wired by [`Deployment::wire`].
 struct Wired {
     environment: BTreeSet<Name>,
-    /// The medium of the staged ingress and egress endpoints.
-    transport: Arc<dyn Transport>,
     /// Per machine: the receiving end of each channel-fed input.
     sources: Vec<BTreeMap<Name, Inbound>>,
     /// Per machine: the sending ends of each published output.
@@ -1159,7 +1078,6 @@ impl fmt::Debug for Deployment {
         f.debug_struct("Deployment")
             .field("machines", &self.machines.len())
             .field("policy", &self.policy)
-            .field("transport", &self.transport.as_ref().map(|t| t.name()))
             .field("mode", &self.mode)
             .field("max_steps", &self.max_steps)
             .finish()
@@ -1279,7 +1197,6 @@ pub struct StagedDeployment {
     pub(crate) feeds: BTreeMap<Name, Vec<Value>>,
     pub(crate) reference: Vec<ReferenceComponent>,
     pub(crate) paced: BTreeSet<Name>,
-    pub(crate) backend: &'static str,
     pub(crate) sizing: ChannelSizing,
     pub(crate) prediction: Option<crate::predict::PerformancePrediction>,
     pub(crate) trace: Option<TraceConfig>,
@@ -1333,7 +1250,6 @@ pub(crate) struct OutcomeParts {
     pub(crate) reports: Vec<WorkerReport>,
     pub(crate) channels: Vec<ChannelSpec>,
     pub(crate) sizing: ChannelSizing,
-    pub(crate) backend: &'static str,
     pub(crate) mode: ExecutionMode,
     pub(crate) pool_workers: Vec<PoolWorkerStats>,
     pub(crate) worker_traces: Vec<TraceBuffer>,
@@ -1373,7 +1289,6 @@ impl OutcomeParts {
                 capacity: CapacityRange::of_edges(self.channels.iter().map(|c| c.capacity)),
                 sizing: self.sizing,
                 edges: self.channels,
-                backend: self.backend,
                 mode: self.mode,
                 pool_workers: self.pool_workers,
                 elapsed: self.elapsed,

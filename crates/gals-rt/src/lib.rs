@@ -15,14 +15,15 @@
 //!   full or empty channel yields its worker and is woken when the edge
 //!   moves; no step ever blocks) — the finite-buffer refinement of the
 //!   paper's unbounded-FIFO asynchronous model (`^` [`sim::AsyncNetwork`]);
-//! * **island-owned channels**: an edge between two components of one
-//!   pool island is a plain bounded slot the island owns
-//!   ([`ISLAND_MEDIUM`]), read and written by index without atomics;
-//! * a **pluggable transport layer** ([`Transport`] minting
-//!   [`TokenTx`]/[`TokenRx`] endpoint pairs) for what crosses threads — a
-//!   named medium's edges, a served tenant's ingress and egress — whose
-//!   built-in medium is a **lock-free SPSC ring buffer** ([`ring`]), and
-//!   a [`ChannelPolicy`] for per-signal capacities;
+//! * **island-owned channels**: every edge joins two components of one
+//!   pool island, which owns it as a plain bounded slot, read and written
+//!   by index without atomics, at a capacity resolved per signal (a
+//!   default, overrides, or derived bounds);
+//! * **endpoints** ([`TokenTx`]/[`TokenRx`]) for what crosses threads: a
+//!   served tenant's ingress and egress, each a **lock-free SPSC ring
+//!   buffer** ([`ring`]), and a partition's links, which `gals-net`
+//!   mints on Unix sockets and
+//!   [`Deployment::link_input`]/[`Deployment::link_output`] attach;
 //! * per-component counters (reactions, blocked reads, tokens) aggregated
 //!   into a [`DeploymentStats`] report;
 //! * a dynamic **isochrony conformance checker**
@@ -108,11 +109,11 @@ pub use capacity::{CapacityAnalysis, DerivedCapacity, EdgeClocks, UnprimedCycle}
 pub use conformance::{replay_reference, ConformanceError, ConformanceReport, ReferenceComponent};
 pub use deploy::{
     ChannelSpec, DeployError, Deployment, DeploymentOutcome, StagedDeployment, Topology,
-    DEFAULT_MAX_STEPS, DEFAULT_STREAM_CAPACITY, ISLAND_MEDIUM,
+    DEFAULT_MAX_STEPS, DEFAULT_STREAM_CAPACITY,
 };
 pub use machine::{StepFault, StepMachine};
 pub use predict::{ComponentPrediction, EdgePrediction, PerformancePrediction};
-pub use ring::{RingReceiver, RingSender, RingTransport};
+pub use ring::{RingReceiver, RingSender};
 pub use sched::{
     DrainError, ExecutionMode, PoolOptions, SharedPool, SubmitOptions, SubmittedDeployment,
 };
@@ -122,8 +123,8 @@ pub use trace::{
     EdgeDrift, EdgeOccupancy, Trace, TraceConfig, TraceEvent, TraceRecord, TraceSummary,
 };
 pub use transport::{
-    CapacitySource, ChannelClosed, ChannelPolicy, ChannelSizing, Endpoints, ResolvedCapacity,
-    TokenRx, TokenTx, Transport, TransportError, TryRecvError, TrySendError,
+    CapacitySource, ChannelClosed, ChannelSizing, TokenRx, TokenTx, TransportError, TryRecvError,
+    TrySendError,
 };
 
 #[cfg(test)]
@@ -302,7 +303,6 @@ mod tests {
                 capacity: 1,
                 source: CapacitySource::Default,
                 derivation: None,
-                backend: ISLAND_MEDIUM,
             }
         );
         assert!(!topology.has_cycle());
@@ -311,43 +311,42 @@ mod tests {
 
     #[test]
     fn the_policy_resolution_is_reported_per_edge() {
-        let mut deployment = pipeline(3);
-        deployment.set_capacity(8).expect("nonzero");
-        deployment.set_channel_capacity("s2", 2).expect("nonzero");
-        let topology = deployment.topology().expect("well-formed");
+        let configured = || {
+            let mut deployment = pipeline(3);
+            deployment.set_capacity(8).expect("nonzero");
+            deployment.set_channel_capacity("s2", 2).expect("nonzero");
+            deployment
+        };
+        let topology = configured().topology().expect("well-formed");
         let by_signal: std::collections::BTreeMap<_, _> = topology
             .channels
             .iter()
-            .map(|c| (c.signal.as_str().to_string(), (c.capacity, c.backend)))
+            .map(|c| (c.signal.as_str().to_string(), c.capacity))
             .collect();
-        assert_eq!(by_signal["s1"], (8, ISLAND_MEDIUM));
-        assert_eq!(by_signal["s2"], (2, ISLAND_MEDIUM));
-    }
+        assert_eq!(by_signal["s1"], 8);
+        assert_eq!(by_signal["s2"], 2);
 
-    #[test]
-    fn only_a_named_medium_turns_island_edges_into_endpoints() {
-        // Without `set_transport` every edge is a slot of its island; a
-        // named medium, even the ring, carries every edge and is what the
-        // stats report.
-        let mut deployment = pipeline(4);
-        let topology = deployment.topology().expect("well-formed");
-        assert_eq!(topology.channels.len(), 3);
-        assert!(topology.channels.iter().all(|c| c.backend == ISLAND_MEDIUM));
-        deployment.feed("s0", (1..=8).map(Value::Int));
+        // Each slot is wired at its resolved capacity: a burst fills it
+        // exactly to that capacity and never past it.
+        let mut deployment = configured();
+        deployment
+            .set_execution_mode(ExecutionMode::Pool {
+                workers: 2,
+                quantum: 32,
+            })
+            .expect("valid mode");
+        deployment.set_tracing(true);
+        deployment.feed("s0", (1..=32).map(Value::Int));
         let outcome = deployment.run().expect("runs");
-        assert_eq!(outcome.stats().backend, ISLAND_MEDIUM);
-
-        let mut deployment = pipeline(4);
-        deployment.set_transport(std::sync::Arc::new(RingTransport));
-        let topology = deployment.topology().expect("well-formed");
-        assert!(topology
-            .channels
+        assert_eq!(outcome.flow("s3").len(), 32);
+        let summary = outcome.trace().expect("tracing was on").summary();
+        let high_water: std::collections::BTreeMap<_, _> = summary
+            .edges
             .iter()
-            .all(|c| c.backend == RingTransport::NAME));
-        deployment.feed("s0", (1..=8).map(Value::Int));
-        let ringed = deployment.run().expect("runs");
-        assert_eq!(ringed.stats().backend, RingTransport::NAME);
-        assert_eq!(ringed.flows(), outcome.flows());
+            .map(|e| (e.signal.as_str().to_string(), e.high_water))
+            .collect();
+        assert_eq!(high_water["s1"], Some(8));
+        assert_eq!(high_water["s2"], Some(2));
     }
 
     #[test]
@@ -370,47 +369,6 @@ mod tests {
         deployment.feed("s0", (1..=4).map(Value::Int));
         let outcome = deployment.run().expect("runs");
         assert_eq!(outcome.flow("s2").len(), 4);
-    }
-
-    #[test]
-    fn a_custom_transport_carries_every_channel() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        /// A transport that counts how many channels it minted and at what
-        /// capacity, delegating the actual medium to the ring.
-        #[derive(Debug, Default)]
-        struct Counting {
-            opened: AtomicUsize,
-            total_capacity: AtomicUsize,
-        }
-        impl Transport for Counting {
-            fn name(&self) -> &'static str {
-                "counting"
-            }
-            fn open(
-                &self,
-                capacity: usize,
-            ) -> Result<transport::Endpoints, transport::TransportError> {
-                self.opened.fetch_add(1, Ordering::Relaxed);
-                self.total_capacity.fetch_add(capacity, Ordering::Relaxed);
-                RingTransport.open(capacity)
-            }
-        }
-
-        let transport = std::sync::Arc::new(Counting::default());
-        let mut deployment = pipeline(4);
-        deployment.set_transport(transport.clone());
-        deployment.set_capacity(3).expect("nonzero");
-        assert_eq!(
-            deployment.topology().expect("well-formed").channels[0].backend,
-            "counting"
-        );
-        deployment.feed("s0", (1..=8).map(Value::Int));
-        let outcome = deployment.run().expect("runs");
-        assert_eq!(outcome.stats().backend, "counting");
-        assert_eq!(transport.opened.load(Ordering::Relaxed), 3);
-        assert_eq!(transport.total_capacity.load(Ordering::Relaxed), 9);
-        assert_eq!(outcome.flow("s4").len(), 8);
     }
 
     #[test]

@@ -314,7 +314,6 @@ mod tests {
             capacity: 1,
             source: CapacitySource::Default,
             derivation: None,
-            backend: "test",
         }
     }
 

@@ -1,14 +1,12 @@
 //! A lock-free fixed-capacity SPSC ring buffer for [`Value`] tokens.
 //!
-//! The ring is the built-in endpoint medium: it carries what crosses
-//! threads — a served tenant's ingress and egress between the client and
-//! the pool — and every edge of a deployment that names it
-//! (`Deployment::set_transport`).  An edge inside a pool island on no
-//! named medium is a plain slot of the island instead (see
-//! `crate::worker`).  Every channel has one producer and one consumer, so
-//! the general mpsc machinery — and its per-operation mutex in
-//! `std::sync::mpsc` — would be pure overhead.  This ring exploits the
-//! SPSC restriction:
+//! The ring carries what a deployment mints to cross threads: a staged
+//! deployment's ingress and egress, between the client and the pool.  An
+//! edge between two components is a plain slot of the island both of its
+//! ends run in instead (see `crate::worker`).  Every channel has one
+//! producer and one consumer, so the general mpsc machinery — and its
+//! per-operation mutex in `std::sync::mpsc` — would be pure overhead.
+//! This ring exploits the SPSC restriction:
 //!
 //! * `head` and `tail` are monotonically increasing atomic counters, each
 //!   written by exactly one side; a send is one slot write plus one
@@ -37,10 +35,7 @@ use std::time::Duration;
 
 use signal_lang::Value;
 
-use crate::transport::{
-    ChannelClosed, Endpoints, TokenRx, TokenTx, Transport, TransportError, TryRecvError,
-    TrySendError,
-};
+use crate::transport::{ChannelClosed, TokenRx, TokenTx, TryRecvError, TrySendError};
 
 /// Spins before yielding: a handful of iterations rides out the common
 /// case where the peer is mid-operation **on another core**.  On a
@@ -176,8 +171,8 @@ impl Shared {
 ///
 /// # Panics
 ///
-/// Panics when `capacity` is 0 (the deployment policy rejects zero before
-/// it can reach a transport).
+/// Panics when `capacity` is 0 (`Deployment::set_stream_capacity`
+/// rejects zero before it can reach a ring).
 pub fn ring(capacity: usize) -> (RingSender, RingReceiver) {
     assert!(capacity > 0, "an SPSC ring needs at least one slot");
     let slots = (0..capacity)
@@ -462,26 +457,6 @@ impl TokenRx for RingReceiver {
     }
 }
 
-/// The SPSC-ring backend: mints a [`ring`] per topology edge.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RingTransport;
-
-impl RingTransport {
-    /// The backend name reported in topologies and statistics.
-    pub const NAME: &'static str = "spsc-ring";
-}
-
-impl Transport for RingTransport {
-    fn name(&self) -> &'static str {
-        Self::NAME
-    }
-
-    fn open(&self, capacity: usize) -> Result<Endpoints, TransportError> {
-        let (tx, rx) = ring(capacity);
-        Ok((Box::new(tx), Box::new(rx)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,14 +566,6 @@ mod tests {
         thread::sleep(Duration::from_millis(20));
         drop(tx);
         assert_eq!(blocked.join().unwrap(), Err(ChannelClosed));
-    }
-
-    #[test]
-    fn the_transport_mints_working_endpoint_pairs() {
-        let (tx, rx) = RingTransport.open(2).expect("in-process");
-        tx.send(Value::Bool(true)).unwrap();
-        assert_eq!(rx.recv(), Ok(Value::Bool(true)));
-        assert_eq!(RingTransport.name(), "spsc-ring");
     }
 
     #[test]

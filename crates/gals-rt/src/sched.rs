@@ -21,16 +21,15 @@
 //!   parts of one deployment, and separate tenants, are separate islands:
 //!   that is where the pool's parallelism comes from.
 //! * **An island owns its channels.**  Every channel of a group lies
-//!   inside one island.  One on no medium the deployment named is a
-//!   *slot* (`crate::worker::Slot`): a plain bounded FIFO at its resolved
-//!   capacity, kept in the cell beside the members and numbered per
-//!   island when the group is placed, so each island indexes only its own
-//!   slots.  The island runs on one worker at a time and moves between
-//!   workers under its cell's slot mutex — the only synchronization its
-//!   slots need.  A slot refuses a token at capacity like any channel, so
-//!   occupancy never exceeds capacity.  Channels on a named medium keep
-//!   their endpoints, as do a tenant's ingress and egress and a
-//!   partition's links.  This is the paper's §5.2 controller, which
+//!   inside one island, and it is a *slot* (`crate::worker::Slot`): a
+//!   plain bounded FIFO at its resolved capacity, kept in the cell beside
+//!   the members and numbered per island when the group is placed, so
+//!   each island indexes only its own slots.  The island runs on one
+//!   worker at a time and moves between workers under its cell's slot
+//!   mutex — the only synchronization its slots need.  A slot refuses a
+//!   token at capacity like any channel, so occupancy never exceeds
+//!   capacity.  A tenant's ingress and egress and a partition's links
+//!   are endpoints.  This is the paper's §5.2 controller, which
 //!   schedules separately compiled step functions and carries their
 //!   rendez-vous itself, done at run time for n members.
 //! * **Dispatch.**  Each of the `workers` threads pops a ready island and
@@ -98,8 +97,8 @@
 //!   dispatch decrements it only after publishing its outcome.  A group
 //!   that nothing outside its workers can wake is *sealed*: it has no
 //!   ingress or egress port and no endpoint whose medium calls its waker
-//!   — every batch run on slots or the ring, whose environment streams
-//!   are preloaded.  When a sealed group's `work` drops to 0 with
+//!   — every batch run without links, whose environment streams are
+//!   preloaded.  When a sealed group's `work` drops to 0 with
 //!   components remaining, every surviving island is stuck and no wake
 //!   can originate: a communication deadlock (only reachable on a cyclic
 //!   topology that got past the static cycle analysis).  The thread that
@@ -148,9 +147,9 @@ pub enum ExecutionMode {
     /// own is empty), and one dispatch sweeps the island's members in
     /// topological order until it is stuck, finished, or has run `quantum`
     /// reactions per live member.  Channels keep their resolved
-    /// capacities; an island owns the ones on no named medium.  The
-    /// OS-thread footprint is `workers`, whatever the component count;
-    /// parallelism comes from independent islands.
+    /// capacities, as slots the island owns.  The OS-thread footprint is
+    /// `workers`, whatever the component count; parallelism comes from
+    /// independent islands.
     Pool {
         /// Pool size in OS threads (must be nonzero).
         workers: usize,
@@ -1033,7 +1032,6 @@ impl SharedPool {
             feeds,
             reference,
             paced,
-            backend,
             sizing,
             prediction,
             trace,
@@ -1056,7 +1054,6 @@ impl SharedPool {
             feeds,
             reference,
             paced,
-            backend,
             sizing,
             prediction,
             traced: trace.is_some(),
@@ -1244,7 +1241,6 @@ pub struct SubmittedDeployment {
     feeds: BTreeMap<Name, Vec<Value>>,
     reference: Vec<crate::conformance::ReferenceComponent>,
     paced: std::collections::BTreeSet<Name>,
-    backend: &'static str,
     sizing: crate::transport::ChannelSizing,
     prediction: Option<crate::predict::PerformancePrediction>,
     traced: bool,
@@ -1432,7 +1428,6 @@ impl SubmittedDeployment {
             reports,
             channels: self.topology.channels,
             sizing: self.sizing,
-            backend: self.backend,
             mode: ExecutionMode::Pool {
                 workers: self.workers,
                 quantum: self.quantum,

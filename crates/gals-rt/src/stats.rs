@@ -184,10 +184,6 @@ pub struct DeploymentStats {
     /// capacity, the capacity's source and (for derived edges) the
     /// derivation.
     pub edges: Vec<ChannelSpec>,
-    /// The medium that carried the channels:
-    /// [`ISLAND_MEDIUM`](crate::ISLAND_MEDIUM), or the name of the
-    /// transport the deployment named.
-    pub backend: &'static str,
     /// The shape of the pool that ran the components.
     pub mode: ExecutionMode,
     /// Per-worker scheduling counters of the pool (empty for a served
@@ -255,12 +251,11 @@ impl fmt::Display for DeploymentStats {
         writeln!(
             f,
             "deployment of {} component(s), {} channel(s) of capacity {} ({} sizing) \
-             over {} ({}): {} reactions, {} blocked reads, {} tokens in {:?}",
+             on a {}: {} reactions, {} blocked reads, {} tokens in {:?}",
             self.components.len(),
             self.channels,
             self.capacity,
             self.sizing,
-            self.backend,
             self.mode,
             self.total_reactions(),
             self.total_blocked_reads(),
@@ -330,7 +325,6 @@ mod tests {
             capacity: CapacityRange::exactly(1),
             sizing: ChannelSizing::Fixed,
             edges: Vec::new(),
-            backend: "spsc-ring",
             mode: ExecutionMode::Pool {
                 workers: 1,
                 quantum: 32,
@@ -352,7 +346,6 @@ mod tests {
         let text = stats.to_string();
         assert!(text.contains("environment input a exhausted"));
         assert!(text.contains("upstream of x closed"));
-        assert!(text.contains("over spsc-ring"));
         assert!(text.contains("pool of 1 worker(s), quantum 32"));
     }
 

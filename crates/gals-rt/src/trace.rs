@@ -99,15 +99,15 @@ pub enum TraceEvent {
         /// topology edges of this signal, in consumer order — a broadcast
         /// signal has one channel per consumer).
         sink: usize,
-        /// Channel occupancy right after the send, when the transport can
-        /// report it (the SPSC ring can; a custom medium may not).
+        /// Channel occupancy right after the send, when the channel can
+        /// report it (a slot and the SPSC ring can; a link may not).
         occupancy: Option<usize>,
     },
     /// A token was consumed from a channel.
     TokenReceived {
         /// The signal carried by the channel.
         signal: Name,
-        /// Channel occupancy right after the receive, when the transport
+        /// Channel occupancy right after the receive, when the channel
         /// can report it.
         occupancy: Option<usize>,
     },
@@ -463,14 +463,14 @@ pub struct EdgeOccupancy {
     pub tokens_sent: u64,
     /// Tokens the consumer took out of this edge.
     pub tokens_received: u64,
-    /// The highest observed occupancy, when the transport reports one
-    /// (the SPSC ring does; a custom medium may yield `None`).
+    /// The highest observed occupancy, when the channel reports one (a
+    /// slot always does).
     pub high_water: Option<usize>,
 }
 
 impl EdgeOccupancy {
     /// Whether the observed high-water mark stayed within the resolved
-    /// capacity (`None` when the transport reported no occupancy).
+    /// capacity (`None` when the channel reported no occupancy).
     pub fn within_capacity(&self) -> Option<bool> {
         self.high_water.map(|hw| hw <= self.capacity)
     }
@@ -1010,7 +1010,6 @@ mod tests {
             capacity,
             source: CapacitySource::Default,
             derivation: None,
-            backend: "spsc-ring",
         }
     }
 

@@ -1,23 +1,21 @@
-//! The pluggable transport layer of the deployment engine.
+//! Channel endpoints and channel sizing.
 //!
 //! The paper's GALS story deliberately leaves the FIFO medium abstract:
-//! isochrony holds for *any* reliable order-preserving channel.  This
-//! module makes the medium a first-class extension point — a [`Transport`]
-//! mints typed endpoint pairs ([`TokenTx`]/[`TokenRx`]) for each edge of
-//! the derived topology, so the worker loop and the deployment builder
-//! never name a concrete channel type.
+//! isochrony holds over *any* reliable order-preserving channel
+//! (Theorem 1), so the medium of an edge is not a semantic choice, and
+//! no setting picks it.  Each kind of edge has exactly one:
 //!
-//! An edge on no named medium needs no endpoint at all: both of its ends
-//! run in one pool island, which owns it as a plain bounded slot
-//! (`ISLAND_MEDIUM`).  Endpoints carry what crosses threads: an edge on a
-//! medium plugged in through `Deployment::set_transport` (shared memory,
-//! sockets, or the ring itself), a served tenant's ingress and egress,
-//! and a partition's links.  The built-in endpoint medium is
-//! [`crate::ring::RingTransport`], a lock-free fixed-capacity SPSC ring
-//! buffer: every channel is single-producer/single-consumer.
+//! * an edge of the topology joins two components that run in one pool
+//!   island, which owns it as a plain bounded slot (`crate::worker`);
+//! * a staged deployment's ingress and egress cross between the client's
+//!   thread and the pool, so each is an endpoint pair ([`TokenTx`]/
+//!   [`TokenRx`]) of a lock-free SPSC [`ring`](crate::ring::ring);
+//! * a partition's cut edge is an endpoint the deployment did not mint,
+//!   attached with `Deployment::link_input`/`link_output` (`gals-net`'s
+//!   Unix sockets).
 //!
-//! Channel sizing is described by a [`ChannelPolicy`]: a default
-//! capacity, per-signal overrides and installed derived bounds — the
+//! Channel sizing is decided by a crate-private policy: a default
+//! capacity, per-signal overrides and installed derived bounds.  The
 //! per-edge resolution is reported by `Deployment::topology()`.
 //!
 //! **Wakers.**  The pool never blocks inside a step: an island whose
@@ -35,11 +33,10 @@ use signal_lang::{Name, Value};
 
 use crate::capacity::{CapacityAnalysis, DerivedCapacity, UnprimedCycle};
 
-/// A transport could not mint (or connect) an endpoint pair: the socket
-/// path is unreachable, the shared file cannot be created, the peer
-/// refused the handshake.  The in-process ring never fails; a distributed
-/// medium reports its I/O trouble here instead of panicking, and the
-/// deployment surfaces it as `DeployError::Transport`.
+/// A link endpoint could not be established: the socket path is
+/// unreachable, the peer refused the handshake.  The in-process ring
+/// never fails; a cross-process medium reports its I/O trouble here
+/// instead of panicking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransportError {
     /// What went wrong, in the transport's own words.
@@ -192,38 +189,12 @@ pub trait TokenRx: Send {
     }
 }
 
-/// A connected endpoint pair for one edge of the topology.
-pub type Endpoints = (Box<dyn TokenTx>, Box<dyn TokenRx>);
-
-/// A channel factory: mints one connected endpoint pair per topology edge.
-///
-/// Implementations must preserve token order and deliver every token
-/// accepted by [`TokenTx::send`] exactly once — the reliability assumption
-/// under which Theorem 1 (isochrony) transfers to the deployment.  An
-/// implementation spanning processes or hosts makes the deployment a true
-/// distributed GALS system without touching the engine.
-pub trait Transport: Send + Sync {
-    /// A short stable name for reports and topology dumps.
-    fn name(&self) -> &'static str;
-
-    /// Mints a connected endpoint pair with an internal buffer of
-    /// `capacity` tokens (`capacity >= 1`; the deployment rejects 0).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransportError`] when the medium cannot be established —
-    /// the in-process ring never fails, but a distributed transport
-    /// (sockets, shared files) can, and the deployment reports the failure
-    /// as a typed `DeployError::Transport` instead of aborting.
-    fn open(&self, capacity: usize) -> Result<Endpoints, TransportError>;
-}
-
 /// A channel capacity of zero was requested.
 ///
-/// Capacity 0 would be a rendezvous channel: the worker loop publishes a
-/// produced token *before* attempting its next read, so two adjacent
-/// workers would each block in `send` waiting for the other to arrive at
-/// `recv` — a deadlock.  The deployment rejects it up front.
+/// Capacity 0 would be a rendezvous channel, which no channel here can
+/// be: a step never blocks to meet its reader, so a zero-place channel
+/// would refuse every publish and its producer would never get past its
+/// first token — a deadlock.  The deployment rejects it up front.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ZeroCapacity {
     /// The per-signal override that was zero, or `None` for the default
@@ -296,7 +267,7 @@ impl fmt::Display for CapacitySource {
 /// The capacity one edge resolves to under the policy, with its origin
 /// and (for derived edges) the derivation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResolvedCapacity {
+pub(crate) struct ResolvedCapacity {
     /// The number of buffer slots the edge's channel gets.
     pub capacity: usize,
     /// Where the number came from.
@@ -312,7 +283,7 @@ pub struct ResolvedCapacity {
 /// The per-edge resolution (override, derived bound, or default) is
 /// reported by `Deployment::topology()` in each `ChannelSpec`.
 #[derive(Debug, Clone)]
-pub struct ChannelPolicy {
+pub(crate) struct ChannelPolicy {
     sizing: ChannelSizing,
     default_capacity: usize,
     overrides: BTreeMap<Name, usize>,
@@ -377,29 +348,6 @@ impl ChannelPolicy {
         self.default_capacity
     }
 
-    /// The per-signal capacity overrides.
-    pub fn overrides(&self) -> &BTreeMap<Name, usize> {
-        &self.overrides
-    }
-
-    /// The resolved capacity for the channels carrying `signal` under
-    /// [`ChannelSizing::Fixed`] semantics (override, or default) — derived
-    /// bounds are only consulted by [`resolve`](ChannelPolicy::resolve).
-    pub fn capacity_for(&self, signal: &Name) -> usize {
-        self.overrides
-            .get(signal)
-            .copied()
-            .unwrap_or(self.default_capacity)
-    }
-
-    /// Selects how edges are sized: hand-tuned ([`ChannelSizing::Fixed`],
-    /// the default) or from installed derived bounds
-    /// ([`ChannelSizing::Derived`]).
-    pub fn set_sizing(&mut self, sizing: ChannelSizing) -> &mut Self {
-        self.sizing = sizing;
-        self
-    }
-
     /// The sizing mode in effect.
     pub fn sizing(&self) -> ChannelSizing {
         self.sizing
@@ -456,12 +404,6 @@ impl ChannelPolicy {
     }
 }
 
-impl Default for ChannelPolicy {
-    fn default() -> Self {
-        ChannelPolicy::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,9 +414,12 @@ mod tests {
         assert_eq!(policy.default_capacity(), 1);
         policy.set_default_capacity(4).expect("nonzero");
         policy.set_channel_capacity("x", 16).expect("nonzero");
-        assert_eq!(policy.capacity_for(&Name::from("x")), 16);
-        assert_eq!(policy.capacity_for(&Name::from("y")), 4);
-        assert_eq!(policy.overrides().len(), 1);
+        assert_eq!(
+            policy.resolve(&Name::from("x")).expect("fixed").capacity,
+            16
+        );
+        assert_eq!(policy.resolve(&Name::from("y")).expect("fixed").capacity, 4);
+        assert_eq!(policy.overrides.len(), 1);
     }
 
     #[test]
@@ -488,7 +433,7 @@ mod tests {
         assert!(err.to_string().contains('x'));
         // The failed sets left the policy untouched.
         assert_eq!(policy.default_capacity(), 1);
-        assert!(policy.overrides().is_empty());
+        assert!(policy.overrides.is_empty());
     }
 
     #[test]
@@ -530,10 +475,5 @@ mod tests {
             assert_eq!(resolved.capacity, capacity);
             assert_eq!(resolved.source, CapacitySource::Override);
         }
-        // Fixed sizing ignores the derived map entirely.
-        policy.set_sizing(ChannelSizing::Fixed);
-        let z = policy.resolve(&Name::from("z")).expect("default");
-        assert_eq!(z.capacity, policy.default_capacity());
-        assert_eq!(z.source, CapacitySource::Default);
     }
 }

@@ -11,8 +11,8 @@
 //! channels once, at construction, and its hot path keys nothing by
 //! signal name.
 //!
-//! **An island owns its channels.**  An edge between two members of one
-//! island, wired on no named medium, is a [`Slot`]: a plain bounded FIFO
+//! **An island owns its channels.**  Every edge of the topology joins two
+//! members of one island, and it is a [`Slot`]: a plain bounded FIFO
 //! at the edge's resolved capacity with a close flag per side.  The
 //! island keeps its slots beside its members and hands them to each
 //! `drive`, which reads and publishes them by index — no atomics, no
@@ -24,15 +24,13 @@
 //! the consumer drains them before it sees the close, and a finished
 //! consumer closes its slots so the producer's publish reports `Closed`.
 //!
-//! Every other channel end is an *endpoint* of the
-//! [`transport`](crate::transport) API, read with `try_recv` and written
-//! with `try_send`: an edge on a medium the deployment named
-//! (`set_transport`), a served tenant's ingress and egress, and a *link*
-//! — an endpoint the deployment did not mint, such as a partition's cut
-//! edge on a socket.  A medium that moves tokens from its own thread
-//! wakes the island ([`TokenRx::set_waker`]).  The tokens taken from an
-//! incoming link are kept, so the outcome still carries the cut signal as
-//! received.
+//! Every other channel end is an *endpoint* ([`TokenTx`]/[`TokenRx`]),
+//! read with `try_recv` and written with `try_send`: a served tenant's
+//! ingress and egress (SPSC rings), and a *link* — an endpoint the
+//! deployment did not mint, such as a partition's cut edge on a socket.
+//! A medium that moves tokens from its own thread wakes the island
+//! ([`TokenRx::set_waker`]).  The tokens taken from an incoming link are
+//! kept, so the outcome still carries the cut signal as received.
 //!
 //! A refused step is a *suspension*, not a failure: the machine names the
 //! input port its reaction waits on ([`StepFault::NeedInput`]) and may
@@ -126,7 +124,7 @@ impl Slot {
 pub(crate) enum Inbound {
     /// The island's slot of this index.
     Slot(usize),
-    /// An endpoint of a transport or a link.
+    /// An ingress or a link.
     Endpoint(Box<dyn TokenRx>),
 }
 
@@ -134,7 +132,7 @@ pub(crate) enum Inbound {
 pub(crate) enum Outbound {
     /// The island's slot of this index.
     Slot(usize),
-    /// An endpoint of a transport, an egress or a link.
+    /// An egress or a link.
     Endpoint(Box<dyn TokenTx>),
 }
 

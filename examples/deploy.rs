@@ -4,9 +4,9 @@
 //! conformance against the synchronous reference.
 //!
 //! Each stage runs as a compiled step machine, and each channel is a
-//! bounded slot of the island the stages run in, sized individually by a
-//! `ChannelPolicy` — the resolved per-edge capacity and medium are
-//! reported by `topology()`.
+//! bounded slot of the island the stages run in, sized individually (a
+//! default capacity plus per-signal overrides) — the resolved per-edge
+//! capacity is reported by `topology()`.
 //!
 //! Capacities need not be hand-tuned at all: `Design::deploy_derived`
 //! sizes every channel from the clock calculus — the same relations that
@@ -44,8 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Channel topology (policy resolved per edge) ==");
     for spec in &deployment.topology()?.channels {
         println!(
-            "  {} -> {}  signal {:<3} capacity {:>3} ({})  medium {}",
-            spec.producer, spec.consumer, spec.signal, spec.capacity, spec.source, spec.backend
+            "  {} -> {}  signal {:<3} capacity {:>3} ({})",
+            spec.producer, spec.consumer, spec.signal, spec.capacity, spec.source
         );
     }
 

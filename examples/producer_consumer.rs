@@ -44,7 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         pair.rendezvous()
     );
 
-    // Concurrent execution: one thread per component (Section 5).
+    // Concurrent execution: separately deployed components exchanging
+    // the shared signal through a one-place channel (Section 5).
     let outcome = concurrent::run_producer_consumer(producer, consumer, &a, &b);
     println!(
         "concurrent: u = {:?}, shared = {:?}, v = {:?}",

@@ -380,7 +380,7 @@ fn unbounded_edges_are_typed_errors_on_acyclic_topologies_too() {
         deployment.add_machine(Relay::boxed("a", "s0", "s1"));
         deployment.add_machine(Relay::boxed("b", "s1", "s2"));
         deployment.feed("s0", (1..=3).map(Value::Int));
-        deployment.set_sizing(ChannelSizing::Derived);
+        deployment.set_capacity_analysis(&CapacityAnalysis::new());
         deployment
     };
     assert_eq!(

@@ -354,12 +354,12 @@ fn a_traced_pipeline_exports_parseable_chrome_json_within_capacity_bounds() {
         assert!(json.contains("\"thread_name\""));
         assert!(json.contains("stage0"), "component rows labeled");
 
-        // Occupancy witness: the ring reports every edge's high-water
+        // Occupancy witness: a slot reports every edge's high-water
         // mark, and it never exceeds the derived bound.
         let summary = trace.summary();
         assert_eq!(summary.edges.len(), n - 1);
         for edge in &summary.edges {
-            let hw = edge.high_water.expect("the ring reports occupancy");
+            let hw = edge.high_water.expect("a slot reports occupancy");
             assert!(
                 hw <= edge.capacity,
                 "{mode}: edge {} high water {hw} exceeds derived capacity {}",
@@ -568,7 +568,7 @@ proptest! {
     /// The recorder's structural invariants hold on fuzzed verified
     /// pipelines across modes and capacities: merged buffers are
     /// timestamp-monotonic per component, events balance, and every
-    /// high-water mark the ring reports respects the resolved capacity.
+    /// high-water mark the slot reports respects the resolved capacity.
     #[test]
     fn traced_runs_keep_their_invariants(
         n in 1usize..5,

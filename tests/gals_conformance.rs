@@ -8,9 +8,7 @@
 //! a 2-worker work-stealing pool (fewer workers than components for
 //! every multi-component design) with a batched quantum and with a
 //! quantum of 1 — and must observe the same synchronous flows under
-//! each.  The edges of a default deployment are island slots; a few
-//! scenarios name the SPSC ring as their medium, so that endpoints
-//! inside an island keep their coverage.
+//! each.  Every edge is a slot of the island its two ends run in.
 
 mod support;
 
@@ -19,8 +17,8 @@ use std::sync::Arc;
 
 use polychrony::codegen::CompiledRuntime;
 use polychrony::gals_rt::{
-    CapacityRange, DeployError, Deployment, DeploymentOutcome, ExecutionMode, RingTransport,
-    StepFault, StepMachine, StopReason, ISLAND_MEDIUM,
+    CapacityRange, DeployError, Deployment, DeploymentOutcome, ExecutionMode, StepFault,
+    StepMachine, StopReason,
 };
 use polychrony::isochron::{design::chain_of_pairs, library, Design};
 use polychrony::moc::{Name, Value};
@@ -403,69 +401,6 @@ fn derived_capacities_conform_across_modes_and_backends() {
     }
 }
 
-#[test]
-fn a_named_ring_carries_island_edges_with_the_same_flows() {
-    // With `set_transport(RingTransport)` every edge inside an island is a
-    // ring endpoint pair instead of a slot: a pipeline and the primed
-    // feedback loop (no input: it turns until its step budget) must
-    // observe the synchronous flows either way.
-    type Scenario = (Design, Vec<(&'static str, Vec<Value>)>);
-    let scenarios: Vec<Scenario> = vec![
-        (
-            library::buffer_pipeline_design(4).unwrap(),
-            vec![("p0", bools(&[true, false, true, true, false, false]))],
-        ),
-        (library::primed_loop_design().unwrap(), Vec::new()),
-    ];
-    for (design, feeds) in &scenarios {
-        for mode in MODES {
-            let mut outcomes = Vec::new();
-            for ring in [false, true] {
-                let mut deployment = design.deploy_derived().expect("verified design");
-                deployment.set_execution_mode(mode).expect("valid mode");
-                deployment.set_max_steps(40).expect("nonzero");
-                if ring {
-                    deployment.set_transport(Arc::new(RingTransport));
-                }
-                for (signal, values) in feeds {
-                    deployment.feed(*signal, values.iter().copied());
-                }
-                let outcome = deployment.run().expect("the deployment runs");
-                let medium = if ring {
-                    RingTransport::NAME
-                } else {
-                    ISLAND_MEDIUM
-                };
-                let stats = outcome.stats();
-                assert_eq!(stats.backend, medium);
-                assert!(stats.edges.iter().all(|edge| edge.backend == medium));
-                if feeds.is_empty() {
-                    // The loop's flows are a prefix cut by the budget, so
-                    // the two media are compared with each other below.
-                    for component in &stats.components {
-                        assert_eq!(component.stop, StopReason::StepLimit, "{component}");
-                        assert_eq!(component.reactions, 40, "{component}");
-                    }
-                } else {
-                    let report = outcome.check_conformance().expect("reference registered");
-                    assert!(
-                        report.is_isochronous(),
-                        "{} ({mode}, {medium}): {report}",
-                        design.name()
-                    );
-                }
-                outcomes.push(outcome);
-            }
-            assert_eq!(
-                outcomes[0].flows(),
-                outcomes[1].flows(),
-                "{} ({mode}): the ring and the slots observed different flows",
-                design.name()
-            );
-        }
-    }
-}
-
 /// A compiled machine that counts the steps refused on it, forwarding
 /// everything else, its demand included.
 struct CountingRefusals {
@@ -530,7 +465,6 @@ fn a_compiled_pipe8_token_pays_no_refused_step_in_its_island() {
     assert_eq!(outcome.flow("p8"), stream.as_slice());
     let stats = outcome.stats();
     assert_eq!(stats.edges.len(), 7);
-    assert!(stats.edges.iter().all(|edge| edge.backend == ISLAND_MEDIUM));
     assert_eq!(stats.total_reactions(), 16 * TOKENS as u64);
     let refused = refusals.load(Ordering::Relaxed);
     assert!(

@@ -1,9 +1,9 @@
-//! Cross-process GALS: the wire protocol, the partitioner and the
-//! socket/shared-file transports of `gals-net`.
+//! Cross-process GALS: the wire protocol, the partitioner and the socket
+//! endpoints of `gals-net`.
 //!
 //! The contract under test is Theorem 1's medium-independence made
 //! executable: frames survive arbitrary re-chunking of the byte stream,
-//! every transport observes the ring's close-then-drain semantics, a cut
+//! the socket observes the ring's close-then-drain semantics, a cut
 //! edge's flow-control window is exactly the derived capacity bound, a
 //! partitioned run conforms to the synchronous reference of the whole
 //! design, every partition runs on the pool with its cut edges linked
@@ -23,11 +23,10 @@ use std::time::Duration;
 use polychrony::gals_net::runner::run_partition;
 use polychrony::gals_net::{
     merge_flows, merged_conformance, plan, plan_with_overrides, Frame, FrameReader, MergedStats,
-    NetReceiver, NetSender, NetTransport, RetryPolicy, ShmTransport, UdsLinks,
+    NetReceiver, NetSender, RetryPolicy, UdsLinks,
 };
-use polychrony::gals_rt::{
-    RingTransport, StopReason, TokenRx, TokenTx, Transport, TryRecvError, TrySendError,
-};
+use polychrony::gals_rt::ring::ring;
+use polychrony::gals_rt::{StopReason, TokenRx, TokenTx, TryRecvError, TrySendError};
 use polychrony::isochron::library;
 use polychrony::moc::{Name, Value};
 use proptest::prelude::*;
@@ -104,39 +103,43 @@ proptest! {
     }
 }
 
-/// Every transport — the in-process ring, the shared-file ring and the
-/// socket speaking the wire protocol — observes the same close-then-drain
-/// sequence: buffered tokens survive the producer's close, and only the
-/// drained buffer reports the channel closed.
+/// Both endpoint media — the in-process SPSC ring and the socket speaking
+/// the wire protocol — observe the same close-then-drain sequence:
+/// buffered tokens survive the producer's close, and only the drained
+/// buffer reports the channel closed.
 #[test]
 fn every_transport_observes_close_then_drain() {
-    let transports: Vec<Box<dyn Transport>> = vec![
-        Box::new(RingTransport),
-        Box::new(ShmTransport::new().expect("temp dir")),
-        Box::new(NetTransport::new().expect("temp dir")),
-    ];
-    for transport in transports {
-        let name = transport.name();
-        let (tx, rx) = transport.open(4).expect("pair opens");
-        for i in 0..3 {
-            tx.send(Value::Int(i)).expect("receiver alive");
-        }
-        drop(tx);
-        let mut observed = Vec::new();
-        while let Ok(value) = rx.recv() {
-            observed.push(value);
-        }
-        assert_eq!(
-            observed,
-            (0..3).map(Value::Int).collect::<Vec<_>>(),
-            "{name}: buffered tokens must survive the close"
-        );
-        assert_eq!(
-            rx.try_recv(),
-            Err(TryRecvError::Closed),
-            "{name}: a drained closed channel stays closed"
-        );
+    let (tx, rx) = ring(4);
+    assert_close_then_drain("ring", tx, &rx);
+    let dir = temp_dir("drain");
+    let path = dir.join("x.sock");
+    let rx = NetReceiver::bind(&path, "x", 4).expect("binds");
+    let tx = NetSender::connect(&path, "x", 4, RetryPolicy::default()).expect("dials");
+    assert_close_then_drain("socket", tx, &rx);
+    drop(rx);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sends three tokens, closes the sender and drains the receiver.
+fn assert_close_then_drain(medium: &str, tx: impl TokenTx, rx: &impl TokenRx) {
+    for i in 0..3 {
+        tx.send(Value::Int(i)).expect("receiver alive");
     }
+    drop(tx);
+    let mut observed = Vec::new();
+    while let Ok(value) = rx.recv() {
+        observed.push(value);
+    }
+    assert_eq!(
+        observed,
+        (0..3).map(Value::Int).collect::<Vec<_>>(),
+        "{medium}: buffered tokens must survive the close"
+    );
+    assert_eq!(
+        rx.try_recv(),
+        Err(TryRecvError::Closed),
+        "{medium}: a drained closed channel stays closed"
+    );
 }
 
 /// The flow-control window of every cut edge is exactly the capacity
