@@ -1,8 +1,9 @@
 //! E13 — GALS deployment throughput, three experiments:
 //!
 //! 1. **Capacity** (verified designs): reactions/sec of a deployed buffer
-//!    pipeline at 1, 2, 4 and 8 components and channel capacities 1, 16
-//!    and 256.  Deeper pipelines add stages to the island, and wider
+//!    pipeline at 1, 2, 4 and 8 components and hand-picked channel
+//!    capacities 1, 16 and 256 (`Design::deploy_unchecked` +
+//!    `set_capacity`).  Deeper pipelines add stages to the island, and wider
 //!    channels trade memory for fewer stalled hand-offs — most visible at
 //!    capacity 1, where every token crosses a full rendez-vous.
 //!
@@ -20,11 +21,11 @@
 //!
 //! 3. **Derived vs hand-tuned capacities** (verified designs): the same
 //!    buffer pipeline with its channel capacities derived from the clock
-//!    calculus (`ChannelSizing::Derived` — the paper's one-place bound on
-//!    every edge) against hand-tuned capacities 1 and 16.  Derived sizing
-//!    must match capacity 1 (it *is* 1 on these edges, now proven instead
-//!    of guessed); capacity 16 shows what the extra slack buys — memory
-//!    traded against blocking hand-offs, no conformance difference.
+//!    calculus (`Design::deploy_derived` — the paper's one-place bound on
+//!    every edge) against hand-tuned capacities 1 and 16.  The derived
+//!    bounds must match capacity 1 (they *are* 1 on these edges, proven
+//!    instead of guessed); capacity 16 shows what the extra slack buys —
+//!    memory traded against blocking hand-offs, no conformance difference.
 //!
 //! These are criterion timings for quick comparisons.  The repository's
 //! performance record — medians, spreads, per-layer probes and run
@@ -180,7 +181,7 @@ fn bench_capacity(c: &mut Criterion) {
                 &capacity,
                 |bencher, &capacity| {
                     bencher.iter(|| {
-                        let mut deployment = design.deploy().expect("the pipeline is verified");
+                        let mut deployment = design.deploy_unchecked();
                         deployment.set_capacity(capacity).expect("nonzero");
                         deployment.feed("p0", stream.iter().copied());
                         let outcome = deployment.run().expect("the deployment runs");
@@ -248,39 +249,29 @@ fn bench_derived_sizing(c: &mut Criterion) {
     group.sample_size(10);
     for components in [2usize, 4, 8] {
         let design = library::buffer_pipeline_design(components).expect("the pipeline composes");
-        // Derive once, outside the measurement: the BDD work is a
-        // per-design compile-time cost, not a per-run one.
+        // Derive once, outside the measurement: the BDD work and the
+        // prediction are per-design compile-time costs, not per-run ones.
         let analysis = design.capacity_analysis().expect("verified design");
         assert!(analysis.is_fully_bounded(), "{analysis}");
-        type Sizing = Box<dyn Fn(&mut gals_rt::Deployment)>;
-        let sizings: [(&str, Sizing); 3] = [
-            ("derived", {
-                let analysis = analysis.clone();
-                Box::new(move |d: &mut gals_rt::Deployment| {
-                    d.set_capacity_analysis(&analysis);
-                })
-            }),
-            (
-                "tuned1",
-                Box::new(|d: &mut gals_rt::Deployment| {
-                    d.set_capacity(1).expect("nonzero");
-                }),
-            ),
-            (
-                "tuned16",
-                Box::new(|d: &mut gals_rt::Deployment| {
-                    d.set_capacity(16).expect("nonzero");
-                }),
-            ),
-        ];
-        for (label, sizing) in &sizings {
+        design.performance_prediction().expect("verified design");
+        for (label, capacity) in [
+            ("derived", None),
+            ("tuned1", Some(1)),
+            ("tuned16", Some(16)),
+        ] {
             group.bench_with_input(
                 BenchmarkId::new(format!("n{components}"), label),
-                label,
-                |bencher, _| {
+                &capacity,
+                |bencher, &capacity| {
                     bencher.iter(|| {
-                        let mut deployment = design.deploy().expect("the pipeline is verified");
-                        sizing(&mut deployment);
+                        let mut deployment = match capacity {
+                            None => design.deploy_derived().expect("the pipeline is verified"),
+                            Some(capacity) => {
+                                let mut deployment = design.deploy_unchecked();
+                                deployment.set_capacity(capacity).expect("nonzero");
+                                deployment
+                            }
+                        };
                         deployment.feed("p0", stream.iter().copied());
                         let outcome = deployment.run().expect("the deployment runs");
                         outcome.stats().total_reactions()

@@ -1,6 +1,6 @@
 //! The design API implementing Definition 12 and Theorem 1.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -399,57 +399,55 @@ impl Design {
         }
     }
 
-    /// Assembles the multi-threaded GALS deployment of the design —
-    /// Theorem 1 operationalized: each component's generated step program,
-    /// compiled to a slot-indexed [`codegen::CompiledRuntime`], runs on
-    /// its own OS thread, connected by bounded channels derived from the
-    /// shared signals, and the synchronous reference of every component is
-    /// registered so the outcome can check dynamic isochrony conformance
+    /// Assembles the deployment of the design without checking the static
+    /// criterion and without derived capacities: each component's
+    /// generated step program, compiled to a slot-indexed
+    /// [`codegen::CompiledRuntime`], with its synchronous reference
+    /// registered, so the outcome can check dynamic isochrony conformance
     /// ([`gals_rt::DeploymentOutcome::check_conformance`]).
     ///
-    /// # Errors
-    ///
-    /// Returns [`DesignError::NotVerified`] when the design fails the
-    /// static weak-hierarchy criterion: nothing guarantees the flows of an
-    /// unverified deployment, so it must be requested explicitly with
-    /// [`deploy_unchecked`](Design::deploy_unchecked).
-    pub fn deploy(&self) -> Result<Deployment, DesignError> {
-        if !self.is_weakly_hierarchic() {
-            return Err(DesignError::NotVerified(self.name.clone()));
-        }
-        Ok(self.deploy_unchecked())
-    }
-
-    /// Assembles the deployment without checking the static criterion —
-    /// for experiments that *want* to observe a non-isochronous design
-    /// diverge (the conformance checker reports the divergence instead of
-    /// silently accepting it).
+    /// Every channel takes the default capacity or a per-signal override
+    /// ([`Deployment::set_capacity`], [`Deployment::set_channel_capacity`]):
+    /// this is the path to hand-picked capacities, and to experiments that
+    /// *want* to observe a non-isochronous design diverge (the conformance
+    /// checker reports the divergence instead of silently accepting it).
+    /// A communication cycle is refused, since nothing bounds its edges;
+    /// [`deploy_derived`](Design::deploy_derived) is the verified path.
     pub fn deploy_unchecked(&self) -> Deployment {
-        // Paced marks only make sense on environment inputs (signals no
-        // component produces): a channel-fed input is paced by its
-        // producer, and the deployment rejects paced marks on it.
-        let produced: std::collections::BTreeSet<&Name> = self
-            .components
-            .iter()
-            .flat_map(|c| c.program().outputs.iter())
-            .collect();
         let mut deployment = Deployment::new();
+        for signal in self.paced_inputs() {
+            deployment.mark_paced(signal);
+        }
         for component in &self.components {
-            let program = component.program();
-            // Environment inputs present at every activation of the step
-            // function pace their component: the synchronous reference
-            // must present them at every attempted reaction too.
-            for input in &program.inputs {
-                if matches!(program.clock_of(input.as_str()), Some(ClockCode::Always))
-                    && !produced.contains(input)
-                {
-                    deployment.mark_paced(input.clone());
-                }
-            }
             deployment.add_reference(component.reference());
             deployment.add_machine(Box::new(component.compiled_runtime()));
         }
         deployment
+    }
+
+    /// The environment inputs that pace the synchronous reference.  An
+    /// input read at every activation of its component's step function
+    /// paces that component, so the reference must present it at every
+    /// attempted reaction too.  Only an input no component of the design
+    /// produces qualifies: a channel-fed input is paced by its producer.
+    pub fn paced_inputs(&self) -> BTreeSet<Name> {
+        let produced: BTreeSet<&Name> = self
+            .components
+            .iter()
+            .flat_map(|c| c.kernel().outputs())
+            .collect();
+        let mut paced = BTreeSet::new();
+        for component in &self.components {
+            let program = component.program();
+            for input in &program.inputs {
+                if matches!(program.clock_of(input.as_str()), Some(ClockCode::Always))
+                    && !produced.contains(input)
+                {
+                    paced.insert(input.clone());
+                }
+            }
+        }
+        paced
     }
 
     /// The clock expressions governing every channel signal of the
@@ -534,10 +532,11 @@ impl Design {
     }
 
     fn derive_prediction(&self) -> Result<PerformancePrediction, DeployError> {
-        // Resolve the topology under derived sizing when the analysis
-        // succeeds, so the per-edge capacities in the prediction are the
-        // ones a `deploy_derived` run will actually wire; designs the
-        // calculus cannot fully bound fall back to the default policy.
+        // Resolve the topology with the derived bounds installed when the
+        // analysis succeeds, so the per-edge capacities in the prediction
+        // are the ones a `deploy_derived` run will actually wire; designs
+        // the calculus cannot fully bound fall back to the default
+        // capacity.
         let mut deployment = self.deploy_unchecked();
         if let Ok(analysis) = self.capacity() {
             if analysis.is_fully_bounded() {
@@ -573,9 +572,8 @@ impl Design {
     /// Derives a channel capacity bound for every edge of the design's
     /// deployment topology from the clock calculus — the FIFO-sizing half
     /// of the paper's claim that verification makes deployment safe by
-    /// construction.  Install the result with
-    /// [`Deployment::set_capacity_analysis`] or use
-    /// [`deploy_derived`](Design::deploy_derived) directly.
+    /// construction.  [`deploy_derived`](Design::deploy_derived) installs
+    /// it.
     ///
     /// # Errors
     ///
@@ -627,45 +625,31 @@ impl Design {
     /// channel capacities: every edge's FIFO gets the bound the clock
     /// calculus proves sufficient ([`capacity_analysis`](Design::capacity_analysis)),
     /// instead of a hand-tuned default — the last hand-tuned knob of the
-    /// runtime turned into an artifact of the verification.
+    /// runtime turned into an artifact of the verification.  The static
+    /// [`performance_prediction`](Design::performance_prediction) is
+    /// installed too, so the run's stats (or, once staged with
+    /// [`Deployment::stage`], a served tenant's) report it next to the
+    /// measured counters.
+    ///
+    /// Each call instantiates fresh machines; the capacity analysis, the
+    /// prediction and the step programs are derived once per design and
+    /// shared by every deployment — a design is immutable, so they never
+    /// go stale.
     ///
     /// # Errors
     ///
     /// Returns [`DesignError::NotVerified`] when the design fails the
-    /// static weak-hierarchy criterion.
+    /// static weak-hierarchy criterion, and [`DesignError::Deploy`] when
+    /// the capacity analysis refuses the design (an unprimed feedback
+    /// loop).
     pub fn deploy_derived(&self) -> Result<Deployment, DesignError> {
-        let mut deployment = self.deploy()?;
         let analysis = self.capacity().as_ref().map_err(Clone::clone)?;
+        let mut deployment = self.deploy_unchecked();
         deployment.set_capacity_analysis(analysis);
-        Ok(deployment)
-    }
-
-    /// Stages the verified design for submission to a shared serving pool
-    /// ([`gals_rt::SharedPool::submit`]): the deployment is assembled with
-    /// derived channel capacities and the static performance prediction
-    /// pre-installed, then wired into a [`gals_rt::StagedDeployment`] —
-    /// machines instantiated, internal channels connected, environment
-    /// inputs exposed as streaming ingress and external outputs as egress.
-    /// This is the entry point `gals-serve` admission prices: the staged
-    /// deployment carries the same capacity-and-prediction artifacts the
-    /// batch [`deploy_derived`](Design::deploy_derived) run would report.
-    ///
-    /// Each call instantiates fresh machines and channels, and nothing
-    /// else: the capacity analysis, the prediction and the step programs
-    /// are derived once per design and shared by every staging; a design
-    /// is immutable, so they never go stale.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DesignError::NotVerified`] when the design fails the
-    /// static weak-hierarchy criterion, and propagates topology errors
-    /// from the wiring step.
-    pub fn stage_derived(&self) -> Result<gals_rt::StagedDeployment, DesignError> {
-        let mut deployment = self.deploy_derived()?;
         if let Ok(prediction) = self.prediction() {
             deployment.set_prediction(prediction.clone());
         }
-        Ok(deployment.stage()?)
+        Ok(deployment)
     }
 
     /// Composes this design with another component, re-checking the static
@@ -861,10 +845,10 @@ mod tests {
     }
 
     #[test]
-    fn a_verified_design_deploys_on_threads_and_conforms() {
+    fn a_verified_design_conforms_at_a_hand_picked_capacity() {
         let design =
             Design::compose("main", [stdlib::producer(), stdlib::consumer()]).expect("builds");
-        let mut deployment = design.deploy().expect("the design is verified");
+        let mut deployment = design.deploy_unchecked();
         deployment.set_capacity(4).expect("nonzero");
         deployment.feed("a", [true, false, true, false, true]);
         deployment.feed("b", [false, true, false, true, false]);
@@ -891,7 +875,7 @@ mod tests {
             .unwrap();
         let design = Design::compose("bad", [loose, stdlib::filter()]).expect("builds");
         assert!(matches!(
-            design.deploy(),
+            design.deploy_derived(),
             Err(DesignError::NotVerified(ref n)) if n == "bad"
         ));
         // The unchecked path still assembles a deployment for divergence
@@ -934,7 +918,10 @@ mod tests {
         deployment.feed("a", [true, false, true, false, true]);
         deployment.feed("b", [false, true, false, true, false]);
         let outcome = deployment.run().expect("runs");
-        assert_eq!(outcome.stats().sizing, gals_rt::ChannelSizing::Derived);
+        assert_eq!(
+            outcome.stats().prediction.as_ref(),
+            Some(&design.performance_prediction().expect("predicted"))
+        );
         let report = outcome.check_conformance().expect("reference registered");
         assert!(report.is_isochronous(), "{report}");
     }
@@ -1022,6 +1009,36 @@ mod tests {
                     "{capacity:?}"
                 ),
                 _ => assert!(capacity.is_ok(), "{name}: {capacity:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn program_and_kernel_outputs_agree_on_every_library_design() {
+        // The paced rule (`paced_inputs`) reads each component's inputs
+        // from its step program but the produced set from the kernels;
+        // a step program's outputs must be its kernel's outputs.
+        use crate::library;
+        for design in [
+            library::producer_consumer_design().unwrap(),
+            library::filter_merge_design().unwrap(),
+            library::ltta_design().unwrap(),
+            library::buffer_design().unwrap(),
+            library::buffer_pipeline_design(3).unwrap(),
+            library::multirate_design().unwrap(),
+            library::primed_loop_design().unwrap(),
+            library::unprimed_loop_design().unwrap(),
+        ] {
+            for component in design.components() {
+                let from_program: BTreeSet<&Name> = component.program().outputs.iter().collect();
+                let from_kernel: BTreeSet<&Name> = component.kernel().outputs().collect();
+                assert_eq!(
+                    from_program,
+                    from_kernel,
+                    "{}: {}",
+                    design.name(),
+                    component.name()
+                );
             }
         }
     }

@@ -39,8 +39,8 @@ pub mod wire;
 
 pub use net::{NetReceiver, NetSender, RetryPolicy};
 pub use partition::{
-    merge_flows, merged_conformance, plan, plan_with_overrides, CutEdge, LinkFactory,
-    PartitionError, PartitionPlan,
+    merge_flows, merged_conformance, plan, plan_with_overrides, CutEdge, PartitionError,
+    PartitionPlan,
 };
 pub use runner::{run_partition, MergedStats, PartitionReport, UdsLinks};
 pub use wire::{Frame, FrameReader, PROTOCOL_VERSION};
@@ -112,11 +112,5 @@ impl std::error::Error for NetError {}
 impl From<std::io::Error> for NetError {
     fn from(err: std::io::Error) -> Self {
         NetError::Io(err.to_string())
-    }
-}
-
-impl From<NetError> for gals_rt::TransportError {
-    fn from(err: NetError) -> Self {
-        gals_rt::TransportError::new(err.to_string())
     }
 }

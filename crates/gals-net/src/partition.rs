@@ -34,12 +34,14 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use gals_rt::{
-    replay_reference, CapacityAnalysis, ConformanceReport, Deployment, TokenRx, TokenTx,
-    TransportError,
+    replay_budget, replay_reference, CapacityAnalysis, ConformanceReport, DeployError, Deployment,
 };
 use isochron::Design;
 use signal_lang::{Name, Value};
 use sim::Flows;
+
+use crate::runner::UdsLinks;
+use crate::NetError;
 
 /// An error raised while planning or assembling a partitioned deployment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,14 +99,14 @@ impl fmt::Display for PartitionError {
 
 impl std::error::Error for PartitionError {}
 
-impl From<TransportError> for PartitionError {
-    fn from(err: TransportError) -> Self {
+impl From<NetError> for PartitionError {
+    fn from(err: NetError) -> Self {
         PartitionError::Transport(err.to_string())
     }
 }
 
-impl From<gals_rt::DeployError> for PartitionError {
-    fn from(err: gals_rt::DeployError) -> Self {
+impl From<DeployError> for PartitionError {
+    fn from(err: DeployError) -> Self {
         PartitionError::Deploy(err.to_string())
     }
 }
@@ -130,32 +132,6 @@ pub struct CutEdge {
     pub provenance: String,
 }
 
-/// Mints the two halves of a cross-process link for a cut edge.  The
-/// [`crate::runner::UdsLinks`] implementation binds/dials Unix domain
-/// sockets; tests can substitute in-process media.
-///
-/// A partition runs on the pool, which never blocks on a link: it polls
-/// with `try_recv`/`try_send` and parks the island when the link is empty
-/// or its window spent.  So a link medium must call the waker each
-/// endpoint is handed ([`TokenRx::set_waker`], [`TokenTx::set_waker`])
-/// whenever it queues a token, closes, faults or returns credit, or the
-/// island waits forever.
-pub trait LinkFactory {
-    /// The producing half of the edge's link (dials, in socket terms).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TransportError`] when the link cannot be established.
-    fn sender(&self, edge: &CutEdge) -> Result<Box<dyn TokenTx>, TransportError>;
-
-    /// The consuming half of the edge's link (binds, in socket terms).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TransportError`] when the link cannot be established.
-    fn receiver(&self, edge: &CutEdge) -> Result<Box<dyn TokenRx>, TransportError>;
-}
-
 /// How a verified design splits across processes: the assignment, the
 /// cut edges with their windows, and the capacity analysis the partition
 /// deployments re-use for their local channels.
@@ -178,6 +154,7 @@ pub struct PartitionPlan {
 /// [`PartitionError::BadAssignment`] for a malformed assignment,
 /// [`PartitionError::UnboundedEdge`] when a cut edge has no derived
 /// bound, [`PartitionError::Analysis`] when the capacity analysis fails.
+/// Every derived bound is at least 1, so no derived window is zero.
 pub fn plan(design: &Design, assignment: &[usize]) -> Result<PartitionPlan, PartitionError> {
     plan_with_overrides(design, assignment, &BTreeMap::new())
 }
@@ -188,7 +165,10 @@ pub fn plan(design: &Design, assignment: &[usize]) -> Result<PartitionPlan, Part
 ///
 /// # Errors
 ///
-/// As [`plan`]; an edge covered by an override cannot be unbounded.
+/// As [`plan`]; an edge covered by an override cannot be unbounded.  An
+/// override of 0 is [`PartitionError::Deploy`] carrying
+/// [`DeployError::ZeroCapacity`], the refusal of an in-process zero
+/// capacity: no token could ever cross a zero window.
 pub fn plan_with_overrides(
     design: &Design,
     assignment: &[usize],
@@ -212,6 +192,9 @@ pub fn plan_with_overrides(
                 "process {p} owns no component"
             )));
         }
+    }
+    if let Some((signal, _)) = overrides.iter().find(|&(_, &window)| window == 0) {
+        return Err(DeployError::ZeroCapacity(Some(signal.clone())).into());
     }
     let analysis = design
         .capacity_analysis()
@@ -248,30 +231,14 @@ pub fn plan_with_overrides(
             });
         }
     }
-    // Global paced marks: environment inputs present at every activation
-    // of their component pace the synchronous reference (the rule of
-    // `Design::deploy_unchecked`, computed over the *whole* design so a
-    // cut signal — produced by a remote component — is never paced).
-    let produced: BTreeSet<Name> = producer_of.keys().cloned().collect();
-    let mut paced = BTreeSet::new();
-    for component in components {
-        let program = component.step_program();
-        for input in &program.inputs {
-            if matches!(
-                program.clock_of(input.as_str()),
-                Some(codegen::ClockCode::Always)
-            ) && !produced.contains(input)
-            {
-                paced.insert(input.clone());
-            }
-        }
-    }
     Ok(PartitionPlan {
         processes,
         assignment: assignment.to_vec(),
         cuts,
         analysis,
-        paced,
+        // Over the *whole* design, so a cut signal — produced by a remote
+        // component — is never paced.
+        paced: design.paced_inputs(),
     })
 }
 
@@ -338,7 +305,7 @@ impl PartitionPlan {
         &self,
         design: &Design,
         process: usize,
-        links: &dyn LinkFactory,
+        links: &UdsLinks,
     ) -> Result<Deployment, PartitionError> {
         if process >= self.processes {
             return Err(PartitionError::BadAssignment(format!(
@@ -372,10 +339,10 @@ impl PartitionPlan {
                 .iter()
                 .filter(|&&p| p == process)
                 .count();
-            deployment.link_input(machine, cut.signal.clone(), rx);
+            deployment.link_input(machine, cut.signal.clone(), Box::new(rx));
         }
         for cut in self.cuts.iter().filter(|c| c.producer == process) {
-            deployment.link_output(cut.signal.clone(), links.sender(cut)?);
+            deployment.link_output(cut.signal.clone(), Box::new(links.sender(cut)?));
         }
         Ok(deployment)
     }
@@ -433,26 +400,7 @@ pub fn merged_conformance(
     merged: &Flows,
 ) -> ConformanceReport {
     let components: Vec<_> = design.components().iter().map(|c| c.reference()).collect();
-    let produced: BTreeSet<Name> = design
-        .components()
-        .iter()
-        .flat_map(|c| c.kernel().outputs().cloned())
-        .collect();
-    let mut paced = BTreeSet::new();
-    for component in design.components() {
-        let program = component.step_program();
-        for input in &program.inputs {
-            if matches!(
-                program.clock_of(input.as_str()),
-                Some(codegen::ClockCode::Always)
-            ) && !produced.contains(input)
-            {
-                paced.insert(input.clone());
-            }
-        }
-    }
-    let tokens: usize = feeds.values().map(Vec::len).sum();
-    let budget = (tokens + 16) * 16 * components.len().max(1);
-    let reference = replay_reference(&components, feeds, &paced, budget);
+    let budget = replay_budget(feeds, components.len());
+    let reference = replay_reference(&components, feeds, &design.paced_inputs(), budget);
     ConformanceReport::compare(reference, merged)
 }

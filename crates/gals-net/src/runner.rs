@@ -22,20 +22,23 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-use gals_rt::{TokenRx, TokenTx, TransportError};
 use isochron::Design;
 use signal_lang::{Name, Value};
 use sim::Flows;
 
 use crate::net::{NetReceiver, NetSender, RetryPolicy};
-use crate::partition::{CutEdge, LinkFactory, PartitionError, PartitionPlan};
+use crate::partition::{CutEdge, PartitionError, PartitionPlan};
+use crate::NetError;
 
-/// A [`LinkFactory`] wiring every cut edge through a Unix domain socket
-/// in a shared directory: the consumer binds
+/// The links of a partitioned run: every cut edge goes through a Unix
+/// domain socket in a shared directory.  The consumer binds
 /// `<dir>/<signal>-<p>to<c>-<reader>.sock`, the producer dials it, and
-/// the link's flow-control window is the edge's derived bound.  Its
-/// endpoints wake the partition's island from their socket threads, as a
-/// link must.
+/// the link's flow-control window is the edge's derived bound.
+///
+/// A partition runs on the pool, which never blocks on a link: it polls
+/// with `try_recv`/`try_send` and parks the island when the link is empty
+/// or its window spent.  The endpoints wake the island from their socket
+/// threads whenever a token, a close, a fault or credit arrives.
 pub struct UdsLinks {
     dir: PathBuf,
     retry: RetryPolicy,
@@ -65,21 +68,25 @@ impl UdsLinks {
             edge.signal, edge.producer, edge.consumer, edge.reader
         ))
     }
-}
 
-impl LinkFactory for UdsLinks {
-    fn sender(&self, edge: &CutEdge) -> Result<Box<dyn TokenTx>, TransportError> {
+    /// The producing half of a cut edge's link: dials its socket.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`NetError`] when the link cannot be established.
+    pub fn sender(&self, edge: &CutEdge) -> Result<NetSender, NetError> {
         let path = self.socket_path(edge);
-        let tx = NetSender::connect(&path, edge.signal.as_str(), edge.window as u64, self.retry)
-            .map_err(TransportError::from)?;
-        Ok(Box::new(tx))
+        NetSender::connect(&path, edge.signal.as_str(), edge.window as u64, self.retry)
     }
 
-    fn receiver(&self, edge: &CutEdge) -> Result<Box<dyn TokenRx>, TransportError> {
+    /// The consuming half of a cut edge's link: binds its socket.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`NetError`] when the link cannot be established.
+    pub fn receiver(&self, edge: &CutEdge) -> Result<NetReceiver, NetError> {
         let path = self.socket_path(edge);
-        let rx = NetReceiver::bind(&path, edge.signal.as_str(), edge.window as u64)
-            .map_err(TransportError::from)?;
-        Ok(Box::new(rx))
+        NetReceiver::bind(&path, edge.signal.as_str(), edge.window as u64)
     }
 }
 
@@ -234,7 +241,7 @@ pub fn run_partition(
     design: &Design,
     plan: &PartitionPlan,
     process: usize,
-    links: &dyn LinkFactory,
+    links: &UdsLinks,
     feeds: &BTreeMap<Name, Vec<Value>>,
 ) -> Result<PartitionReport, PartitionError> {
     let mut deployment = plan.deployment(design, process, links)?;

@@ -14,10 +14,10 @@
 //! composition, and records one [`DerivedCapacity`] per boundable edge —
 //! bound plus provenance — or the reason a bound could not be derived.
 //!
-//! The result is installed on a deployment through
-//! [`ChannelSizing::Derived`](crate::transport::ChannelSizing): edges then
-//! get their derived bound as capacity (explicit per-signal overrides
-//! still win), and an edge with neither is a typed
+//! The result is installed on a deployment with
+//! [`Deployment::set_capacity_analysis`](crate::Deployment::set_capacity_analysis):
+//! edges then get their derived bound as capacity (explicit per-signal
+//! overrides still win), and an edge with neither is a typed
 //! [`DeployError::UnboundedEdge`](crate::DeployError) instead of a silent
 //! default.
 

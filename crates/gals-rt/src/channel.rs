@@ -1,4 +1,4 @@
-//! Channel endpoints and channel sizing.
+//! Channel endpoints, channel errors and the capacity policy.
 //!
 //! The paper's GALS story deliberately leaves the FIFO medium abstract:
 //! isochrony holds over *any* reliable order-preserving channel
@@ -14,9 +14,11 @@
 //!   attached with `Deployment::link_input`/`link_output` (`gals-net`'s
 //!   Unix sockets).
 //!
-//! Channel sizing is decided by a crate-private policy: a default
-//! capacity, per-signal overrides and installed derived bounds.  The
-//! per-edge resolution is reported by `Deployment::topology()`.
+//! Capacities follow one rule, kept by a crate-private policy: an edge
+//! takes its per-signal override, else the derived bound of an installed
+//! [`CapacityAnalysis`], else — only when no analysis is installed — the
+//! default capacity.  The per-edge resolution, with its
+//! [`CapacitySource`], is reported by `Deployment::topology()`.
 //!
 //! **Wakers.**  The pool never blocks inside a step: an island whose
 //! edges are empty or full parks until something moves them.  Before it
@@ -32,33 +34,6 @@ use std::task::Waker;
 use signal_lang::{Name, Value};
 
 use crate::capacity::{CapacityAnalysis, DerivedCapacity, UnprimedCycle};
-
-/// A link endpoint could not be established: the socket path is
-/// unreachable, the peer refused the handshake.  The in-process ring
-/// never fails; a cross-process medium reports its I/O trouble here
-/// instead of panicking.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TransportError {
-    /// What went wrong, in the transport's own words.
-    pub message: String,
-}
-
-impl TransportError {
-    /// Wraps a failure description.
-    pub fn new(message: impl Into<String>) -> Self {
-        TransportError {
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for TransportError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "transport failure: {}", self.message)
-    }
-}
-
-impl std::error::Error for TransportError {}
 
 /// The peer endpoint of a channel is gone: a send can never be delivered,
 /// or a receive can never be satisfied (the buffer is drained and the
@@ -221,28 +196,6 @@ impl fmt::Display for ZeroCapacity {
 
 impl std::error::Error for ZeroCapacity {}
 
-/// Where the capacities of a deployment's channels come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChannelSizing {
-    /// Hand-tuned: the policy default, with per-signal overrides (the
-    /// historic behavior, and still the default).
-    #[default]
-    Fixed,
-    /// Derived from the clock calculus: every edge takes the bound of an
-    /// installed [`CapacityAnalysis`] (explicit overrides still win); an
-    /// edge with neither is a typed error instead of a silent default.
-    Derived,
-}
-
-impl fmt::Display for ChannelSizing {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ChannelSizing::Fixed => write!(f, "fixed"),
-            ChannelSizing::Derived => write!(f, "derived"),
-        }
-    }
-}
-
 /// How one edge's capacity was decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CapacitySource {
@@ -276,19 +229,17 @@ pub(crate) struct ResolvedCapacity {
     pub derivation: Option<String>,
 }
 
-/// How the channels of a deployment are sized: a sizing mode
-/// ([`ChannelSizing`]), a default capacity, per-signal overrides and the
-/// derived bounds of an installed [`CapacityAnalysis`].
+/// How the channels of a deployment are sized: a default capacity,
+/// per-signal overrides and, once installed, a [`CapacityAnalysis`] whose
+/// derived bounds replace the default.
 ///
 /// The per-edge resolution (override, derived bound, or default) is
 /// reported by `Deployment::topology()` in each `ChannelSpec`.
 #[derive(Debug, Clone)]
 pub(crate) struct ChannelPolicy {
-    sizing: ChannelSizing,
     default_capacity: usize,
     overrides: BTreeMap<Name, usize>,
-    derived: BTreeMap<Name, DerivedCapacity>,
-    unprimed: Vec<UnprimedCycle>,
+    analysis: Option<CapacityAnalysis>,
 }
 
 impl ChannelPolicy {
@@ -296,11 +247,9 @@ impl ChannelPolicy {
     /// one-place buffer.
     pub fn new() -> Self {
         ChannelPolicy {
-            sizing: ChannelSizing::Fixed,
             default_capacity: 1,
             overrides: BTreeMap::new(),
-            derived: BTreeMap::new(),
-            unprimed: Vec::new(),
+            analysis: None,
         }
     }
 
@@ -348,36 +297,32 @@ impl ChannelPolicy {
         self.default_capacity
     }
 
-    /// The sizing mode in effect.
-    pub fn sizing(&self) -> ChannelSizing {
-        self.sizing
-    }
-
-    /// Installs the bounds of a [`CapacityAnalysis`] — and its
-    /// priming-liveness verdicts — and switches the policy to
-    /// [`ChannelSizing::Derived`].
+    /// Installs the bounds of a [`CapacityAnalysis`] and its
+    /// priming-liveness verdicts: from now on an edge without an override
+    /// takes its derived bound, and an edge with neither is unbounded.
     pub fn install_derived(&mut self, analysis: &CapacityAnalysis) -> &mut Self {
-        self.derived = analysis.bounds().clone();
-        self.unprimed = analysis.unprimed_cycles().to_vec();
-        self.sizing = ChannelSizing::Derived;
+        self.analysis = Some(analysis.clone());
         self
     }
 
     /// The derived bound installed for a signal, if any.
     pub fn derived_for(&self, signal: &Name) -> Option<&DerivedCapacity> {
-        self.derived.get(signal)
+        self.analysis.as_ref()?.bound_for(signal)
     }
 
     /// The unprimed feedback loops of the installed analysis, if any.
     pub fn unprimed_cycles(&self) -> &[UnprimedCycle] {
-        &self.unprimed
+        self.analysis
+            .as_ref()
+            .map_or(&[], CapacityAnalysis::unprimed_cycles)
     }
 
-    /// Resolves the capacity of the channels carrying `signal` under the
-    /// sizing mode: an explicit override always wins; under
-    /// [`ChannelSizing::Derived`] the installed bound is used next, and an
-    /// edge with neither is an error (the unboundable signal is returned
-    /// so the deployment can raise `DeployError::UnboundedEdge`).
+    /// Resolves the capacity of the channels carrying `signal`: its
+    /// override, else its installed derived bound, else the default
+    /// capacity when no analysis is installed.  An edge an installed
+    /// analysis does not bound, and no override covers, is an error (the
+    /// signal is returned so the deployment can raise
+    /// `DeployError::UnboundedEdge`).
     pub fn resolve(&self, signal: &Name) -> Result<ResolvedCapacity, Name> {
         if let Some(&capacity) = self.overrides.get(signal) {
             return Ok(ResolvedCapacity {
@@ -386,20 +331,20 @@ impl ChannelPolicy {
                 derivation: None,
             });
         }
-        match self.sizing {
-            ChannelSizing::Fixed => Ok(ResolvedCapacity {
+        let Some(analysis) = &self.analysis else {
+            return Ok(ResolvedCapacity {
                 capacity: self.default_capacity,
                 source: CapacitySource::Default,
                 derivation: None,
+            });
+        };
+        match analysis.bound_for(signal) {
+            Some(derived) => Ok(ResolvedCapacity {
+                capacity: derived.bound,
+                source: CapacitySource::Derived,
+                derivation: Some(derived.provenance.clone()),
             }),
-            ChannelSizing::Derived => match self.derived.get(signal) {
-                Some(derived) => Ok(ResolvedCapacity {
-                    capacity: derived.bound,
-                    source: CapacitySource::Derived,
-                    derivation: Some(derived.provenance.clone()),
-                }),
-                None => Err(signal.clone()),
-            },
+            None => Err(signal.clone()),
         }
     }
 }
@@ -415,10 +360,13 @@ mod tests {
         policy.set_default_capacity(4).expect("nonzero");
         policy.set_channel_capacity("x", 16).expect("nonzero");
         assert_eq!(
-            policy.resolve(&Name::from("x")).expect("fixed").capacity,
+            policy.resolve(&Name::from("x")).expect("default").capacity,
             16
         );
-        assert_eq!(policy.resolve(&Name::from("y")).expect("fixed").capacity, 4);
+        assert_eq!(
+            policy.resolve(&Name::from("y")).expect("default").capacity,
+            4
+        );
         assert_eq!(policy.overrides.len(), 1);
     }
 
@@ -437,12 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn transport_errors_render_their_message() {
-        let err = TransportError::new("dial refused");
-        assert!(err.to_string().contains("dial refused"));
-    }
-
-    #[test]
     fn derived_sizing_resolves_bounds_and_flags_unbounded_edges() {
         use clocks::rate::RateRelation;
         let mut analysis = CapacityAnalysis::new();
@@ -457,14 +399,17 @@ mod tests {
             },
         );
         let mut policy = ChannelPolicy::new();
-        assert_eq!(policy.sizing(), ChannelSizing::Fixed);
+        assert_eq!(
+            policy.resolve(&Name::from("y")).expect("default").source,
+            CapacitySource::Default
+        );
         policy.install_derived(&analysis);
-        assert_eq!(policy.sizing(), ChannelSizing::Derived);
         let x = policy.resolve(&Name::from("x")).expect("bounded");
         assert_eq!(x.capacity, 2);
         assert_eq!(x.source, CapacitySource::Derived);
         assert!(x.derivation.as_deref().unwrap().contains("alternating"));
-        // An edge without a bound is an error under derived sizing...
+        // Once an analysis is installed, an edge it does not bound is an
+        // error, not the default...
         assert_eq!(policy.resolve(&Name::from("y")), Err(Name::from("y")));
         // ...unless an explicit override steps in, which also wins over a
         // derived bound.

@@ -49,6 +49,13 @@ impl fmt::Display for ConformanceError {
 
 impl std::error::Error for ConformanceError {}
 
+/// A generous turn budget for [`replay_reference`]: scaled to the volume
+/// of the environment streams and to the number of reference components.
+pub fn replay_budget(feeds: &BTreeMap<Name, Vec<Value>>, components: usize) -> usize {
+    let tokens: usize = feeds.values().map(Vec::len).sum();
+    (tokens + 16) * 16 * components.max(1)
+}
+
 /// Replays the environment streams through the synchronous reference
 /// interpreters and returns the observed flows.
 ///

@@ -32,17 +32,15 @@ use signal_lang::{Name, Value};
 use sim::Flows;
 
 use crate::capacity::CapacityAnalysis;
+use crate::channel::{CapacitySource, ChannelPolicy, TokenRx, TokenTx, ZeroCapacity};
 use crate::conformance::{
-    replay_reference, ConformanceError, ConformanceReport, ReferenceComponent,
+    replay_budget, replay_reference, ConformanceError, ConformanceReport, ReferenceComponent,
 };
 use crate::machine::StepMachine;
 use crate::ring::ring;
 use crate::sched::{self, ExecutionMode};
 use crate::stats::{CapacityRange, DeploymentStats, PoolWorkerStats};
 use crate::trace::{Trace, TraceBuffer, TraceConfig};
-use crate::transport::{
-    CapacitySource, ChannelPolicy, ChannelSizing, TokenRx, TokenTx, ZeroCapacity,
-};
 use crate::worker::{Driver, Inbound, Outbound, WorkerReport};
 
 /// Default per-component step budget: a safety net against components that
@@ -79,10 +77,6 @@ pub enum DeployError {
     /// its inputs were closed: its consumers already saw the end of the
     /// stream, so the tokens could never be read.
     InputsClosed(Name),
-    /// The channel topology contains a communication cycle: with bounded
-    /// blocking channels, a cycle can deadlock every worker on it, so the
-    /// run is refused unless cycles are explicitly allowed.
-    CyclicTopology,
     /// A channel capacity of 0 was requested (for the named signal, or for
     /// the default when `None`).  A zero-capacity channel is a rendezvous,
     /// and a step never blocks to meet its reader, so the channel would
@@ -108,19 +102,19 @@ pub enum DeployError {
     /// unverified design prove nothing, so no capacity bound can be
     /// trusted from them.
     NotVerified(String),
-    /// Under [`ChannelSizing::Derived`], the named edge signal has neither
-    /// a derived bound (the clock calculus could not relate its producer
-    /// and consumer clocks) nor an explicit capacity override.
+    /// A capacity analysis is installed, and the named edge signal has
+    /// neither a derived bound in it (the clock calculus could not relate
+    /// its producer and consumer clocks) nor an explicit capacity
+    /// override.
     UnboundedEdge(Name),
-    /// Under [`ChannelSizing::Derived`], the named feedback edge of a
-    /// cyclic topology is sized only by an explicit override: the
-    /// calculus did not prove its bound, so the cycle is not provably
-    /// deadlock-free and running it requires the explicit
-    /// `set_allow_cycles(true)` opt-in.
+    /// The named edge lies on a communication cycle and has no derived
+    /// bound (no analysis is installed, or it does not bound the edge, and
+    /// an override sizes it): nothing proves that the cycle cannot fill
+    /// its channels and wait on itself, so it is refused.
     UnprovenFeedbackEdge(Name),
-    /// A feedback edge of an (explicitly allowed or derivably safe) cycle
-    /// has a capacity below its derived bound: the cycle could fill the
-    /// channel and deadlock, so the run is refused statically instead.
+    /// A feedback edge of a cycle has a capacity below its derived bound:
+    /// the cycle could fill the channel and deadlock, so the run is
+    /// refused statically instead.
     InsufficientFeedbackCapacity {
         /// The feedback edge's signal.
         signal: Name,
@@ -163,11 +157,6 @@ impl fmt::Display for DeployError {
                 "cannot feed {n}: the deployment's inputs are closed, so its \
                  consumers already saw the end of every stream"
             ),
-            DeployError::CyclicTopology => write!(
-                f,
-                "the channel topology is cyclic and bounded blocking channels \
-                 may deadlock on it (allow_cycles forces the run)"
-            ),
             DeployError::ZeroCapacity(signal) => {
                 let culprit = ZeroCapacity {
                     signal: signal.clone(),
@@ -197,13 +186,12 @@ impl fmt::Display for DeployError {
                 f,
                 "no finite capacity bound is derivable for channel signal {n} \
                  (and no explicit override was set); size it with \
-                 set_channel_capacity or use fixed sizing"
+                 set_channel_capacity"
             ),
             DeployError::UnprovenFeedbackEdge(n) => write!(
                 f,
-                "feedback edge {n} is sized by an explicit override but has \
-                 no derived bound, so the cycle is not provably \
-                 deadlock-free (allow_cycles forces the run)"
+                "feedback edge {n} has no derived capacity bound, so nothing \
+                 proves its cycle cannot fill its channels and wait on itself"
             ),
             DeployError::InsufficientFeedbackCapacity {
                 signal,
@@ -238,9 +226,9 @@ pub struct ChannelSpec {
     pub producer: usize,
     /// Index of the consuming machine.
     pub consumer: usize,
-    /// The resolved bounded capacity of this edge (a per-signal override
-    /// when one is set, the derived bound under
-    /// [`ChannelSizing::Derived`], the policy default otherwise).
+    /// The resolved bounded capacity of this edge: its per-signal
+    /// override, else its installed derived bound, else (with no analysis
+    /// installed) the default capacity.
     pub capacity: usize,
     /// Where the capacity came from (default, override, or derived).
     pub source: CapacitySource,
@@ -261,8 +249,8 @@ pub struct Topology {
 
 impl Topology {
     /// Returns `true` when the channel graph (machines as nodes, channels
-    /// as edges) contains a cycle — a shape on which bounded blocking
-    /// channels can deadlock.
+    /// as edges) contains a cycle — a shape that can deadlock once its
+    /// bounded channels fill, or before it ever starts.
     ///
     /// The topology has no self-loop edges (a machine reading its own
     /// output resolves internally), so the graph is cyclic exactly when
@@ -379,7 +367,9 @@ impl Topology {
     }
 }
 
-/// A multi-threaded GALS deployment under construction.
+/// A GALS deployment under construction: machines, their feeds and the
+/// channel policy, run on a pool ([`run`](Self::run)) or staged for a
+/// [`SharedPool`](crate::SharedPool) ([`stage`](Self::stage)).
 pub struct Deployment {
     machines: Vec<Box<dyn StepMachine>>,
     reference: Vec<ReferenceComponent>,
@@ -396,7 +386,6 @@ pub struct Deployment {
     mode: Option<ExecutionMode>,
     max_steps: u64,
     stream_capacity: usize,
-    allow_cycles: bool,
     prediction: Option<crate::predict::PerformancePrediction>,
     trace: Option<TraceConfig>,
 }
@@ -418,7 +407,6 @@ impl Deployment {
             mode: None,
             max_steps: DEFAULT_MAX_STEPS,
             stream_capacity: DEFAULT_STREAM_CAPACITY,
-            allow_cycles: false,
             prediction: None,
             trace: None,
         }
@@ -485,20 +473,10 @@ impl Deployment {
         self.mode.unwrap_or_else(ExecutionMode::pool_per_core)
     }
 
-    /// Allows running a deployment whose channel topology contains a
-    /// communication cycle.  With bounded blocking channels a cycle can
-    /// deadlock (every worker on it waiting for another), so cycles are
-    /// refused by default; a cycle primed by initial register values can
-    /// still make progress, which this switch permits — at the caller's
-    /// risk.
-    pub fn set_allow_cycles(&mut self, allow: bool) -> &mut Self {
-        self.allow_cycles = allow;
-        self
-    }
-
-    /// Sets the default capacity of every bounded channel (the per-signal
-    /// overrides of [`set_channel_capacity`](Self::set_channel_capacity)
-    /// win over it).
+    /// Sets the default capacity of every bounded channel: the capacity of
+    /// an edge with no override
+    /// ([`set_channel_capacity`](Self::set_channel_capacity)) while no
+    /// capacity analysis is installed.
     ///
     /// # Errors
     ///
@@ -525,20 +503,15 @@ impl Deployment {
         Ok(self)
     }
 
-    /// Installs clock-derived capacity bounds and switches the policy to
-    /// [`ChannelSizing::Derived`]: every edge takes its derived bound as
-    /// capacity (explicit overrides still win), and an edge with neither
-    /// is [`DeployError::UnboundedEdge`] at [`topology`](Self::topology) /
+    /// Installs clock-derived capacity bounds: every edge takes its
+    /// derived bound as capacity (explicit overrides still win, the
+    /// default capacity no longer applies), and an edge with neither is
+    /// [`DeployError::UnboundedEdge`] at [`topology`](Self::topology) /
     /// [`run`](Self::run) time.  `isochron::Design::deploy_derived` wires
     /// this up from a verified design in one call.
     pub fn set_capacity_analysis(&mut self, analysis: &CapacityAnalysis) -> &mut Self {
         self.policy.install_derived(analysis);
         self
-    }
-
-    /// The channel sizing mode in effect.
-    pub fn sizing(&self) -> ChannelSizing {
-        self.policy.sizing()
     }
 
     /// Links environment input `signal` of machine `machine` (an index
@@ -655,9 +628,9 @@ impl Deployment {
     /// # Errors
     ///
     /// Returns [`DeployError::DuplicateProducer`] when two machines declare
-    /// the same output signal, and — under [`ChannelSizing::Derived`] —
-    /// [`DeployError::UnboundedEdge`] for an edge with neither a derived
-    /// bound nor an explicit override.
+    /// the same output signal, and — once a capacity analysis is
+    /// installed — [`DeployError::UnboundedEdge`] for an edge with neither
+    /// a derived bound nor an explicit override.
     pub fn topology(&self) -> Result<Topology, DeployError> {
         let mut producer_of: BTreeMap<Name, usize> = BTreeMap::new();
         for (i, machine) in self.machines.iter().enumerate() {
@@ -697,86 +670,54 @@ impl Deployment {
         Ok(topology)
     }
 
-    /// The static cycle analysis: with bounded blocking channels a
-    /// communication cycle can deadlock, so a cyclic topology must either
-    /// be *proven* safe or explicitly allowed.
+    /// The static cycle analysis: a communication cycle runs only when it
+    /// is proven safe, and is otherwise refused with the edge named.
     ///
-    /// Under [`ChannelSizing::Derived`] every feedback edge is checked
-    /// against its derived bound.  An edge whose capacity undercuts the
-    /// bound is refused outright
-    /// ([`DeployError::InsufficientFeedbackCapacity`], even when cycles
-    /// were explicitly allowed — the calculus positively proves the
-    /// channel can fill and wedge the loop).  A cycle whose every edge
-    /// carries a derived bound (at full capacity) is *accepted* without
-    /// [`set_allow_cycles`](Self::set_allow_cycles): the wait cycle
-    /// cannot close on a full channel.  A feedback edge sized only by an
-    /// explicit override is not proven: it still requires
-    /// `set_allow_cycles(true)`, and is otherwise refused with
-    /// [`DeployError::UnprovenFeedbackEdge`] naming the edge (an edge
-    /// with neither a bound nor an override never reaches this check —
-    /// [`topology`](Self::topology) already refused it as
-    /// [`DeployError::UnboundedEdge`]).
+    /// A cycle is proven when no loop on it is proven unprimed and every
+    /// feedback edge has a derived bound its capacity meets.  An installed
+    /// [`CapacityAnalysis`] that carries the k-periodic words of every
+    /// component on a loop, and proves that each one waits on its first
+    /// read strictly before its first emission, refuses the loop with
+    /// [`DeployError::UnprimedCycle`]: it could never start turning.  A
+    /// feedback edge with no derived bound — no analysis is installed, or
+    /// an override sizes an edge it does not bound — is
+    /// [`DeployError::UnprovenFeedbackEdge`]; one whose capacity undercuts
+    /// its bound is [`DeployError::InsufficientFeedbackCapacity`], since
+    /// the loop could fill the channel and wait on itself.
     ///
-    /// Under [`ChannelSizing::Fixed`] the historic behavior is kept:
-    /// cycles are refused ([`DeployError::CyclicTopology`]) unless
-    /// explicitly allowed, and allowed cycles rely on the pool
-    /// scheduler's dynamic deadlock detection.
-    ///
-    /// The capacity proof is about *safety* (the wait cycle cannot close
-    /// on a full channel); *liveness* — the loop needs a priming token to
-    /// start turning — is covered by the priming-liveness pass: when the
-    /// installed [`CapacityAnalysis`] carries the k-periodic words of
-    /// every component on a loop and proves each one waits on its first
-    /// read strictly before its first emission, the run is refused with
-    /// [`DeployError::UnprimedCycle`] — even when cycles were explicitly
-    /// allowed, the analysis positively proves the loop can never start.
     /// Hand-made bounds installed on machines without word information
-    /// stay outside the proof, and the pool scheduler's dynamic detection
-    /// remains the backstop for them.
+    /// prove the capacities but not the priming: the pool scheduler's
+    /// dynamic `Deadlocked` detection remains the backstop for them.
     fn check_cycles(&self, topology: &Topology) -> Result<(), DeployError> {
         let cycle_signals = topology.cycle_signals();
         if cycle_signals.is_empty() {
             return Ok(());
         }
-        if self.policy.sizing() == ChannelSizing::Derived {
-            if let Some(cycle) = self
-                .policy
-                .unprimed_cycles()
-                .iter()
-                .find(|cycle| cycle.signals.iter().any(|s| cycle_signals.contains(s)))
-            {
-                return Err(DeployError::UnprimedCycle(cycle.clone()));
+        if let Some(cycle) = self
+            .policy
+            .unprimed_cycles()
+            .iter()
+            .find(|cycle| cycle.signals.iter().any(|s| cycle_signals.contains(s)))
+        {
+            return Err(DeployError::UnprimedCycle(cycle.clone()));
+        }
+        for spec in &topology.channels {
+            if !cycle_signals.contains(&spec.signal) {
+                continue;
             }
-            let feedback: Vec<&ChannelSpec> = topology
-                .channels
-                .iter()
-                .filter(|spec| cycle_signals.contains(&spec.signal))
-                .collect();
-            for spec in &feedback {
-                if let Some(derived) = self.policy.derived_for(&spec.signal) {
-                    if spec.capacity < derived.bound {
-                        return Err(DeployError::InsufficientFeedbackCapacity {
-                            signal: spec.signal.clone(),
-                            required: derived.bound,
-                            actual: spec.capacity,
-                        });
-                    }
+            match self.policy.derived_for(&spec.signal) {
+                None => return Err(DeployError::UnprovenFeedbackEdge(spec.signal.clone())),
+                Some(derived) if spec.capacity < derived.bound => {
+                    return Err(DeployError::InsufficientFeedbackCapacity {
+                        signal: spec.signal.clone(),
+                        required: derived.bound,
+                        actual: spec.capacity,
+                    });
                 }
+                Some(_) => {}
             }
-            let unproven = feedback
-                .iter()
-                .find(|spec| self.policy.derived_for(&spec.signal).is_none());
-            return match unproven {
-                None => Ok(()), // every feedback edge is derivably bounded
-                Some(_) if self.allow_cycles => Ok(()),
-                Some(spec) => Err(DeployError::UnprovenFeedbackEdge(spec.signal.clone())),
-            };
         }
-        if self.allow_cycles {
-            Ok(())
-        } else {
-            Err(DeployError::CyclicTopology)
-        }
+        Ok(())
     }
 
     /// Runs the deployment to completion on a pool of the selected
@@ -787,7 +728,7 @@ impl Deployment {
     /// # Errors
     ///
     /// Returns [`DeployError`] when the deployment is empty, the topology
-    /// is ill-formed or cyclic, a feed, paced mark or link does not name
+    /// is ill-formed or has an unproven cycle, a feed, paced mark or link does not name
     /// an environment input (or a linked output no output), or a linked
     /// signal is fed.
     pub fn run(mut self) -> Result<DeploymentOutcome, DeployError> {
@@ -815,7 +756,6 @@ impl Deployment {
         let parts = OutcomeParts {
             reports,
             channels: topology.channels,
-            sizing: self.policy.sizing(),
             mode,
             pool_workers,
             worker_traces,
@@ -917,7 +857,6 @@ impl Deployment {
             feeds: self.feeds,
             reference: self.reference,
             paced: self.paced,
-            sizing: self.policy.sizing(),
             prediction: self.prediction,
             trace: self.trace,
         })
@@ -1139,8 +1078,7 @@ impl DeploymentOutcome {
     /// assembled without reference components (e.g. directly from step
     /// programs rather than from a `Design`).
     pub fn check_conformance(&self) -> Result<ConformanceReport, ConformanceError> {
-        let budget = self.replay_budget();
-        self.check_conformance_with(budget)
+        self.check_conformance_with(replay_budget(&self.feeds, self.reference.len()))
     }
 
     /// Like [`check_conformance`](Self::check_conformance) with an explicit
@@ -1154,14 +1092,6 @@ impl DeploymentOutcome {
         }
         let reference = replay_reference(&self.reference, &self.feeds, &self.paced, max_turns);
         Ok(ConformanceReport::compare(reference, &self.flows))
-    }
-
-    /// A generous default turn budget for the reference replay, scaled to
-    /// the volume of the environment streams.
-    fn replay_budget(&self) -> usize {
-        let tokens: usize = self.feeds.values().map(Vec::len).sum();
-        let components = self.reference.len().max(1);
-        (tokens + 16) * 16 * components
     }
 }
 
@@ -1197,7 +1127,6 @@ pub struct StagedDeployment {
     pub(crate) feeds: BTreeMap<Name, Vec<Value>>,
     pub(crate) reference: Vec<ReferenceComponent>,
     pub(crate) paced: BTreeSet<Name>,
-    pub(crate) sizing: ChannelSizing,
     pub(crate) prediction: Option<crate::predict::PerformancePrediction>,
     pub(crate) trace: Option<TraceConfig>,
 }
@@ -1249,7 +1178,6 @@ impl fmt::Debug for StagedDeployment {
 pub(crate) struct OutcomeParts {
     pub(crate) reports: Vec<WorkerReport>,
     pub(crate) channels: Vec<ChannelSpec>,
-    pub(crate) sizing: ChannelSizing,
     pub(crate) mode: ExecutionMode,
     pub(crate) pool_workers: Vec<PoolWorkerStats>,
     pub(crate) worker_traces: Vec<TraceBuffer>,
@@ -1287,7 +1215,6 @@ impl OutcomeParts {
                 components,
                 channels: self.channels.len(),
                 capacity: CapacityRange::of_edges(self.channels.iter().map(|c| c.capacity)),
-                sizing: self.sizing,
                 edges: self.channels,
                 mode: self.mode,
                 pool_workers: self.pool_workers,

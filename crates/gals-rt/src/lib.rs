@@ -34,8 +34,9 @@
 //!
 //! The crate is machine-agnostic: `codegen::CompiledRuntime` implements
 //! [`StepMachine`] (so generated step programs deploy directly), and
-//! `isochron::Design::deploy` assembles a ready-to-run deployment from a
-//! verified design, reference kernels and activations included.
+//! `isochron::Design::deploy_derived` assembles a ready-to-run deployment
+//! from a verified design — derived capacities, reference kernels and
+//! activations included.
 //!
 //! # Example
 //!
@@ -94,6 +95,7 @@
 #![warn(missing_docs)]
 
 pub mod capacity;
+pub mod channel;
 pub mod conformance;
 pub mod deploy;
 pub mod machine;
@@ -102,11 +104,13 @@ pub mod ring;
 pub mod sched;
 pub mod stats;
 pub mod trace;
-pub mod transport;
 mod worker;
 
 pub use capacity::{CapacityAnalysis, DerivedCapacity, EdgeClocks, UnprimedCycle};
-pub use conformance::{replay_reference, ConformanceError, ConformanceReport, ReferenceComponent};
+pub use channel::{CapacitySource, ChannelClosed, TokenRx, TokenTx, TryRecvError, TrySendError};
+pub use conformance::{
+    replay_budget, replay_reference, ConformanceError, ConformanceReport, ReferenceComponent,
+};
 pub use deploy::{
     ChannelSpec, DeployError, Deployment, DeploymentOutcome, StagedDeployment, Topology,
     DEFAULT_MAX_STEPS, DEFAULT_STREAM_CAPACITY,
@@ -121,10 +125,6 @@ pub use stats::{CapacityRange, ComponentStats, DeploymentStats, PoolWorkerStats,
 pub use trace::{
     BlockDirection, ComponentActivity, ComponentDrift, ComponentTrace, DriftReport, EdgeBlocking,
     EdgeDrift, EdgeOccupancy, Trace, TraceConfig, TraceEvent, TraceRecord, TraceSummary,
-};
-pub use transport::{
-    CapacitySource, ChannelClosed, ChannelSizing, TokenRx, TokenTx, TransportError, TryRecvError,
-    TrySendError,
 };
 
 #[cfg(test)]
@@ -371,16 +371,38 @@ mod tests {
         assert_eq!(outcome.flow("s2").len(), 4);
     }
 
+    /// Hand-made derived bounds of 1 for `signals`: what a clock analysis
+    /// would install, with no word information to prove any priming.
+    fn hand_bounds(signals: &[&str]) -> CapacityAnalysis {
+        let mut analysis = CapacityAnalysis::new();
+        for signal in signals {
+            analysis.insert(
+                *signal,
+                DerivedCapacity {
+                    bound: 1,
+                    relation: clocks::rate::RateRelation::Synchronous,
+                    provenance: format!("hand bound for {signal}"),
+                },
+            );
+        }
+        analysis
+    }
+
     #[test]
     fn cyclic_topologies_are_refused_instead_of_deadlocking() {
-        // a reads q and writes p; b reads p and writes q: with blocking
-        // bounded channels both workers would wait on each other forever,
-        // so the run is refused up front.
+        // a reads q and writes p; b reads p and writes q: unfed, both would
+        // wait on each other forever.  No analysis proves the cycle, so the
+        // run is refused up front, naming its first feedback edge (a's
+        // input q), at any hand-picked capacity.
         let mut deployment = Deployment::new();
         deployment.add_machine(Box::new(Summer::new("a", "q", "p")));
         deployment.add_machine(Box::new(Summer::new("b", "p", "q")));
+        deployment.set_capacity(8).expect("nonzero");
         assert!(deployment.topology().expect("well-formed").has_cycle());
-        assert_eq!(deployment.run().unwrap_err(), DeployError::CyclicTopology);
+        assert_eq!(
+            deployment.run().unwrap_err(),
+            DeployError::UnprovenFeedbackEdge(Name::from("q"))
+        );
     }
 
     #[test]
@@ -834,14 +856,15 @@ mod tests {
 
     #[test]
     fn the_pool_detects_a_communication_deadlock_instead_of_hanging() {
-        // a reads q and writes p; b reads p and writes q.  Nothing is ever
-        // fed, so both block immediately and for good (which is why cycles
-        // must be explicitly allowed); the pool scheduler proves the
-        // all-blocked state terminal and stops instead of hanging.
+        // a reads q and writes p; b reads p and writes q.  Hand bounds
+        // prove the capacities but nothing proves the priming, and nothing
+        // is ever fed, so both block immediately and for good; the pool
+        // scheduler proves the all-blocked state terminal and stops
+        // instead of hanging.
         let mut deployment = Deployment::new();
         deployment.add_machine(Box::new(Summer::new("a", "q", "p")));
         deployment.add_machine(Box::new(Summer::new("b", "p", "q")));
-        deployment.set_allow_cycles(true);
+        deployment.set_capacity_analysis(&hand_bounds(&["p", "q"]));
         deployment
             .set_execution_mode(ExecutionMode::Pool {
                 workers: 2,
@@ -864,7 +887,7 @@ mod tests {
             let mut deployment = pipeline(2);
             deployment.add_machine(Box::new(Summer::new("a", "q", "p")));
             deployment.add_machine(Box::new(Summer::new("b", "p", "q")));
-            deployment.set_allow_cycles(true);
+            deployment.set_capacity_analysis(&hand_bounds(&["s1", "p", "q"]));
             deployment
                 .set_execution_mode(ExecutionMode::Pool {
                     workers,

@@ -303,8 +303,8 @@ impl fmt::Display for PerformancePrediction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::CapacitySource;
     use crate::deploy::ChannelSpec;
-    use crate::transport::CapacitySource;
 
     fn spec(signal: &str, producer: usize, consumer: usize) -> ChannelSpec {
         ChannelSpec {

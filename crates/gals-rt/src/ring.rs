@@ -35,7 +35,7 @@ use std::time::Duration;
 
 use signal_lang::Value;
 
-use crate::transport::{ChannelClosed, TokenRx, TokenTx, TryRecvError, TrySendError};
+use crate::channel::{ChannelClosed, TokenRx, TokenTx, TryRecvError, TrySendError};
 
 /// Spins before yielding: a handful of iterations rides out the common
 /// case where the peer is mid-operation **on another core**.  On a

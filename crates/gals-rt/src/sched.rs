@@ -126,6 +126,7 @@ use std::time::{Duration, Instant};
 use signal_lang::{Name, Value};
 use sim::Flows;
 
+use crate::channel::TrySendError;
 use crate::deploy::{
     ChannelSpec, DeployError, DeploymentOutcome, EgressPort, IngressPort, OutcomeParts,
     StagedDeployment, Topology,
@@ -133,7 +134,6 @@ use crate::deploy::{
 use crate::ring::spin_limit;
 use crate::stats::{PoolWorkerStats, StopReason};
 use crate::trace::TraceBuffer;
-use crate::transport::TrySendError;
 use crate::worker::{DriveOutcome, Driver, Slot, WorkerReport};
 
 /// The shape of the pool a deployment runs on.  The default is
@@ -1032,7 +1032,6 @@ impl SharedPool {
             feeds,
             reference,
             paced,
-            sizing,
             prediction,
             trace,
         } = staged;
@@ -1054,7 +1053,6 @@ impl SharedPool {
             feeds,
             reference,
             paced,
-            sizing,
             prediction,
             traced: trace.is_some(),
             workers: self.workers,
@@ -1241,7 +1239,6 @@ pub struct SubmittedDeployment {
     feeds: BTreeMap<Name, Vec<Value>>,
     reference: Vec<crate::conformance::ReferenceComponent>,
     paced: std::collections::BTreeSet<Name>,
-    sizing: crate::transport::ChannelSizing,
     prediction: Option<crate::predict::PerformancePrediction>,
     traced: bool,
     workers: usize,
@@ -1427,7 +1424,6 @@ impl SubmittedDeployment {
         let parts = OutcomeParts {
             reports,
             channels: self.topology.channels,
-            sizing: self.sizing,
             mode: ExecutionMode::Pool {
                 workers: self.workers,
                 quantum: self.quantum,

@@ -5,11 +5,11 @@ use std::time::Duration;
 
 use signal_lang::Name;
 
+use crate::channel::CapacitySource;
 use crate::deploy::ChannelSpec;
 use crate::predict::PerformancePrediction;
 use crate::sched::ExecutionMode;
 use crate::trace::TraceSummary;
-use crate::transport::{CapacitySource, ChannelSizing};
 
 /// Why a worker thread stopped.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,9 +27,10 @@ pub enum StopReason {
     /// The pool scheduler found every surviving component of a sealed
     /// batch run blocked on a channel edge with nothing queued or
     /// dispatched: a communication deadlock (only reachable on a cyclic
-    /// topology the static cycle analysis let through — explicitly
-    /// allowed, or derivably bounded but never primed with a first
-    /// token).  The pool detects it and stops instead of hanging.
+    /// topology the static cycle analysis let through: every feedback
+    /// edge bounded, but the loop never primed with a first token, which
+    /// hand-installed bounds without clock words cannot rule out).  The
+    /// pool detects it and stops instead of hanging.
     Deadlocked,
 }
 
@@ -177,9 +178,6 @@ pub struct DeploymentStats {
     /// topology — per-signal overrides and derived bounds make edges
     /// differ).
     pub capacity: CapacityRange,
-    /// How the channels were sized: hand-tuned or derived from the clock
-    /// calculus.
-    pub sizing: ChannelSizing,
     /// The resolved per-edge channel specs of the run, each carrying its
     /// capacity, the capacity's source and (for derived edges) the
     /// derivation.
@@ -250,12 +248,11 @@ impl fmt::Display for DeploymentStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "deployment of {} component(s), {} channel(s) of capacity {} ({} sizing) \
+            "deployment of {} component(s), {} channel(s) of capacity {} \
              on a {}: {} reactions, {} blocked reads, {} tokens in {:?}",
             self.components.len(),
             self.channels,
             self.capacity,
-            self.sizing,
             self.mode,
             self.total_reactions(),
             self.total_blocked_reads(),
@@ -323,7 +320,6 @@ mod tests {
             ],
             channels: 1,
             capacity: CapacityRange::exactly(1),
-            sizing: ChannelSizing::Fixed,
             edges: Vec::new(),
             mode: ExecutionMode::Pool {
                 workers: 1,

@@ -996,7 +996,7 @@ fn escape_json(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::CapacitySource;
+    use crate::channel::CapacitySource;
 
     fn name(s: &str) -> Name {
         Name::from(s)

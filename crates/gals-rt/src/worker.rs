@@ -53,10 +53,10 @@ use std::task::Waker;
 
 use signal_lang::{Name, Value};
 
+use crate::channel::{TokenRx, TokenTx, TryRecvError, TrySendError};
 use crate::machine::{StepFault, StepMachine};
 use crate::stats::{ComponentStats, StopReason};
 use crate::trace::{BlockDirection, TraceBuffer};
-use crate::transport::{TokenRx, TokenTx, TryRecvError, TrySendError};
 
 /// What one [`Driver::drive`] dispatch concluded.
 #[derive(Debug)]

@@ -1,12 +1,12 @@
 //! A long-running serving layer hosting many verified GALS deployments
 //! on one shared scheduler pool.
 //!
-//! Everything below this crate runs *one* deployment to completion: the
-//! batch entry points (`isochron::Design::deploy_derived` and friends)
-//! assemble a design's components, wire its channels, run the workers,
-//! and return one [`gals_rt::DeploymentOutcome`].  A serving process
-//! inverts that shape — it is the deployments that come and go while the
-//! process and its worker threads stay up.  This crate provides that
+//! Everything below this crate runs *one* deployment to completion:
+//! `isochron::Design::deploy_derived` assembles a design's components
+//! with their derived capacities, and its run wires the channels, runs
+//! the workers and returns one [`gals_rt::DeploymentOutcome`].  A
+//! serving process inverts that shape — it is the deployments that come
+//! and go while the process and its worker threads stay up.  This crate provides that
 //! inversion in three pieces:
 //!
 //! * **One pool, many tenants.**  A [`Server`] owns a single

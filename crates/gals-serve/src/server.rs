@@ -165,10 +165,14 @@ impl Server {
         let prediction = design
             .performance_prediction()
             .map_err(|e| AdmitError::Stage(e.to_string()))?;
-        let staged = design.stage_derived().map_err(|e| match e {
-            DesignError::NotVerified(name) => AdmitError::NotVerified(name),
-            other => AdmitError::Stage(other.to_string()),
-        })?;
+        let staged = design
+            .deploy_derived()
+            .map_err(|e| match e {
+                DesignError::NotVerified(name) => AdmitError::NotVerified(name),
+                other => AdmitError::Stage(other.to_string()),
+            })?
+            .stage()
+            .map_err(|e| AdmitError::Stage(e.to_string()))?;
         let footprint = Footprint {
             components: staged.component_count(),
             channel_slots: analysis.bounds().values().map(|c| c.bound).sum(),

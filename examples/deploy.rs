@@ -4,14 +4,16 @@
 //! conformance against the synchronous reference.
 //!
 //! Each stage runs as a compiled step machine, and each channel is a
-//! bounded slot of the island the stages run in, sized individually (a
-//! default capacity plus per-signal overrides) — the resolved per-edge
-//! capacity is reported by `topology()`.
+//! bounded slot of the island the stages run in.  The first run picks the
+//! capacities by hand (`Design::deploy_unchecked`, a default capacity plus
+//! per-signal overrides) — the resolved per-edge capacity is reported by
+//! `topology()`.
 //!
 //! Capacities need not be hand-tuned at all: `Design::deploy_derived`
 //! sizes every channel from the clock calculus — the same relations that
-//! prove the design isochronous bound its FIFOs (`ChannelSizing::Derived`,
-//! provenance reported per edge).
+//! prove the design isochronous bound its FIFOs, each edge reporting the
+//! provenance of its bound — and installs the static performance
+//! prediction.
 //!
 //! The pool is the one executor, and its shape is selectable:
 //! `ExecutionMode::Pool { workers, quantum }` multiplexes every stage onto
@@ -35,9 +37,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", design.verdict());
 
     // Deploy on the default pool (one worker per core), bounded channels
-    // in between.  The policy sets a default capacity and deepens the p2
-    // channel specifically.
-    let mut deployment = design.deploy()?;
+    // in between, at hand-picked capacities: a default capacity, with the
+    // p2 channel deepened specifically.
+    assert!(design.is_weakly_hierarchic());
+    let mut deployment = design.deploy_unchecked();
     deployment.set_capacity(8)?;
     deployment.set_channel_capacity("p2", 32)?;
 
@@ -69,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2-worker pool that re-queues their island after every single
     // reaction observe the same flows again.  The stats record the pool's
     // shape and the per-worker dispatch/steal counters.
-    let mut pooled = design.deploy()?;
+    let mut pooled = design.deploy_derived()?;
     pooled.set_execution_mode(ExecutionMode::Pool {
         workers: 2,
         quantum: 1,
@@ -87,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // relations that prove isochrony bound the FIFOs, each edge reporting
     // its bound and why.
     let mut derived = design.deploy_derived()?;
-    println!("== Derived capacities (ChannelSizing::Derived) ==");
+    println!("== Derived capacities (Design::deploy_derived) ==");
     for spec in &derived.topology()?.channels {
         println!(
             "  signal {:<3} capacity {} ({}) — {}",
@@ -100,12 +103,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The same clock words also predict the run before it starts: each
     // stage's steady-state reactions per input token, the per-edge
     // traffic, the pipeline-fill latency and the bottleneck edge.
-    // Installing the prediction on the deployment carries it into the
-    // stats, so predicted and measured paces print side by side.
+    // `deploy_derived` installed the prediction on the deployment, which
+    // carries it into the stats, so predicted and measured paces print
+    // side by side.
     let prediction = design.performance_prediction()?;
     println!("== Static performance prediction ==");
     println!("{prediction}");
-    derived.set_prediction(prediction.clone());
     // Tracing records every reaction, blocking episode and token hand-off
     // into per-component and per-worker bounded buffers (zero cost when
     // off), merged into a timeline at join.

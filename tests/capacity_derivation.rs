@@ -3,9 +3,9 @@
 //! The clock calculus that proves a design isochronous also bounds its
 //! FIFOs: `Design::capacity_analysis` derives a per-edge capacity from the
 //! rate relation between the producer's and consumer's clocks, and
-//! `ChannelSizing::Derived` turns the bounds into the deployment's actual
-//! channel capacities.  This suite checks the two directions of that
-//! claim:
+//! `Design::deploy_derived` (or `Deployment::set_capacity_analysis`) turns
+//! the bounds into the deployment's actual channel capacities.  This
+//! suite checks the two directions of that claim:
 //!
 //! * **sufficiency** — a replay with derived capacities never hits
 //!   `StopReason::Deadlocked` and conforms to the synchronous reference
@@ -18,15 +18,16 @@
 //! plus the typed-error boundary: `UnboundedEdge` for edges the calculus
 //! cannot bound, `NotVerified` for unverified designs, and the
 //! refuse-or-prove cycle analysis (a derivably bounded feedback loop runs
-//! to completion without `set_allow_cycles`; an underivable one is
+//! to completion; a loop with an edge no derived bound covers — an
+//! override-sized edge, or any edge when no analysis is installed — is
 //! refused naming the edge).
 
 mod support;
 
 use polychrony::clocks::RateRelation;
 use polychrony::gals_rt::{
-    CapacityAnalysis, CapacitySource, ChannelSizing, DeployError, Deployment, DerivedCapacity,
-    ExecutionMode, StepFault, StepMachine, StopReason,
+    CapacityAnalysis, CapacitySource, DeployError, Deployment, DerivedCapacity, ExecutionMode,
+    StepFault, StepMachine, StopReason,
 };
 use polychrony::isochron::{design::chain_of_pairs, library, Design};
 use polychrony::moc::Value;
@@ -163,7 +164,6 @@ fn every_stdlib_edge_gets_a_finite_derived_bound() {
         let analysis = design.capacity_analysis().expect("verified design");
         assert!(analysis.is_fully_bounded(), "{}: {analysis}", design.name());
         let deployment = design.deploy_derived().expect("verified design");
-        assert_eq!(deployment.sizing(), ChannelSizing::Derived);
         let topology = deployment.topology().expect("every edge bounded");
         assert!(!topology.channels.is_empty(), "{}", design.name());
         for spec in &topology.channels {
@@ -191,13 +191,12 @@ proptest! {
         stream in prop::collection::vec(any::<bool>(), 0..24),
     ) {
         let design = library::buffer_pipeline_design(n).expect("builds");
-        // Derive once per case: the clock inference + BDD work is a
-        // per-design cost, not a per-combination one.
-        let analysis = design.capacity_analysis().expect("verified design");
         let stream: Vec<Value> = stream.into_iter().map(Value::Bool).collect();
         for mode in MODES {
-            let mut deployment = design.deploy().expect("verified design");
-            deployment.set_capacity_analysis(&analysis);
+            // The design derives its analysis once and shares it with
+            // every deployment: the clock inference + BDD work is a
+            // per-design cost, not a per-combination one.
+            let mut deployment = design.deploy_derived().expect("verified design");
             deployment.set_execution_mode(mode).expect("valid mode");
             deployment.feed("p0", stream.iter().copied());
             let outcome = deployment.run().expect("the deployment runs");
@@ -239,9 +238,8 @@ fn bound_minus_one_on_a_sampled_edge_is_statically_blocked() {
 #[test]
 fn a_derivably_bounded_cycle_runs_to_completion() {
     // The feedback loop is primed and both edges carry their derived
-    // two-place bound: the cycle is *proven* safe, so no
-    // `set_allow_cycles` is needed and no run ends `Deadlocked` — in
-    // either execution mode.
+    // two-place bound: the cycle is *proven* safe, so it runs and no run
+    // ends `Deadlocked` — in either execution mode.
     for mode in MODES {
         let mut deployment = ping_pong(8);
         deployment.set_capacity_analysis(&alternating_bounds(&["p", "q"]));
@@ -272,29 +270,25 @@ fn a_derivably_bounded_cycle_runs_to_completion() {
 #[test]
 fn feedback_capacity_below_the_derived_bound_is_refused() {
     // Tightness of the cycle criterion: undercutting the derived bound on
-    // a feedback edge is refused statically — even when cycles were
-    // explicitly allowed, because here the calculus positively proves the
-    // channel can fill and wedge the loop.
-    for allow in [false, true] {
-        let mut deployment = ping_pong(4);
-        deployment.set_capacity_analysis(&alternating_bounds(&["p", "q"]));
-        deployment.set_channel_capacity("q", 1).expect("nonzero");
-        deployment.set_allow_cycles(allow);
-        assert_eq!(
-            deployment.run().unwrap_err(),
-            DeployError::InsufficientFeedbackCapacity {
-                signal: Name::from("q"),
-                required: 2,
-                actual: 1,
-            }
-        );
-    }
+    // a feedback edge is refused statically, because here the calculus
+    // positively proves the channel can fill and wedge the loop.
+    let mut deployment = ping_pong(4);
+    deployment.set_capacity_analysis(&alternating_bounds(&["p", "q"]));
+    deployment.set_channel_capacity("q", 1).expect("nonzero");
+    assert_eq!(
+        deployment.run().unwrap_err(),
+        DeployError::InsufficientFeedbackCapacity {
+            signal: Name::from("q"),
+            required: 2,
+            actual: 1,
+        }
+    );
 }
 
 #[test]
 fn an_underivable_cycle_is_refused_naming_the_edge() {
-    // Only p has a derived bound: the q edge resolves to nothing under
-    // derived sizing and the topology itself is refused.
+    // Only p has a derived bound: the q edge resolves to nothing once an
+    // analysis is installed, and the topology itself is refused.
     let mut deployment = ping_pong(4);
     deployment.set_capacity_analysis(&alternating_bounds(&["p"]));
     assert_eq!(
@@ -303,24 +297,39 @@ fn an_underivable_cycle_is_refused_naming_the_edge() {
     );
 
     // An explicit override sizes the q edge, but does not *prove* it: the
-    // cycle still needs the explicit opt-in, and the refusal names the
-    // unproven edge (a distinct error from UnboundedEdge — the remedy is
-    // set_allow_cycles, not set_channel_capacity).
+    // refusal names the unproven edge (a distinct error from
+    // UnboundedEdge — no capacity makes the loop proven, only a derived
+    // bound does).
     let mut deployment = ping_pong(4);
     deployment.set_capacity_analysis(&alternating_bounds(&["p"]));
     deployment.set_channel_capacity("q", 4).expect("nonzero");
     let err = deployment.run().unwrap_err();
     assert_eq!(err, DeployError::UnprovenFeedbackEdge(Name::from("q")));
-    assert!(err.to_string().contains("allow_cycles"), "{err}");
+    assert!(
+        err.to_string().contains("no derived capacity bound"),
+        "{err}"
+    );
+}
 
-    // With the opt-in, the override-sized loop runs (dynamic detection
-    // remains the safety net in pool mode).
-    let mut deployment = ping_pong(4);
-    deployment.set_capacity_analysis(&alternating_bounds(&["p"]));
-    deployment.set_channel_capacity("q", 4).expect("nonzero");
-    deployment.set_allow_cycles(true);
-    let outcome = deployment.run().expect("allowed cycle runs");
-    assert_eq!(outcome.flow("p").len(), 4);
+#[test]
+fn a_cycle_without_an_analysis_is_refused_naming_its_first_feedback_edge() {
+    // With no analysis installed, no feedback edge has a derived bound:
+    // the primed loop is refused at the default capacity and at any
+    // hand-picked one, naming the first feedback edge of the topology
+    // (ping's input q).  Only installed bounds let it run (above).
+    let deployment = ping_pong(3);
+    assert_eq!(
+        deployment.run().unwrap_err(),
+        DeployError::UnprovenFeedbackEdge(Name::from("q"))
+    );
+    let mut deployment = ping_pong(3);
+    deployment.set_capacity(2).expect("nonzero");
+    let topology = deployment.topology().expect("well-formed");
+    assert_eq!(topology.channels[0].signal, Name::from("q"));
+    assert_eq!(
+        deployment.run().unwrap_err(),
+        DeployError::UnprovenFeedbackEdge(Name::from("q"))
+    );
 }
 
 /// A one-in/one-out relay, for acyclic hand-rolled topologies.
@@ -372,8 +381,8 @@ impl StepMachine for Relay {
 
 #[test]
 fn unbounded_edges_are_typed_errors_on_acyclic_topologies_too() {
-    // Hand-rolled machines carry no clock information: under derived
-    // sizing, an edge without an installed bound or an override is a
+    // Hand-rolled machines carry no clock information: once an analysis
+    // is installed, an edge without a bound in it or an override is a
     // typed error naming the signal — at topology() and at run().
     let acyclic = || {
         let mut deployment = Deployment::new();
@@ -440,8 +449,7 @@ fn the_multirate_design_derives_a_kperiodic_bound_beyond_the_alternating_classes
     // third `x` token, so `y` sees `a` at instants 3, 9, 15, ...
     let expected_y: Vec<Value> = a.iter().skip(2).step_by(6).copied().collect();
     for mode in MODES {
-        let mut deployment = design.deploy().expect("verified design");
-        deployment.set_capacity_analysis(&analysis);
+        let mut deployment = design.deploy_derived().expect("verified design");
         deployment.set_execution_mode(mode).expect("valid mode");
         deployment.feed("a", a.iter().copied());
         let outcome = deployment.run().expect("the deployment runs");
@@ -480,8 +488,8 @@ fn a_partially_analyzed_composition_without_words_fails_cleanly() {
     let analysis = design.capacity_analysis().expect("analysis completes");
     assert!(!analysis.is_fully_bounded());
     assert!(analysis.unbounded().contains_key(&Name::from("x")));
-    // Under derived sizing the unbounded edge is the usual typed error,
-    // surfaced when the deployment resolves its channel topology.
+    // With the analysis installed the unbounded edge is the usual typed
+    // error, surfaced when the deployment resolves its channel topology.
     let deployment = design.deploy_derived().expect("assembles");
     let err = deployment.topology().unwrap_err();
     assert!(
@@ -544,8 +552,7 @@ fn a_primed_loop_passes_the_liveness_pass_and_turns_forever() {
     let analysis = design.capacity_analysis().expect("the primed loop is live");
     assert!(analysis.is_fully_bounded(), "{analysis}");
     assert!(analysis.unprimed_cycles().is_empty());
-    let mut deployment = design.deploy().expect("verified design");
-    deployment.set_capacity_analysis(&analysis);
+    let mut deployment = design.deploy_derived().expect("verified design");
     deployment
         .set_execution_mode(ExecutionMode::Pool {
             workers: 2,
@@ -621,11 +628,9 @@ proptest! {
         stream in prop::collection::vec(any::<bool>(), 0..30),
     ) {
         let design = library::multirate_design().expect("builds");
-        let analysis = design.capacity_analysis().expect("verified design");
         let stream: Vec<Value> = stream.into_iter().map(Value::Bool).collect();
         for mode in MODES {
-            let mut deployment = design.deploy().expect("verified design");
-            deployment.set_capacity_analysis(&analysis);
+            let mut deployment = design.deploy_derived().expect("verified design");
             deployment.set_execution_mode(mode).expect("valid mode");
             deployment.feed("a", stream.iter().copied());
             let outcome = deployment.run().expect("the deployment runs");
@@ -636,19 +641,4 @@ proptest! {
             prop_assert!(report.is_isochronous(), "{}", report);
         }
     }
-}
-
-#[test]
-fn fixed_sizing_keeps_the_legacy_cycle_behavior() {
-    // Without derived bounds the historic contract holds: cycles are
-    // refused unless explicitly allowed, and an allowed primed cycle
-    // still completes.
-    let deployment = ping_pong(3);
-    assert_eq!(deployment.run().unwrap_err(), DeployError::CyclicTopology);
-    let mut deployment = ping_pong(3);
-    deployment.set_allow_cycles(true);
-    deployment.set_capacity(2).expect("nonzero");
-    let outcome = deployment.run().expect("allowed cycle runs");
-    assert_eq!(outcome.stats().sizing, ChannelSizing::Fixed);
-    assert_eq!(outcome.flow("p").len(), 3);
 }

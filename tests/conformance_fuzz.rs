@@ -1,7 +1,8 @@
 //! Conformance fuzzing: proptest-generated designs and environment
 //! streams replayed through `Deployment` and the dynamic isochrony
-//! checker, under **both** execution modes, with both fixed and
-//! clock-derived channel sizing.
+//! checker, under **both** execution modes, at a hand-picked capacity
+//! (`Design::deploy_unchecked` + `set_capacity`) and at the clock-derived
+//! bounds (`Design::deploy_derived`).
 //!
 //! Every verified scenario must conform (Theorem 1); the deliberately
 //! unverified scenario must diverge *detectably* — the checker reports
@@ -26,22 +27,25 @@ use support::bools;
 /// interleavings the fixed scenarios do not.
 const MODES: [ExecutionMode; 2] = support::modes(3);
 
-/// Replays the design under every (mode × sizing) combination and
-/// asserts conformance plus deadlock-freedom for each; all runs must
-/// observe identical flows.
+/// Replays the design under every (mode × capacity) combination — the
+/// hand-picked `capacity` and the derived bounds — and asserts
+/// conformance plus deadlock-freedom for each; all runs must observe
+/// identical flows.
 fn assert_conformant_everywhere(design: &Design, feeds: &[(&str, Vec<Value>)], capacity: usize) {
-    // Derive once per case: the clock inference + BDD work is a
-    // per-design cost, not a per-combination one.
-    let analysis = design.capacity_analysis().expect("the design is verified");
+    assert!(design.is_weakly_hierarchic(), "{}", design.verdict());
     let mut reference: Option<polychrony::sim::Flows> = None;
     for mode in MODES {
         for derived in [false, true] {
-            let mut deployment: Deployment = design.deploy().expect("the design is verified");
-            if derived {
-                deployment.set_capacity_analysis(&analysis);
+            // The design derives its analysis once and shares it with
+            // every deployment: the clock inference + BDD work is a
+            // per-design cost, not a per-combination one.
+            let mut deployment: Deployment = if derived {
+                design.deploy_derived().expect("the design is verified")
             } else {
+                let mut deployment = design.deploy_unchecked();
                 deployment.set_capacity(capacity).expect("nonzero");
-            }
+                deployment
+            };
             deployment.set_execution_mode(mode).expect("valid mode");
             for (signal, values) in feeds {
                 deployment.feed(*signal, values.iter().copied());

@@ -312,8 +312,9 @@ fn assert_timeline_invariants(trace: &Trace, context: &str) {
     }
 }
 
-/// Runs the design traced under the given mode and returns the outcome
-/// (panics when tracing produced nothing).
+/// Runs the design traced under the given mode, at its derived bounds or
+/// at the default capacity, and returns the outcome (panics when tracing
+/// produced nothing).
 fn traced_run(
     design: &Design,
     feeds: &[(&str, Vec<Value>)],
@@ -323,7 +324,7 @@ fn traced_run(
     let mut deployment = if derived {
         design.deploy_derived().expect("verified design")
     } else {
-        design.deploy().expect("verified design")
+        design.deploy_unchecked()
     };
     deployment.set_execution_mode(mode).expect("valid mode");
     deployment.set_tracing(true);
@@ -455,7 +456,7 @@ fn the_drift_report_matches_the_analytic_pipeline_model() {
 #[test]
 fn an_untraced_run_carries_no_trace() {
     let design = library::buffer_pipeline_design(2).expect("builds");
-    let mut deployment = design.deploy().expect("verified");
+    let mut deployment = design.deploy_unchecked();
     deployment.feed("p0", [true, false, true].map(Value::Bool));
     assert!(!deployment.tracing());
     let outcome = deployment.run().expect("runs");
@@ -467,7 +468,7 @@ fn an_untraced_run_carries_no_trace() {
 fn a_tiny_trace_buffer_truncates_the_timeline_but_not_the_aggregates() {
     const TOKENS: usize = 48;
     let design = library::buffer_pipeline_design(3).expect("builds");
-    let mut deployment = design.deploy().expect("verified");
+    let mut deployment = design.deploy_unchecked();
     deployment.set_trace_config(TraceConfig { buffer_capacity: 8 });
     deployment.feed("p0", (0..TOKENS).map(|i| Value::Bool(i % 2 == 0)));
     let outcome = deployment.run().expect("runs");
@@ -581,7 +582,7 @@ proptest! {
             let mut deployment = if derived {
                 design.deploy_derived().expect("verified")
             } else {
-                let mut d = design.deploy().expect("verified");
+                let mut d = design.deploy_unchecked();
                 d.set_capacity(capacity).expect("nonzero");
                 d
             };

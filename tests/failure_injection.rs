@@ -161,7 +161,7 @@ fn deploying_an_unverified_design_is_refused() {
         .build()
         .unwrap();
     let design = Design::compose("bad", [loose, stdlib::filter()]).expect("builds");
-    let err = design.deploy().expect_err("unverified");
+    let err = design.deploy_derived().expect_err("unverified");
     assert!(matches!(err, DesignError::NotVerified(ref n) if n == "bad"));
     assert!(err.to_string().contains("bad"));
 }
@@ -189,7 +189,10 @@ fn deployment_divergence_of_a_non_isochronous_design_is_detected() {
     let design =
         Design::compose("unsynchronized", [stdlib::producer(), consumer_nosync]).expect("builds");
     assert!(!design.verdict().weakly_hierarchic);
-    assert!(matches!(design.deploy(), Err(DesignError::NotVerified(_))));
+    assert!(matches!(
+        design.deploy_derived(),
+        Err(DesignError::NotVerified(_))
+    ));
 
     // Forcing the deployment anyway: the run completes, but the flows
     // diverge from the synchronous reference and the checker says so.

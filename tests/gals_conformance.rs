@@ -24,9 +24,10 @@ use polychrony::isochron::{design::chain_of_pairs, library, Design};
 use polychrony::moc::{Name, Value};
 use support::{bools, ints, MODES};
 
-/// Deploys the design with every feed applied, at the given channel
-/// capacity, under **both** schedules; asserts the conformance verdict
-/// of each run, and returns the last outcome — Theorem 1's isochrony is
+/// Deploys the verified design with every feed applied, at the given
+/// hand-picked channel capacity (`deploy_unchecked` + `set_capacity`),
+/// under **both** schedules; asserts the conformance verdict of each run,
+/// and returns the last outcome — Theorem 1's isochrony is
 /// scheduler-agnostic, so both must observe the synchronous flows.
 fn assert_conformant(
     design: &Design,
@@ -37,9 +38,10 @@ fn assert_conformant(
     // traced, and a failing interleaving leaves its timeline behind as the
     // repro artifact.
     let trace_dir = std::env::var_os("GALS_TRACE_DIR");
+    assert!(design.is_weakly_hierarchic(), "{}", design.verdict());
     let mut outcomes = Vec::new();
     for mode in MODES {
-        let mut deployment: Deployment = design.deploy().expect("the design is verified");
+        let mut deployment: Deployment = design.deploy_unchecked();
         deployment.set_execution_mode(mode).expect("valid mode");
         deployment.set_capacity(capacity).expect("nonzero");
         deployment.set_tracing(trace_dir.is_some());
@@ -218,7 +220,7 @@ fn zero_channel_capacities_are_rejected_with_a_typed_error() {
     // rejected; a rendezvous channel would deadlock the worker loop, so
     // the API must say no.
     let design = library::producer_consumer_design().unwrap();
-    let mut deployment = design.deploy().unwrap();
+    let mut deployment = design.deploy_unchecked();
     assert!(matches!(
         deployment.set_capacity(0),
         Err(DeployError::ZeroCapacity(None))
@@ -244,7 +246,7 @@ fn the_pool_records_its_scheduling_counters() {
     // react and account at least one dispatch of their one island — while
     // still conforming.
     let design = library::buffer_pipeline_design(8).expect("builds");
-    let mut deployment = design.deploy().expect("verified");
+    let mut deployment = design.deploy_derived().expect("verified");
     let mode = ExecutionMode::Pool {
         workers: 2,
         quantum: 4,
@@ -273,7 +275,7 @@ fn backpressure_is_observable_at_capacity_one() {
     // With a one-place channel and a consumer that asks late, the producer
     // must block: the counters expose it.
     let design = library::producer_consumer_design().unwrap();
-    let mut deployment = design.deploy().unwrap();
+    let mut deployment = design.deploy_unchecked();
     deployment.set_capacity(1).expect("nonzero");
     // Many producer tokens early, consumer pulls late.
     deployment.feed("a", [false, false, false, false, false, false]);
@@ -321,7 +323,7 @@ fn clean_runs_exchange_exactly_as_many_tokens_as_they_send() {
     ];
     for (design, feeds) in &scenarios {
         for mode in MODES {
-            let mut deployment = design.deploy().expect("verified");
+            let mut deployment = design.deploy_derived().expect("verified");
             deployment.set_execution_mode(mode).expect("valid mode");
             for (signal, values) in feeds {
                 deployment.feed(*signal, values.iter().copied());
@@ -339,13 +341,13 @@ fn clean_runs_exchange_exactly_as_many_tokens_as_they_send() {
 }
 
 #[test]
-fn derived_capacities_conform_across_modes_and_backends() {
+fn derived_capacities_conform_across_modes() {
     // The capacity-derivation story on the stdlib designs: every edge
     // gets a clock-derived bound and both execution modes still observe
     // the synchronous flows — the hand-tuned capacity knob
     // replaced by an artifact of the verification, with no loss of
     // conformance.
-    use polychrony::gals_rt::{CapacitySource, ChannelSizing};
+    use polychrony::gals_rt::CapacitySource;
     type Scenario = (Design, Vec<(&'static str, Vec<Value>)>);
     let scenarios: Vec<Scenario> = vec![
         (
@@ -377,7 +379,6 @@ fn derived_capacities_conform_across_modes_and_backends() {
             }
             let outcome = deployment.run().expect("the deployment runs");
             let stats = outcome.stats();
-            assert_eq!(stats.sizing, ChannelSizing::Derived);
             for edge in &stats.edges {
                 assert_eq!(
                     edge.source,

@@ -23,10 +23,10 @@ use std::time::Duration;
 use polychrony::gals_net::runner::run_partition;
 use polychrony::gals_net::{
     merge_flows, merged_conformance, plan, plan_with_overrides, Frame, FrameReader, MergedStats,
-    NetReceiver, NetSender, RetryPolicy, UdsLinks,
+    NetReceiver, NetSender, PartitionError, RetryPolicy, UdsLinks,
 };
 use polychrony::gals_rt::ring::ring;
-use polychrony::gals_rt::{StopReason, TokenRx, TokenTx, TryRecvError, TrySendError};
+use polychrony::gals_rt::{DeployError, StopReason, TokenRx, TokenTx, TryRecvError, TrySendError};
 use polychrony::isochron::library;
 use polychrony::moc::{Name, Value};
 use proptest::prelude::*;
@@ -173,6 +173,14 @@ fn every_cut_window_equals_the_derived_bound() {
     assert_eq!(
         cut.window, 7,
         "an explicit override wins over the derivation"
+    );
+    // A zero window could never pass a token: planning refuses it with
+    // the error an in-process zero capacity gets.
+    overrides.insert(cut_signal.clone(), 0);
+    let err = plan_with_overrides(&design, &[0, 0, 1, 1], &overrides).unwrap_err();
+    assert_eq!(
+        err,
+        PartitionError::Deploy(DeployError::ZeroCapacity(Some(cut_signal)).to_string())
     );
 }
 
